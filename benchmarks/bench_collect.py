@@ -32,9 +32,8 @@ WORKLOADS = [
 ]
 
 
-def bench_backend(impl, P, reps, rng):
+def bench_backend(impl, P, reps, vecs):
     t = impl.make_tables(P.n_gens, P.rel_orders, P.pow_words, P.conj_words)
-    vecs = [tuple(rng.randrange(m) for m in P.rel_orders) for _ in range(64)]
     t0 = time.perf_counter()
     for i in range(reps):
         x = vecs[i % 64]
@@ -62,10 +61,12 @@ def main():
     print(f"{'group':<14} {'backend':<10} {'mul ops/s':>12} {'inv ops/s':>12}")
     for name, ctor in WORKLOADS:
         P = ctor().presentation
+        # every backend is timed on the same operands
         rng = random.Random(7)
+        vecs = [tuple(rng.randrange(m) for m in P.rel_orders) for _ in range(64)]
         rows = {}
         for bname, impl in backends:
-            mul_s, inv_s = bench_backend(impl, P, args.reps, rng)
+            mul_s, inv_s = bench_backend(impl, P, args.reps, vecs)
             rows[bname] = (args.reps / mul_s, (args.reps // 4) / inv_s)
             print(
                 f"{name:<14} {bname:<10} {rows[bname][0]:>12.0f} {rows[bname][1]:>12.0f}"

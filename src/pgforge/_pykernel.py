@@ -13,8 +13,26 @@ back on the stack after conjugation.  Because conjugation and power words
 never introduce indices below the syllable being processed, the procedure
 terminates.
 
-pgforge._ckernel is a compiled transcription of this module and must agree
-with it output-for-output (see tests/test_kernel_parity.py).
+KernelTables precomputes, once per presentation, what the inner loop
+would otherwise rebuild on every syllable:
+
+- blockers[j]: the generators k > j whose conjugate by g_j is not None.
+  The tail right of g_j commutes with it exactly when every blocker slot
+  of the exponent vector is zero, so the test scans these few slots.
+- the power words, stored reversed, ready to be pushed onto the stack.
+- moves[j][k], what one pass of g_j over g_k^e pushes: either the
+  reversed conjugate word, pushed e times, or an integer c standing for
+  the single syllable (k, c*e).  A missing conjugate is c = 1.  A
+  conjugate (k, c) with c > 0, where g_k itself has no blockers and no
+  power word, is also stored as c: each of the e pushed copies of (k, c)
+  would be popped in turn and only set a[k] to (a[k] + c) mod orders[k],
+  pushing nothing, so one syllable (k, c*e) leaves the same vector.  The
+  conjugate's only syllable must be on g_k itself for this to hold.
+
+Apart from that fusion, collection applies the same rewrites in the same
+order as the plain stack collector, which pgforge._ckernel transcribes and
+tests/test_kernel_parity.py keeps as an oracle, so the outputs of all
+three agree on presentations and on arbitrary tables alike.
 """
 
 BACKEND = "python"
@@ -23,7 +41,8 @@ BACKEND = "python"
 class KernelTables:
     """Flattened relation tables consumed by the collector."""
 
-    __slots__ = ("n", "orders", "pows", "conjs", "identity")
+    __slots__ = ("n", "orders", "pows", "conjs", "identity",
+                 "blockers", "rev_pows", "moves")
 
     def __init__(self, n, orders, pows, conjs):
         self.n = n
@@ -34,73 +53,104 @@ class KernelTables:
             tuple(w) if w is not None else None for w in conjs
         )
         self.identity = (0,) * n
+        self.blockers = tuple(
+            tuple(k for k in range(j + 1, n) if self.conjs[j * n + k] is not None)
+            for j in range(n)
+        )
+        self.rev_pows = tuple(w[::-1] for w in self.pows)
+        moves = []
+        for j in range(n):
+            row = [None] * n
+            for k in range(j + 1, n):
+                w = self.conjs[j * n + k]
+                if w is None:
+                    row[k] = 1
+                elif (len(w) == 1 and w[0][0] == k and type(w[0][1]) is int
+                        and w[0][1] > 0 and not self.blockers[k]
+                        and not self.pows[k]):
+                    row[k] = w[0][1]
+                else:
+                    row[k] = w[::-1]
+            moves.append(tuple(row))
+        self.moves = tuple(moves)
 
 
 def make_tables(n, orders, pows, conjs):
     return KernelTables(n, orders, pows, conjs)
 
 
-def collect(tables, vec, word):
-    """Normal form of vec * word."""
+def _run(tables, a, stack):
+    """Collect the stack into the exponent list a, in place.
+
+    The top of the stack (the end of the list) is the leftmost
+    unprocessed syllable.
+    """
     n = tables.n
     orders = tables.orders
-    pows = tables.pows
-    conjs = tables.conjs
-    a = list(vec)
-    # stack top (= end of list) is the leftmost unprocessed syllable
-    stack = [(g, e) for g, e in word if e]
-    stack.reverse()
+    blockers = tables.blockers
+    rev_pows = tables.rev_pows
+    moves = tables.moves
+    push = stack.append
+    pop = stack.pop
+    extend = stack.extend
     while stack:
-        j, e = stack.pop()
-        m = orders[j]
-        base = j * n
-        tail = [(k, a[k]) for k in range(j + 1, n) if a[k]]
-        if all(conjs[base + k] is None for k, _ in tail):
+        j, e = pop()
+        for k in blockers[j]:
+            if a[k]:
+                break
+        else:
             # everything right of j commutes with g_j: merge exponents
+            m = orders[j]
             tot = a[j] + e
             if tot < m:
                 a[j] = tot
                 continue
-            q, rem = divmod(tot, m)
-            a[j] = rem
-            pw = pows[j]
+            q, a[j] = divmod(tot, m)
+            pw = rev_pows[j]
             if not pw:
                 continue
             # a = prefix * g_j^rem * pw^q * tail
-            for k, _ in tail:
-                a[k] = 0
-            for k, ek in reversed(tail):
-                stack.append((k, ek))
-            for _ in range(q):
-                for syl in reversed(pw):
-                    stack.append(syl)
+            for k in range(n - 1, j, -1):
+                ek = a[k]
+                if ek:
+                    a[k] = 0
+                    push((k, ek))
+            extend(pw * q)
             continue
         # move a single g_j left past the tail, conjugating it
         if e > 1:
-            stack.append((j, e - 1))
-        for k, ek in tail:
-            a[k] = 0
-        for k, ek in reversed(tail):
-            w = conjs[base + k]
-            if w is None:
-                stack.append((k, ek))
-            else:
-                for _ in range(ek):
-                    for syl in reversed(w):
-                        stack.append(syl)
+            push((j, e - 1))
+        row = moves[j]
+        for k in range(n - 1, j, -1):
+            ek = a[k]
+            if ek:
+                a[k] = 0
+                w = row[k]
+                if w.__class__ is int:
+                    push((k, w * ek))
+                else:
+                    extend(w * ek)
         aj = a[j] + 1
-        if aj == m:
+        if aj == orders[j]:
             a[j] = 0
-            for syl in reversed(pows[j]):
-                stack.append(syl)
+            extend(rev_pows[j])
         else:
             a[j] = aj
+
+
+def collect(tables, vec, word):
+    """Normal form of vec * word."""
+    a = list(vec)
+    stack = [(g, e) for g, e in word if e]
+    stack.reverse()
+    _run(tables, a, stack)
     return tuple(a)
 
 
 def mul(tables, u, v):
-    word = [(i, e) for i, e in enumerate(v) if e]
-    return collect(tables, u, word)
+    a = list(u)
+    _run(tables, a, [(i, v[i]) for i in range(len(v) - 1, -1, -1) if v[i]])
+    return tuple(a)
 
 
 def inv(tables, u):
@@ -110,17 +160,20 @@ def inv(tables, u):
     g_i^{orders[i] - e_i} sends the product into the span of higher
     generators, so the appended syllables form the inverse word.
     """
-    n = tables.n
     orders = tables.orders
-    z = tuple(u)
+    z = list(u)
     word = []
-    for i in range(n):
+    for i in range(tables.n):
         e = z[i]
         if e:
             k = orders[i] - e
-            word.append((i, k))
-            z = collect(tables, z, ((i, k),))
-    return collect(tables, tables.identity, word)
+            if k:
+                word.append((i, k))
+                _run(tables, z, [(i, k)])
+    word.reverse()
+    a = [0] * tables.n
+    _run(tables, a, word)
+    return tuple(a)
 
 
 def power(tables, u, k):

@@ -27,16 +27,29 @@ from pgforge.subgroups import (
 )
 
 
-def _memo(P: PcPresentation, key, fn):
+def _memo(P: PcPresentation, key, fn, caps=None):
+    """fn(), computed once per presentation.
+
+    Every memoized computation that takes caps sweeps the whole of P before
+    any smaller sweep, so a hit checks that sweep's cap: it refuses exactly
+    where a cold call with the same caps would.
+    """
     cache = P._cache
-    if key not in cache:
-        cache[key] = fn()
-    return cache[key]
+    if key in cache:
+        if caps is not None:
+            _check_sweep(P, caps)
+        return cache[key]
+    value = cache[key] = fn()
+    return value
+
+
+def _check_sweep(P: PcPresentation, caps):
+    if P.order > caps.element_sweep:
+        raise CapExceeded("element sweep", P.order, caps.element_sweep)
 
 
 def _sweep(P: PcPresentation, caps):
-    if P.order > caps.element_sweep:
-        raise CapExceeded("element sweep", P.order, caps.element_sweep)
+    _check_sweep(P, caps)
     return P.elements()
 
 
@@ -49,7 +62,7 @@ def center(G: PcPresentation, caps=DEFAULT_CAPS) -> Subgroup:
         ]
         return subgroup_closure(G, members)
 
-    return _memo(G, "center", compute)
+    return _memo(G, "center", compute, caps)
 
 
 def centralizer(G: PcPresentation, target, caps=DEFAULT_CAPS) -> Subgroup:
@@ -86,7 +99,7 @@ def agemo(G: PcPresentation, i: int = 1, caps=DEFAULT_CAPS) -> Subgroup:
         q = G.prime ** i
         return subgroup_closure(G, [x ** q for x in _sweep(G, caps)])
 
-    return _memo(G, ("agemo", i), compute)
+    return _memo(G, ("agemo", i), compute, caps)
 
 
 def frattini(G: PcPresentation, caps=DEFAULT_CAPS) -> Subgroup:
@@ -97,7 +110,7 @@ def frattini(G: PcPresentation, caps=DEFAULT_CAPS) -> Subgroup:
         a = agemo(G, 1, caps)
         return subgroup_closure(G, list(d.igs) + list(a.igs))
 
-    return _memo(G, "frattini", compute)
+    return _memo(G, "frattini", compute, caps)
 
 
 def omega1(S: Subgroup, caps=DEFAULT_CAPS) -> Subgroup:
@@ -118,7 +131,7 @@ def omega1_general(G: PcPresentation, caps=DEFAULT_CAPS) -> Subgroup:
         members = [x for x in _sweep(G, caps) if (x ** p).is_identity]
         return subgroup_closure(G, members)
 
-    return _memo(G, "omega1", compute)
+    return _memo(G, "omega1", compute, caps)
 
 
 def upper_central_series(G: PcPresentation, caps=DEFAULT_CAPS):
@@ -138,7 +151,7 @@ def upper_central_series(G: PcPresentation, caps=DEFAULT_CAPS):
             series.append(nxt)
         return series
 
-    return _memo(G, "ucs", compute)
+    return _memo(G, "ucs", compute, caps)
 
 
 def lower_central_series(G: PcPresentation):
@@ -290,7 +303,7 @@ def is_powerful(G: PcPresentation, caps=DEFAULT_CAPS) -> bool:
         target = agemo(G, 2 if G.prime == 2 else 1, caps)
         return all(target.membership(x) for x in d.igs)
 
-    return _memo(G, "powerful", compute)
+    return _memo(G, "powerful", compute, caps)
 
 
 def is_p_central(G: PcPresentation, caps=DEFAULT_CAPS) -> bool:
@@ -300,7 +313,7 @@ def is_p_central(G: PcPresentation, caps=DEFAULT_CAPS) -> bool:
         zc = omega1(center(G, caps), caps)
         return om == zc
 
-    return _memo(G, "p_central", compute)
+    return _memo(G, "p_central", compute, caps)
 
 
 def ds_condition(G: PcPresentation, caps=DEFAULT_CAPS) -> bool:
@@ -310,7 +323,7 @@ def ds_condition(G: PcPresentation, caps=DEFAULT_CAPS) -> bool:
         z_phi = center_of_subgroup(G, phi, caps)
         return centralizer(G, z_phi, caps) == phi
 
-    return _memo(G, "ds", compute)
+    return _memo(G, "ds", compute, caps)
 
 
 def center_of_subgroup(G: PcPresentation, S: Subgroup, caps=DEFAULT_CAPS) -> Subgroup:
@@ -431,7 +444,7 @@ def exponent(G: PcPresentation, caps=DEFAULT_CAPS) -> int:
     def compute():
         return max(x.order() for x in _sweep(G, caps))
 
-    return _memo(G, "exponent", compute)
+    return _memo(G, "exponent", compute, caps)
 
 
 def profile(G: PcPresentation, caps=DEFAULT_CAPS) -> GroupProfile:
@@ -458,7 +471,7 @@ def profile(G: PcPresentation, caps=DEFAULT_CAPS) -> GroupProfile:
             lower_series_orders=tuple(s.order for s in lower_central_series(G)),
         )
 
-    return _memo(G, "profile", compute)
+    return _memo(G, "profile", compute, caps)
 
 
 def quotient_presentation(G: PcPresentation, N: Subgroup):
@@ -472,4 +485,4 @@ def central_quotient(G: PcPresentation, caps=DEFAULT_CAPS) -> PcPresentation:
         pres, _ = quotient_presentation(G, center(G, caps))
         return pres
 
-    return _memo(G, "central_quotient", compute)
+    return _memo(G, "central_quotient", compute, caps)

@@ -430,9 +430,21 @@ def _quotient_presentation(Q: QuotientGroup):
 
 
 def enumerate_subgroups(G: PcPresentation, caps=DEFAULT_CAPS):
-    """Complete, duplicate-free list of subgroups, smallest first."""
+    """Complete, duplicate-free list of subgroups, smallest first.
+
+    The lattice is computed once per presentation; every call gets a new
+    list of the same Subgroup objects.
+    """
     if G.order > caps.subgroup_enum:
         raise CapExceeded("subgroup enumeration", G.order, caps.subgroup_enum)
+    lattice = G._cache.get("lattice")
+    if lattice is None:
+        lattice = _lattice(G)
+        G._cache["lattice"] = lattice
+    return list(lattice)
+
+
+def _lattice(G: PcPresentation):
     G.require_consistent()
     seen = {}
     triv = trivial_subgroup(G)
@@ -451,7 +463,7 @@ def enumerate_subgroups(G: PcPresentation, caps=DEFAULT_CAPS):
                     seen[k] = T
                     nxt.append(T)
         frontier = nxt
-    return sorted(seen.values(), key=lambda s: (s.order, s.key()))
+    return tuple(sorted(seen.values(), key=lambda s: (s.order, s.key())))
 
 
 def enumerate_normal_subgroups(G: PcPresentation, caps=DEFAULT_CAPS):

@@ -1,4 +1,11 @@
-"""The compiled and pure kernels must agree output-for-output."""
+"""Both kernels must agree output-for-output with the plain stack collector.
+
+`_reference_collect`, `_reference_mul`, `_reference_inv` and
+`_reference_power` below are the plain collector, kept here verbatim as an
+oracle: no precomputed tables, one pushed syllable per rewrite.  The pure
+kernel is checked against it on every run; the compiled kernel, when it is
+built, is checked against the pure one.
+"""
 
 import random
 
@@ -14,6 +21,93 @@ except ImportError:
 needs_compiled = pytest.mark.skipif(
     _ckernel is None, reason="compiled kernel not built"
 )
+
+
+def _reference_collect(tables, vec, word):
+    n = tables.n
+    orders = tables.orders
+    pows = tables.pows
+    conjs = tables.conjs
+    a = list(vec)
+    stack = [(g, e) for g, e in word if e]
+    stack.reverse()
+    while stack:
+        j, e = stack.pop()
+        m = orders[j]
+        base = j * n
+        tail = [(k, a[k]) for k in range(j + 1, n) if a[k]]
+        if all(conjs[base + k] is None for k, _ in tail):
+            tot = a[j] + e
+            if tot < m:
+                a[j] = tot
+                continue
+            q, rem = divmod(tot, m)
+            a[j] = rem
+            pw = pows[j]
+            if not pw:
+                continue
+            for k, _ in tail:
+                a[k] = 0
+            for k, ek in reversed(tail):
+                stack.append((k, ek))
+            for _ in range(q):
+                for syl in reversed(pw):
+                    stack.append(syl)
+            continue
+        if e > 1:
+            stack.append((j, e - 1))
+        for k, ek in tail:
+            a[k] = 0
+        for k, ek in reversed(tail):
+            w = conjs[base + k]
+            if w is None:
+                stack.append((k, ek))
+            else:
+                for _ in range(ek):
+                    for syl in reversed(w):
+                        stack.append(syl)
+        aj = a[j] + 1
+        if aj == m:
+            a[j] = 0
+            for syl in reversed(pows[j]):
+                stack.append(syl)
+        else:
+            a[j] = aj
+    return tuple(a)
+
+
+def _reference_mul(tables, u, v):
+    word = [(i, e) for i, e in enumerate(v) if e]
+    return _reference_collect(tables, u, word)
+
+
+def _reference_inv(tables, u):
+    n = tables.n
+    orders = tables.orders
+    z = tuple(u)
+    word = []
+    for i in range(n):
+        e = z[i]
+        if e:
+            k = orders[i] - e
+            word.append((i, k))
+            z = _reference_collect(tables, z, ((i, k),))
+    return _reference_collect(tables, tables.identity, word)
+
+
+def _reference_power(tables, u, k):
+    if k < 0:
+        u = _reference_inv(tables, u)
+        k = -k
+    acc = tables.identity
+    sq = tuple(u)
+    while k:
+        if k & 1:
+            acc = _reference_mul(tables, acc, sq)
+        k >>= 1
+        if k:
+            sq = _reference_mul(tables, sq, sq)
+    return acc
 
 
 def random_tables(rng):
@@ -33,12 +127,98 @@ def random_tables(rng):
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < 0.5:
+                continue
+            shape = rng.random()
+            if shape < 0.3:
+                # a single syllable on g_j: the pure kernel fuses its pushed
+                # copies when g_j has no blockers and no power word
+                c = rng.randrange(1, orders[j]) if rng.random() < 0.9 else 0
+                conjs[i * n + j] = ((j, c),)
+            elif shape < 0.45 and j + 1 < n:
+                # the leading syllable is above g_j: never fused
+                lead = rng.randrange(j + 1, n)
+                w = [(lead, rng.randrange(1, orders[lead]))]
+                for g in range(lead + 1, n):
+                    if rng.random() < 0.3:
+                        w.append((g, rng.randrange(1, orders[g])))
+                conjs[i * n + j] = tuple(w)
+            else:
                 w = [(j, rng.randrange(1, orders[j]))]
                 for g in range(j + 1, n):
                     if rng.random() < 0.3:
                         w.append((g, rng.randrange(1, orders[g])))
                 conjs[i * n + j] = tuple(w)
     return n, orders, pows, conjs
+
+
+def random_cases(rng, n, orders, count):
+    for _ in range(count):
+        vec = tuple(rng.randrange(orders[i]) for i in range(n))
+        word = [
+            (rng.randrange(n), rng.randrange(0, 2 * max(orders)))
+            for _ in range(rng.randint(0, 5))
+        ]
+        u = tuple(rng.randrange(orders[i]) for i in range(n))
+        yield vec, word, u, rng.randint(-12, 40)
+
+
+def test_random_tables_cover_the_fusion_guard():
+    """The generator yields fused and unfused single-syllable conjugates,
+    and conjugates led by a generator above the conjugated one."""
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(400):
+        n, orders, pows, conjs = random_tables(rng)
+        t = _pykernel.make_tables(n, orders, pows, conjs)
+        for i in range(n):
+            for j in range(i + 1, n):
+                w = conjs[i * n + j]
+                if w is None:
+                    continue
+                if w[0][0] > j:
+                    seen.add("leading above")
+                elif len(w) == 1:
+                    fused = t.moves[i][j].__class__ is int
+                    seen.add(("single", fused, bool(t.blockers[j]), bool(pows[j])))
+    assert "leading above" in seen
+    assert ("single", True, False, False) in seen
+    for blocked, powered in [(True, False), (False, True), (True, True)]:
+        assert ("single", False, blocked, powered) in seen
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_pure_kernel_matches_reference_on_random_tables(seed):
+    rng = random.Random(seed)
+    for _ in range(100):
+        n, orders, pows, conjs = random_tables(rng)
+        t = _pykernel.make_tables(n, orders, pows, conjs)
+        for vec, word, u, k in random_cases(rng, n, orders, 15):
+            assert _pykernel.collect(t, vec, word) == _reference_collect(t, vec, word)
+            assert _pykernel.mul(t, vec, u) == _reference_mul(t, vec, u)
+            assert _pykernel.inv(t, vec) == _reference_inv(t, vec)
+            assert _pykernel.power(t, vec, k) == _reference_power(t, vec, k)
+
+
+def test_pure_kernel_matches_reference_on_corpus_groups():
+    from pgforge import corpus
+
+    rng = random.Random(98)
+    for entry in corpus.builtin_corpus(validate=False):
+        P = entry.presentation
+        n = P.n_gens
+        if n == 0:
+            continue
+        t = _pykernel.make_tables(n, P.rel_orders, P.pow_words, P.conj_words)
+        for _ in range(20):
+            u = tuple(rng.randrange(m) for m in P.rel_orders)
+            v = tuple(rng.randrange(m) for m in P.rel_orders)
+            word = [(g, e) for g, e in zip(range(n), v)]
+            rng.shuffle(word)
+            k = rng.randint(-9, 9)
+            assert _pykernel.collect(t, u, word) == _reference_collect(t, u, word)
+            assert _pykernel.mul(t, u, v) == _reference_mul(t, u, v)
+            assert _pykernel.inv(t, u) == _reference_inv(t, u)
+            assert _pykernel.power(t, u, k) == _reference_power(t, u, k)
 
 
 @needs_compiled
@@ -49,17 +229,10 @@ def test_parity_on_random_tables(seed):
         n, orders, pows, conjs = random_tables(rng)
         tp = _pykernel.make_tables(n, orders, pows, conjs)
         tc = _ckernel.make_tables(n, orders, pows, conjs)
-        for _ in range(15):
-            vec = tuple(rng.randrange(orders[i]) for i in range(n))
-            word = [
-                (rng.randrange(n), rng.randrange(0, 2 * max(orders)))
-                for _ in range(rng.randint(0, 5))
-            ]
+        for vec, word, u, k in random_cases(rng, n, orders, 15):
             assert _pykernel.collect(tp, vec, word) == _ckernel.collect(tc, vec, word)
-            u = tuple(rng.randrange(orders[i]) for i in range(n))
             assert _pykernel.mul(tp, vec, u) == _ckernel.mul(tc, vec, u)
             assert _pykernel.inv(tp, vec) == _ckernel.inv(tc, vec)
-            k = rng.randint(-12, 40)
             assert _pykernel.power(tp, vec, k) == _ckernel.power(tc, vec, k)
 
 
@@ -84,12 +257,17 @@ def test_parity_on_corpus_groups():
 
 def test_pure_kernel_selected_by_env(tmp_path):
     """PGFORGE_PURE=1 forces the pure backend in a fresh interpreter."""
+    import os
     import subprocess
     import sys
 
+    import pgforge
+
+    # the package need not be installed: point the child at this copy
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pgforge.__file__)))
     out = subprocess.run(
         [sys.executable, "-c", "from pgforge.kernel import BACKEND; print(BACKEND)"],
-        env={"PGFORGE_PURE": "1", "PATH": "/usr/bin:/bin"},
+        env={"PGFORGE_PURE": "1", "PATH": "/usr/bin:/bin", "PYTHONPATH": src},
         capture_output=True,
         text=True,
     )

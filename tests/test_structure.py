@@ -282,3 +282,31 @@ def test_sweep_caps():
     with pytest.raises(CapExceeded):
         center(PcPresentation(2, [2] * 13, None, {}, name="big"),
                DeskCaps(element_sweep=16))
+
+
+def test_memo_hit_enforces_caps():
+    from pgforge.caps import DeskCaps
+
+    G = corpus.g64().presentation
+    assert center(G).order == 4
+    with pytest.raises(CapExceeded):
+        center(G, DeskCaps(element_sweep=8))
+    assert center(G, DeskCaps(element_sweep=64)).order == 4
+
+
+def test_memo_hit_raises_as_a_cold_call():
+    """A warm result refuses with the same error as a cold call."""
+    from pgforge.caps import DeskCaps
+
+    small = DeskCaps(element_sweep=2)
+    warm = corpus.g64().presentation
+    profile(warm)
+    central_quotient(warm)
+    for fn in (center, lambda G, caps: agemo(G, 1, caps), frattini,
+               omega1_general, upper_central_series, is_powerful, is_p_central,
+               ds_condition, exponent, profile, central_quotient):
+        with pytest.raises(CapExceeded) as cold:
+            fn(corpus.g64().presentation, small)
+        with pytest.raises(CapExceeded) as hit:
+            fn(warm, small)
+        assert (hit.value.what, hit.value.needed) == (cold.value.what, cold.value.needed)

@@ -217,3 +217,16 @@ def test_subgroup_equality_is_canonical(d8):
     assert S1 == S2
     assert hash(S1) == hash(S2)
     assert S1 <= S2 and S2 <= S1
+
+
+def test_enumeration_is_memoized_per_presentation():
+    P = corpus.dihedral(16).presentation
+    first = enumerate_subgroups(P)
+    second = enumerate_subgroups(P)
+    assert first == second and first is not second
+    assert all(a is b for a, b in zip(first, second))
+    first.clear()
+    assert enumerate_subgroups(P) == second
+    # the cap is checked before the memo is consulted
+    with pytest.raises(CapExceeded):
+        enumerate_subgroups(P, DeskCaps(subgroup_enum=8))

@@ -17,14 +17,7 @@ from pgforge.caps import DEFAULT_CAPS
 from pgforge.core import Element, PcPresentation
 from pgforge.errors import CapExceeded, DomainError, HypothesesUnmet
 from pgforge import structure
-from pgforge.subgroups import (
-    Subgroup,
-    full_subgroup,
-    is_normal,
-    quotient,
-    subgroup_closure,
-    trivial_subgroup,
-)
+from pgforge.subgroups import Subgroup, quotient, subgroup_closure
 
 
 class Automorphism:
@@ -133,9 +126,44 @@ def validation_error(pres: PcPresentation, images):
             rhs = images[j] if w is None else eval_word(w)
             if lhs != rhs:
                 return f"conjugation relation of x{j + 1} by x{i + 1} violated"
-    if subgroup_closure(pres, images).order != pres.order:
+    if not generates(pres, images):
         return "images do not generate the group"
     return None
+
+
+def generates(G: PcPresentation, elements) -> bool:
+    """Whether the elements generate G, by Burnside's basis theorem: they
+    do exactly when their images span G/frattini(G), an F_p-space whose
+    coordinates are the exponents of the quotient presentation."""
+    quot = G._cache.get("frattini_quotient")
+    if quot is None:
+        quot = quotient(G, structure.frattini_closure(G)).presentation()
+        G._cache["frattini_quotient"] = quot
+    Qp, project = quot
+    rows = [list(project(x.vec)) for x in elements]
+    return _rank_mod_p(rows, G.prime) == Qp.n_gens
+
+
+def _rank_mod_p(rows, p):
+    """Rank over F_p of integer row vectors, by elimination in place."""
+    rank = 0
+    width = len(rows[0]) if rows else 0
+    for c in range(width):
+        for r in range(rank, len(rows)):
+            if rows[r][c] % p:
+                break
+        else:
+            continue
+        rows[rank], rows[r] = rows[r], rows[rank]
+        pivot = rows[rank]
+        inv = pow(pivot[c], -1, p)
+        for row in rows[rank + 1:]:
+            f = row[c] * inv % p
+            if f:
+                for k in range(c, width):
+                    row[k] = (row[k] - f * pivot[k]) % p
+        rank += 1
+    return rank
 
 
 def make_automorphism(G: PcPresentation, images) -> Automorphism:
@@ -344,7 +372,7 @@ def _fixed_name(G, S: Subgroup) -> str:
     try:
         if S == structure.omega1(structure.center(G)):
             return "omega1-center"
-    except Exception:
+    except (CapExceeded, DomainError):
         pass
     return "igs:" + ";".join(u.word_str() for u in S.igs)
 

@@ -368,6 +368,13 @@ def _parse_word(text, lineno):
     return tuple(word)
 
 
+def _parse_int(text, what, lineno):
+    try:
+        return int(text)
+    except ValueError:
+        raise PresentationError(f"bad {what} {text.strip()!r}", lineno) from None
+
+
 def parse_presentation(text: str) -> PcPresentation:
     """Parse the line-oriented presentation format.
 
@@ -392,22 +399,17 @@ def parse_presentation(text: str) -> PcPresentation:
                 raise PresentationError("group needs a name", lineno)
             name = rest.strip()
         elif directive == "prime":
-            try:
-                prime = int(rest)
-            except ValueError:
-                raise PresentationError(f"bad prime {rest!r}", lineno)
+            prime = _parse_int(rest, "prime", lineno)
         elif directive == "gens":
-            try:
-                n = int(rest)
-            except ValueError:
-                raise PresentationError(f"bad generator count {rest!r}", lineno)
+            n = _parse_int(rest, "generator count", lineno)
             if n < 0:
                 raise PresentationError("generator count must be >= 0", lineno)
         elif directive == "order":
             fields = rest.split()
             if len(fields) != 2:
                 raise PresentationError("order needs <i> <p-power>", lineno)
-            i, m = int(fields[0]), int(fields[1])
+            i = _parse_int(fields[0], "generator index", lineno)
+            m = _parse_int(fields[1], "relative order", lineno)
             if n is None or not 1 <= i <= n:
                 raise PresentationError(f"order: no generator x{i}", lineno)
             if i in orders:
@@ -418,7 +420,7 @@ def parse_presentation(text: str) -> PcPresentation:
             fields = lhs.split()
             if len(fields) != 1 or not _:
                 raise PresentationError("pow needs `pow <i> = <word>`", lineno)
-            i = int(fields[0])
+            i = _parse_int(fields[0], "generator index", lineno)
             if n is None or not 1 <= i <= n:
                 raise PresentationError(f"pow: no generator x{i}", lineno)
             if i in pows:
@@ -429,7 +431,8 @@ def parse_presentation(text: str) -> PcPresentation:
             fields = lhs.split()
             if len(fields) != 2 or not _:
                 raise PresentationError("conj needs `conj <j> <i> = <word>`", lineno)
-            j, i = int(fields[0]), int(fields[1])
+            j = _parse_int(fields[0], "generator index", lineno)
+            i = _parse_int(fields[1], "generator index", lineno)
             if n is None or not (1 <= i <= n and 1 <= j <= n):
                 raise PresentationError("conj: generator index out of range", lineno)
             if j <= i:

@@ -36,6 +36,24 @@ def _modinv(a, m):
     return s0 % m
 
 
+def _sift(t, table, vec):
+    """Strip vec through a pivot table (entry at its leading index, or
+    None); the remainder is the identity exactly when vec lies in the
+    subgroup the table generates."""
+    while True:
+        i = _leading(vec)
+        if i is None:
+            return vec
+        u = table[i]
+        if u is None:
+            return vec
+        step = u[i]  # a p-power by normalization
+        if vec[i] % step:
+            return vec
+        q = vec[i] // step
+        vec = kernel.mul(t, kernel.power(t, u, -q), vec)
+
+
 class _IgsBuilder:
     """Noncommutative row reduction over the polycyclic layers."""
 
@@ -57,19 +75,7 @@ class _IgsBuilder:
 
     def sift(self, vec):
         """Strip vec through the table; identity means membership."""
-        t = self.t
-        while True:
-            i = _leading(vec)
-            if i is None:
-                return vec
-            u = self.table[i]
-            if u is None:
-                return vec
-            step = u[i]  # a p-power by normalization
-            if vec[i] % step:
-                return vec
-            q = vec[i] // step
-            vec = kernel.mul(t, kernel.power(t, u, -q), vec)
+        return _sift(self.t, self.table, vec)
 
     def add(self, vec):
         """Insert vec, displacing weaker pivots; returns True if changed."""
@@ -143,12 +149,15 @@ class _IgsBuilder:
 class Subgroup:
     """A subgroup held as a canonical induced generating sequence."""
 
-    __slots__ = ("pres", "igs", "order")
+    __slots__ = ("pres", "igs", "order", "_table")
 
     def __init__(self, pres, igs, order):
         self.pres = pres
         self.igs = igs
         self.order = order
+        self._table = [None] * pres.n_gens
+        for e in igs:
+            self._table[e.leading_index()] = e.vec
 
     @property
     def generators(self):
@@ -157,18 +166,7 @@ class Subgroup:
     def membership(self, x: Element) -> bool:
         if not (x.pres is self.pres or x.pres == self.pres):
             raise MixedPresentationError("element belongs to another presentation")
-        t = self.pres._tables
-        table = {e.leading_index(): e.vec for e in self.igs}
-        vec = x.vec
-        while True:
-            i = _leading(vec)
-            if i is None:
-                return True
-            u = table.get(i)
-            if u is None or vec[i] % u[i]:
-                return False
-            q = vec[i] // u[i]
-            vec = kernel.mul(t, kernel.power(t, u, -q), vec)
+        return _leading(_sift(self.pres._tables, self._table, x.vec)) is None
 
     __contains__ = membership
 
@@ -445,23 +443,40 @@ def enumerate_subgroups(G: PcPresentation, caps=DEFAULT_CAPS):
 
 
 def _lattice(G: PcPresentation):
+    """Breadth first by cyclic extension, one closure per class of x.
+
+    Every nontrivial subgroup is <S, x> for a smaller subgroup S and some
+    x outside it, so closing each found S with every such x reaches the
+    whole lattice.  Since <S, x> = <S, x^k s> for every s in S and every k
+    prime to p, closing <S, x> settles the whole class {x^k s} for S.
+    """
     G.require_consistent()
-    seen = {}
+    t = G._tables
+    p = G.prime
+    ident = t.identity
+    all_vecs = [x.vec for x in G.elements()]
     triv = trivial_subgroup(G)
-    seen[triv.key()] = triv
+    seen = {triv.key(): triv}
     frontier = [triv]
-    all_elements = list(G.elements())
     while frontier:
         nxt = []
         for S in frontier:
-            for x in all_elements:
-                if S.membership(x):
+            members = [s.vec for s in S.elements()]
+            done = set(members)
+            igs = list(S.igs)
+            for x in all_vecs:
+                if x in done:
                     continue
-                T = subgroup_closure(G, list(S.igs) + [x])
-                k = T.key()
-                if k not in seen:
-                    seen[k] = T
+                T = subgroup_closure(G, igs + [x])
+                key = T.key()
+                if key not in seen:
+                    seen[key] = T
                     nxt.append(T)
+                y, k = x, 1
+                while y != ident:
+                    if k % p:
+                        done.update(kernel.mul(t, y, s) for s in members)
+                    y, k = kernel.mul(t, y, x), k + 1
         frontier = nxt
     return tuple(sorted(seen.values(), key=lambda s: (s.order, s.key())))
 

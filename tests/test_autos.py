@@ -9,6 +9,7 @@ from pgforge.autos import (
     cohomological_witness,
     compose,
     coset_shift_scan,
+    generates,
     identity_automorphism,
     inner_automorphism,
     is_inner,
@@ -30,7 +31,7 @@ from pgforge.structure import (
     omega1,
 )
 from pgforge.subgroups import full_subgroup, subgroup_closure
-from pgforge.caps import DeskCaps
+from pgforge.caps import DEFAULT_CAPS, DeskCaps
 from pgforge import corpus
 
 
@@ -411,3 +412,84 @@ def test_witness_serialization(es27):
     assert doc["inner"] is None
     assert doc["fixed_set"] == "frattini"
     assert len(doc["images"]) == es27.n_gens
+
+
+def closure_generates(G, elements):
+    """Oracle: the elements generate G when their closure is all of G."""
+    return subgroup_closure(G, elements).order == G.order
+
+
+def test_generation_test_matches_closure_oracle():
+    """Burnside's basis theorem against a full closure, on random tuples
+    mixing arbitrary elements with Frattini elements so that both answers
+    occur."""
+    rng = random.Random(41)
+    tuples = 0
+    for entry in corpus.builtin_corpus(validate=False):
+        G = entry.presentation
+        if G.order > DEFAULT_CAPS.element_sweep:
+            continue
+        elements = list(G.elements())
+        phi = list(frattini(G).elements())
+        answers = set()
+        for _ in range(200):
+            size = rng.randint(0, G.n_gens + 1)
+            imgs = [rng.choice(elements if rng.random() < 0.6 else phi)
+                    for _ in range(size)]
+            want = closure_generates(G, imgs)
+            assert generates(G, imgs) == want, (entry.id, imgs)
+            answers.add(want)
+            tuples += 1
+        if G.order > 1:
+            assert answers == {True, False}, entry.id
+    assert tuples >= 7000
+
+
+def closure_validation_error(pres, images):
+    """Oracle: the relation checks, then generation by a full closure."""
+    n = pres.n_gens
+    if len(images) != n:
+        return "one image per generator required"
+
+    def eval_word(word):
+        out = pres.identity()
+        for g, e in word:
+            out = out * images[g] ** e
+        return out
+
+    for i in range(n):
+        if images[i] ** pres.rel_orders[i] != eval_word(pres.pow_words[i]):
+            return f"power relation of x{i + 1} violated"
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = pres.conj_words[i * n + j]
+            rhs = images[j] if w is None else eval_word(w)
+            if images[j].conjugate(images[i]) != rhs:
+                return f"conjugation relation of x{j + 1} by x{i + 1} violated"
+    if not closure_generates(pres, images):
+        return "images do not generate the group"
+    return None
+
+
+def test_validation_error_matches_closure_oracle():
+    """Central shifts g -> g z and generator-to-generator maps satisfy the
+    relations often, so the generation step decides many of these."""
+    rng = random.Random(43)
+    verdicts = set()
+    for entry in corpus.builtin_corpus(validate=False):
+        G = entry.presentation
+        if G.order > DEFAULT_CAPS.element_sweep or G.n_gens == 0:
+            continue
+        gens = G.gens()
+        zs = list(center(G).elements())
+        pool = gens + [g ** 2 for g in gens] + zs
+        for _ in range(60):
+            if rng.random() < 0.5:
+                imgs = [g * rng.choice(zs) for g in gens]
+            else:
+                imgs = [rng.choice(pool) for _ in gens]
+            want = closure_validation_error(G, imgs)
+            assert validation_error(G, imgs) == want, (entry.id, imgs)
+            verdicts.add(want)
+    assert None in verdicts
+    assert "images do not generate the group" in verdicts

@@ -100,3 +100,17 @@ def test_cap_override_allows_smaller_scope(d8_file, capsys):
     assert main(["--cap", "4", "search-autos", d8_file, "--fix", "frattini"]) == 2
     # the flag also parses after the subcommand
     assert main(["search-autos", d8_file, "--fix", "frattini", "--cap", "4"]) == 2
+
+
+def test_inspect_bad_integer_field_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.pc"
+    bad.write_text("group bad\nprime 2\ngens 1\norder a 2\n")
+    assert main(["inspect", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 4: bad generator index")
+    assert "Traceback" not in err
+
+
+def test_missing_file_exits_2(tmp_path, capsys):
+    assert main(["inspect", str(tmp_path / "absent.pc")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

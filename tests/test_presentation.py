@@ -54,6 +54,15 @@ def test_parse_errors_carry_line_numbers():
         parse_presentation("group x\nprime 2\ngens 1\norder 1 5\n")
 
 
+@pytest.mark.parametrize("line", [
+    "order a 2", "order 1 two", "pow a = x1", "conj b 1 = x2", "conj 2 x = x2",
+])
+def test_parse_bad_integer_fields_name_the_line(line):
+    text = f"group x\nprime 2\ngens 2\n{line}\n"
+    with pytest.raises(PresentationError, match="line 4: bad "):
+        parse_presentation(text)
+
+
 def test_parse_rejects_non_p_power_order():
     with pytest.raises(PresentationError, match="power of 2"):
         parse_presentation("group x\nprime 2\ngens 1\norder 1 6\n")

@@ -310,3 +310,35 @@ def test_memo_hit_raises_as_a_cold_call():
         with pytest.raises(CapExceeded) as hit:
             fn(warm, small)
         assert (hit.value.what, hit.value.needed) == (cold.value.what, cold.value.needed)
+
+
+def sweep_frattini(G):
+    """Oracle: G' together with every p-th power, by a full sweep."""
+    p = G.prime
+    return subgroup_closure(
+        G, list(derived_subgroup(G).igs) + [x ** p for x in G.elements()]
+    )
+
+
+def test_frattini_matches_sweep_oracle():
+    for entry in corpus.builtin_corpus(validate=False):
+        G = entry.presentation
+        assert frattini(G) == sweep_frattini(G), entry.id
+
+
+def test_frattini_refuses_alike_after_the_generation_test():
+    """The generation test fills the Frattini memo without a sweep; a later
+    capped frattini call still refuses as a cold one does."""
+    from pgforge.autos import generates
+    from pgforge.caps import DeskCaps
+
+    small = DeskCaps(element_sweep=2)
+    warm = corpus.g64().presentation
+    assert generates(warm, warm.gens())
+    assert "frattini" in warm._cache
+    with pytest.raises(CapExceeded) as cold:
+        frattini(corpus.g64().presentation, small)
+    with pytest.raises(CapExceeded) as hit:
+        frattini(warm, small)
+    assert (hit.value.what, hit.value.needed) == (cold.value.what, cold.value.needed)
+    assert frattini(warm).order == 16

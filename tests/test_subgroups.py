@@ -230,3 +230,38 @@ def test_enumeration_is_memoized_per_presentation():
     # the cap is checked before the memo is consulted
     with pytest.raises(CapExceeded):
         enumerate_subgroups(P, DeskCaps(subgroup_enum=8))
+
+
+def all_elements_lattice(G):
+    """Oracle: breadth-first closure of every subgroup with every element
+    of the group, |L| * |G| closures in all."""
+    seen = {}
+    triv = trivial_subgroup(G)
+    seen[triv.key()] = triv
+    frontier = [triv]
+    all_elements = list(G.elements())
+    while frontier:
+        nxt = []
+        for S in frontier:
+            for x in all_elements:
+                if S.membership(x):
+                    continue
+                T = subgroup_closure(G, list(S.igs) + [x])
+                if T.key() not in seen:
+                    seen[T.key()] = T
+                    nxt.append(T)
+        frontier = nxt
+    return sorted(seen.values(), key=lambda s: (s.order, s.key()))
+
+
+def test_cyclic_extension_lattice_matches_all_elements_oracle():
+    checked = 0
+    for entry in corpus.builtin_corpus(validate=False):
+        G = entry.presentation
+        if G.order > DeskCaps().subgroup_enum:
+            continue
+        got = [S.key() for S in enumerate_subgroups(G)]
+        want = [S.key() for S in all_elements_lattice(G)]
+        assert got == want, entry.id
+        checked += 1
+    assert checked >= 30

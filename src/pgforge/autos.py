@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from pgforge import kernel
 from pgforge.caps import DEFAULT_CAPS
 from pgforge.core import Element, PcPresentation
 from pgforge.errors import CapExceeded, DomainError, HypothesesUnmet
@@ -107,7 +106,6 @@ def validation_error(pres: PcPresentation, images):
     n = pres.n_gens
     if len(images) != n:
         return "one image per generator required"
-    t = pres._tables
 
     def eval_word(word):
         out = pres.identity()
@@ -135,11 +133,7 @@ def generates(G: PcPresentation, elements) -> bool:
     """Whether the elements generate G, by Burnside's basis theorem: they
     do exactly when their images span G/frattini(G), an F_p-space whose
     coordinates are the exponents of the quotient presentation."""
-    quot = G._cache.get("frattini_quotient")
-    if quot is None:
-        quot = quotient(G, structure.frattini_closure(G)).presentation()
-        G._cache["frattini_quotient"] = quot
-    Qp, project = quot
+    Qp, project = structure.frattini_quotient(G)
     rows = [list(project(x.vec)) for x in elements]
     return _rank_mod_p(rows, G.prime) == Qp.n_gens
 
@@ -303,7 +297,6 @@ def search_order_p_automorphisms(G: PcPresentation, fixed: Subgroup,
         return out
 
     cand = [candidates(i) for i in range(n)]
-    t = G._tables
 
     def eval_word_suffix(word, images):
         out = G.identity()
@@ -463,49 +456,43 @@ def central_socle_automorphisms(G: PcPresentation, caps=DEFAULT_CAPS):
     and which fix omega1(Z(G)) pointwise, together with the corresponding
     homomorphisms from G/omega1(Z(G)) into omega1(Z(G)).
 
-    The count must be |omega1(Z(G))| ** rank(G / omega1(Z(G)) G') and every
-    member must fix the Frattini subgroup pointwise; both facts are
-    verified here before returning."""
+    These are the maps g -> g s(g) for s a homomorphism from the
+    elementary abelian G / omega1(Z(G)) frattini(G) into omega1(Z(G)):
+    a central-valued s gives an endomorphism, and its kernel is trivial,
+    since g = s(g)^{-1} puts g in omega1(Z(G)), where s vanishes.  Each s
+    is built from its values on a basis of that quotient, one member per
+    choice, so there are |omega1(Z(G))| ** d' of them, d' the rank of the
+    quotient.  Every member is validated against the relations and checked
+    to fix omega1(Z(G)) and the Frattini subgroup pointwise; a failure
+    raises DomainError."""
     if G.order > caps.element_sweep:
         raise CapExceeded("central socle sweep", G.order, caps.element_sweep)
     om = structure.omega1(structure.center(G, caps), caps)
-    socle = sorted(om.elements(), key=lambda e: e.vec)
-    gens = G.gens()
-    members = []
-    hom_tables = []
-    for shifts in itertools.product(socle, repeat=len(gens)):
-        images = [g * s for g, s in zip(gens, shifts)]
-        if validation_error(G, images):
-            continue
-        alpha = Automorphism(G, images, _validated=True)
-        if not alpha.fixes_pointwise(om):
-            continue
-        members.append(alpha)
-        hom_tables.append(tuple(s.vec for s in shifts))
-    members_sorted = sorted(
-        zip(members, hom_tables), key=lambda mh: mh[0].key()
-    )
-    members = [m for m, _ in members_sorted]
-    hom_tables = [h for _, h in members_sorted]
-
-    # expected size: |socle| ** d', d' the rank of G / (omega1(Z) G')
-    der = structure.derived_subgroup(G)
-    omd = subgroup_closure(G, list(om.igs) + list(der.igs))
-    Qp, _ = quotient(G, omd).presentation()
-    if Qp.n_gens == 0:
-        dprime = 0
-    else:
-        dprime = structure.rank_d(Qp, caps)
-    expected = om.order ** dprime
-    if len(members) != expected:
-        raise DomainError(
-            f"central socle group has size {len(members)}, expected {expected}"
-        )
     phi = structure.frattini(G, caps)
-    for m in members:
-        if not m.fixes_pointwise(phi):
-            raise DomainError("central socle member moved the Frattini subgroup")
-    return members, hom_tables
+    socle = sorted(om.elements(), key=lambda e: e.vec)
+    N = subgroup_closure(G, list(om.igs) + list(phi.igs))
+    Qp, project = quotient(G, N).presentation()
+    gens = G.gens()
+    coords = [project(g.vec) for g in gens]
+    members = []
+    for values in itertools.product(socle, repeat=Qp.n_gens):
+        shifts = []
+        for c in coords:
+            s = G.identity()
+            for b, e in zip(values, c):
+                s = s * b ** e
+            shifts.append(s)
+        images = [g * s for g, s in zip(gens, shifts)]
+        err = validation_error(G, images)
+        if err:
+            raise DomainError(f"central socle map is not an automorphism: {err}")
+        alpha = Automorphism(G, images, _validated=True)
+        for fixed, name in ((om, "omega1(Z(G))"), (phi, "the Frattini subgroup")):
+            if not alpha.fixes_pointwise(fixed):
+                raise DomainError(f"central socle member moved {name}")
+        members.append((alpha, tuple(s.vec for s in shifts)))
+    members.sort(key=lambda mh: mh[0].key())
+    return [m for m, _ in members], [h for _, h in members]
 
 
 # -- theorem constructions ------------------------------------------------------
@@ -686,7 +673,6 @@ def _odd_coset_witness(G, caps) -> AutWitness:
 
 
 def _even_cyclic_center_witness(G, caps) -> AutWitness:
-    p = 2
     Z = structure.center(G, caps)
     phi = structure.frattini(G, caps)
     om = structure.omega1(Z, caps)
@@ -764,7 +750,6 @@ def _even_fallback(G, caps) -> AutWitness:
 
 def _socle_decomposition(G, H, Z, d, case_two, caps):
     """Independent involutions spanning H over Z, plus the final factor."""
-    p = G.prime
     picks = []
     span = Z
     target = d - 1 if case_two else d

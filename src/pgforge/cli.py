@@ -76,7 +76,7 @@ def cmd_cohomology(args):
     G = _load(args.file)
     G.require_consistent()
     gens = [G.collect(_parse_word(w, 0)) for w in args.normal.split(",")]
-    from pgforge.subgroups import is_normal, normal_closure
+    from pgforge.subgroups import is_normal
 
     N = subgroup_closure(G, gens)
     if not is_normal(N):

@@ -14,20 +14,18 @@ other; the nonvanishing checks assert both sides and that equivalence.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
-from pgforge import kernel
 from pgforge.caps import DEFAULT_CAPS
 from pgforge.core import Element, PcPresentation
 from pgforge.errors import CapExceeded, DomainError, HypothesesUnmet
 from pgforge import structure
 from pgforge.subgroups import (
-    QuotientGroup,
     Subgroup,
     enumerate_subgroups,
     is_normal,
     quotient,
     subgroup_closure,
-    trivial_subgroup,
 )
 
 
@@ -296,36 +294,17 @@ def h1(M: GModule, caps=DEFAULT_CAPS):
     if len(zs) % len(bs):
         raise DomainError("principal subgroup does not divide the cocycle group")
     p = M.G.prime
-    orders = []
+    orders = Counter()
     for f in zs:
         o = 1
         g = f
         while g.key() not in bs:
             g = g.power(p)
             o *= p
-        orders.append(o)
-    n = len(zs) // len(bs)
-    if n == 1:
-        return ()
-    kmax = 0
-    while p ** kmax < max(orders):
-        kmax += 1
-    jumps = []
-    prev = 0
-    for k in range(1, kmax + 1):
-        cnt = sum(1 for o in orders if o <= p ** k) // len(bs)
-        lk = 0
-        c = cnt
-        while c % p == 0:
-            c //= p
-            lk += 1
-        jumps.append(lk - prev)
-        prev = lk
-    jumps.append(0)
-    out = []
-    for k in range(1, kmax + 1):
-        out.extend([p ** k] * (jumps[k - 1] - jumps[k]))
-    return tuple(sorted(out, reverse=True))
+        orders[o] += 1
+    # each coset of B1 holds |B1| cocycles of one order
+    quotient_orders = Counter({o: c // len(bs) for o, c in orders.items()})
+    return tuple(structure._invariant_factors(p, quotient_orders))
 
 
 # -- the automorphism bridge ---------------------------------------------------

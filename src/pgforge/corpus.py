@@ -7,12 +7,12 @@ mismatch rejects the entry.  Nothing is trusted from cache.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from pgforge.caps import DEFAULT_CAPS
 from pgforge.core import PcPresentation, parse_presentation
-from pgforge.errors import DomainError, ForgeError, PresentationError
+from pgforge.errors import DomainError, PresentationError
 from pgforge import structure
 from pgforge.subgroups import full_subgroup, subgroup_closure
 

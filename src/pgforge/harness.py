@@ -11,25 +11,23 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from pgforge import cohomology, structure
 from pgforge.autos import (
     central_socle_automorphisms,
     cohomological_witness,
     coset_shift_scan,
-    is_inner,
     liebeck_sigma,
     powerful_quotient_witness,
     search_order_p_automorphisms,
 )
 from pgforge.caps import DEFAULT_CAPS
-from pgforge.core import PcPresentation, p_valuation
-from pgforge.corpus import CorpusEntry, builtin_corpus
-from pgforge.errors import CapExceeded, DomainError, ForgeError, HypothesesUnmet
+from pgforge.core import p_valuation
+from pgforge.corpus import builtin_corpus
+from pgforge.errors import CapExceeded, DomainError, HypothesesUnmet
 from pgforge.subgroups import (
     enumerate_normal_subgroups,
-    full_subgroup,
     quotient,
     subgroup_closure,
 )
@@ -138,7 +136,11 @@ def check_lemma_2_1(entry, caps):
 def check_lemma_2_2(entry, caps):
     """The central automorphisms with socle defects fixing the socle form
     a group of size |socle|^rank(G / socle G') whose members all fix the
-    Frattini subgroup pointwise (verified inside the constructor)."""
+    Frattini subgroup pointwise.  The constructor builds one member per
+    homomorphism G / socle frattini(G) -> socle, which gives that size,
+    and verifies that each member is an automorphism fixing the socle and
+    the Frattini subgroup pointwise; the size is checked against the
+    closed formula and a product-and-filter oracle in the test suite."""
     G = entry.presentation
     if G.order > caps.element_sweep:
         return ("skip", "above the sweep cap", None, None)

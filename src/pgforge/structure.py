@@ -8,16 +8,14 @@ results are memoized per presentation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
-from pgforge import kernel
 from pgforge.caps import DEFAULT_CAPS
 from pgforge.core import Element, PcPresentation, p_valuation
 from pgforge.errors import CapExceeded, DomainError
 from pgforge.subgroups import (
-    QuotientGroup,
     Subgroup,
-    enumerate_subgroups,
     full_subgroup,
     is_normal,
     normal_closure,
@@ -120,6 +118,16 @@ def frattini_closure(G: PcPresentation) -> Subgroup:
     return _memo(G, "frattini", compute)
 
 
+def frattini_quotient(G: PcPresentation):
+    """The presentation of the elementary abelian G/frattini(G) with the
+    projection from exponent vectors of G: its exponents are the F_p
+    coordinates of a coset, and its generator count is rank_d(G)."""
+    def compute():
+        return quotient(G, frattini_closure(G)).presentation()
+
+    return _memo(G, "frattini_quotient", compute)
+
+
 def frattini(G: PcPresentation, caps=DEFAULT_CAPS) -> Subgroup:
     """G' G^p.  Cross-checked against the maximal-subgroup intersection
     and against the sweep G' <x^p : x in G> in the test suite.
@@ -206,34 +214,33 @@ def rank_d(G: PcPresentation, caps=DEFAULT_CAPS) -> int:
     return p_valuation(idx, G.prime)
 
 
-def abelian_invariants(A: Subgroup, caps=DEFAULT_CAPS):
-    """Invariant factors of an abelian subgroup, largest first.
+def _invariant_factors(p, counts):
+    """Invariant factors, largest first, of a finite abelian p-group given
+    as a Counter from element order to number of elements of that order.
 
-    Counts elements of order dividing p^k: the k-th count jump gives the
-    number of factors of order >= p^k.
+    The elements of order dividing p^k number p^(l_k), and l_k - l_(k-1)
+    factors have order >= p^k.
     """
+    kmax = p_valuation(max(counts), p)
+    levels = [
+        p_valuation(sum(c for o, c in counts.items() if o <= p ** k), p)
+        for k in range(kmax + 2)
+    ]
+    factors = []
+    for k in range(kmax, 0, -1):
+        at_least = levels[k] - levels[k - 1]
+        above = levels[k + 1] - levels[k]
+        factors.extend([p ** k] * (at_least - above))
+    return factors
+
+
+def abelian_invariants(A: Subgroup, caps=DEFAULT_CAPS):
+    """Invariant factors of an abelian subgroup, largest first."""
     if not A.is_abelian():
         raise DomainError("abelian_invariants requires an abelian subgroup")
     if A.order > caps.element_sweep:
         raise CapExceeded("abelian invariants sweep", A.order, caps.element_sweep)
-    p = A.pres.prime
-    orders = [x.order() for x in A.elements()]
-    if len(orders) == 1:
-        return []
-    kmax = p_valuation(max(orders), p)
-    # jumps[k] = number of invariant factors of order >= p^k
-    jumps = []
-    prev = 0
-    for k in range(1, kmax + 1):
-        cnt = sum(1 for o in orders if o <= p ** k)
-        lk = p_valuation(cnt, p)
-        jumps.append(lk - prev)
-        prev = lk
-    jumps.append(0)
-    factors = []
-    for k in range(1, kmax + 1):
-        factors.extend([p ** k] * (jumps[k - 1] - jumps[k]))
-    return sorted(factors, reverse=True)
+    return _invariant_factors(A.pres.prime, Counter(x.order() for x in A.elements()))
 
 
 def d_abelian(A: Subgroup, caps=DEFAULT_CAPS) -> int:
@@ -242,33 +249,10 @@ def d_abelian(A: Subgroup, caps=DEFAULT_CAPS) -> int:
 
 def section_invariants(G: PcPresentation, big: Subgroup, small: Subgroup):
     """Invariant factors of big/small for an abelian section big >= small."""
-    p = G.prime
     Q = quotient(G, small)
-    reps = sorted({Q.canonical(x).vec for x in big.elements()})
-    if len(reps) == 1:
-        return ()
-    orders = []
-    for vec in reps:
-        x = Element(G, vec)
-        o = 1
-        y = Q.canonical(x)
-        while not y.is_identity:
-            y = Q.canonical(y ** p)
-            o *= p
-        orders.append(o)
-    kmax = p_valuation(max(orders), p)
-    jumps = []
-    prev = 0
-    for k in range(1, kmax + 1):
-        cnt = sum(1 for o in orders if o <= p ** k)
-        lk = p_valuation(cnt, p)
-        jumps.append(lk - prev)
-        prev = lk
-    jumps.append(0)
-    out = []
-    for k in range(1, kmax + 1):
-        out.extend([p ** k] * (jumps[k - 1] - jumps[k]))
-    return tuple(sorted(out, reverse=True))
+    reps = {Q.canonical(x).vec for x in big.elements()}
+    orders = Counter(Q.rep_order(Element(G, vec)) for vec in reps)
+    return tuple(_invariant_factors(G.prime, orders))
 
 
 def abelian_basis(A: Subgroup, caps=DEFAULT_CAPS):
@@ -373,25 +357,13 @@ def commutator_image_subgroup(A: Subgroup, x: Element, caps=DEFAULT_CAPS) -> Sub
 def maximal_subgroups(G: PcPresentation, caps=DEFAULT_CAPS):
     """All index-p subgroups: pullbacks of the hyperplanes of G/frattini."""
     phi = frattini(G, caps)
-    Q = quotient(G, phi)
+    Qp, project = frattini_quotient(G)
     p = G.prime
-    d = rank_d(G, caps)
+    d = Qp.n_gens
     if d == 0:
         return []
-    reps = [x for x in Q.elements() if not x.is_identity]
-    # coordinates in the elementary abelian quotient
-    basis = []
-    span = phi
-    for g in G.gens():
-        if not span.membership(g):
-            basis.append(g)
-            span = subgroup_closure(G, list(span.igs) + [g])
-    coords = {}
-    for exps in itertools.product(range(p), repeat=d):
-        x = G.identity()
-        for b, e in zip(basis, exps):
-            x = x * b ** e
-        coords[Q.canonical(x).vec] = exps
+    # F_p coordinates of each coset representative
+    coords = {x.vec: project(x.vec) for x in quotient(G, phi).elements()}
     out = []
     seen = set()
     # hyperplanes = kernels of nonzero functionals, up to scalar
@@ -492,15 +464,10 @@ def profile(G: PcPresentation, caps=DEFAULT_CAPS) -> GroupProfile:
     return _memo(G, "profile", compute, caps)
 
 
-def quotient_presentation(G: PcPresentation, N: Subgroup):
-    """Presentation of G/N plus the projection map on exponent vectors."""
-    return quotient(G, N).presentation()
-
-
 def central_quotient(G: PcPresentation, caps=DEFAULT_CAPS) -> PcPresentation:
     """Presentation of G/Z(G)."""
     def compute():
-        pres, _ = quotient_presentation(G, center(G, caps))
+        pres, _ = quotient(G, center(G, caps)).presentation()
         return pres
 
     return _memo(G, "central_quotient", compute, caps)

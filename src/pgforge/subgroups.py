@@ -278,12 +278,6 @@ def centralizes(S: Subgroup, x: Element) -> bool:
     return all(e.commutator(x).is_identity for e in S.igs)
 
 
-def subgroup_from_set(P: PcPresentation, elements) -> Subgroup:
-    """Closure of a set known to already be a subgroup (or not; closed
-    either way)."""
-    return subgroup_closure(P, elements)
-
-
 # -- quotients -------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -20,11 +21,13 @@ from pgforge.autos import (
     search_order_p_automorphisms,
     validation_error,
 )
-from pgforge.core import PcPresentation
+from pgforge.core import PcPresentation, p_valuation
 from pgforge.errors import CapExceeded, DomainError, HypothesesUnmet
 from pgforge.structure import (
+    agemo,
     center,
     centralizer,
+    derived_subgroup,
     frattini,
     is_abelian,
     maximal_subgroups,
@@ -239,6 +242,57 @@ def test_socle_group_closed_under_composition(q8):
     for a in members:
         for b in members:
             assert compose(a, b).key() in keys
+
+
+def filter_central_socle_automorphisms(G):
+    """Oracle: every tuple of shifts in omega1(Z(G))^n, kept when the
+    shifted generators define an automorphism fixing omega1(Z(G))."""
+    om = omega1(center(G))
+    socle = sorted(om.elements(), key=lambda e: e.vec)
+    gens = G.gens()
+    kept = []
+    for shifts in itertools.product(socle, repeat=len(gens)):
+        images = [g * s for g, s in zip(gens, shifts)]
+        if validation_error(G, images):
+            continue
+        alpha = Automorphism(G, images, _validated=True)
+        if alpha.fixes_pointwise(om):
+            kept.append((alpha, tuple(s.vec for s in shifts)))
+    kept.sort(key=lambda mh: mh[0].key())
+    return [m for m, _ in kept], [h for _, h in kept]
+
+
+# the oracle walks |omega1(Z)|^n tuples; 20 000 admits every corpus group
+# but abelian-2-1_1_1_1 (16^4 = 65 536), left out for time
+FILTER_ORACLE_TUPLES = 20_000
+
+
+def test_socle_construction_matches_filter_oracle():
+    left_out = []
+    for entry in corpus.builtin_corpus(validate=False):
+        G = entry.presentation
+        if omega1(center(G)).order ** G.n_gens > FILTER_ORACLE_TUPLES:
+            left_out.append(entry.id)
+            continue
+        members, homs = central_socle_automorphisms(G)
+        want_members, want_homs = filter_central_socle_automorphisms(G)
+        assert [m.key() for m in members] == [m.key() for m in want_members], entry.id
+        assert homs == want_homs, entry.id
+    assert left_out == ["abelian-2-1_1_1_1"]
+
+
+def test_socle_group_size_formula():
+    """|omega1(Z)| ** log_p |G : omega1(Z) G' G^p|, with G^p from the
+    sweep, on every corpus group."""
+    for entry in corpus.builtin_corpus(validate=False):
+        G = entry.presentation
+        om = omega1(center(G))
+        N = subgroup_closure(
+            G, list(om.igs) + list(derived_subgroup(G).igs) + list(agemo(G).igs)
+        )
+        dprime = p_valuation(G.order // N.order, G.prime)
+        members, homs = central_socle_automorphisms(G)
+        assert len(members) == len(homs) == om.order ** dprime, entry.id
 
 
 # -- exhaustive search ----------------------------------------------------------

@@ -29,9 +29,15 @@ from pgforge.structure import (
     omega1_general,
     profile,
     rank_d,
+    section_invariants,
     upper_central_series,
 )
-from pgforge.subgroups import enumerate_subgroups, full_subgroup, subgroup_closure
+from pgforge.subgroups import (
+    enumerate_subgroups,
+    full_subgroup,
+    subgroup_closure,
+    trivial_subgroup,
+)
 from pgforge import corpus
 
 
@@ -143,6 +149,15 @@ def test_rank_examples(d8):
 def test_abelian_invariants(c4xc2):
     assert abelian_invariants(full_subgroup(c4xc2)) == [4, 2]
     assert abelian_invariants(full_subgroup(corpus.abelian(3, [2, 1, 1]).presentation)) == [9, 3, 3]
+    # section_invariants counts the same jumps through quotient orders
+    for entry in corpus.builtin_corpus(validate=False):
+        G = entry.presentation
+        if not is_abelian(G):
+            continue
+        full = full_subgroup(G)
+        assert section_invariants(G, full, trivial_subgroup(G)) == tuple(
+            abelian_invariants(full)
+        ), entry.id
 
 
 def test_d_equals_d_of_omega1_for_abelian_sections(small_corpus):

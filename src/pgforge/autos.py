@@ -3,15 +3,17 @@ and the explicit witness constructions for the theorem harness.
 
 Every automorphism is validated at construction: the generator images must
 satisfy all power and conjugation relations and generate the group.  The
-inner test searches conjugators over a transversal of G/Z(G); conjugation
-factors through the center, so that search is exact and exhaustive.
+inner test looks the map up in a table of every inner map, built once per
+presentation from a transversal of G/Z(G); conjugation factors through the
+center, so the table is exact and exhaustive.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from pgforge import kernel
 from pgforge.caps import DEFAULT_CAPS
 from pgforge.core import Element, PcPresentation
 from pgforge.errors import CapExceeded, DomainError, HypothesesUnmet
@@ -34,11 +36,7 @@ class Automorphism:
                 raise DomainError(err)
 
     def apply(self, x: Element) -> Element:
-        out = self.pres.identity()
-        for img, e in zip(self.images, x.vec):
-            if e:
-                out = out * img ** e
-        return out
+        return Element(self.pres, _apply_vec(self.pres._tables, self.key(), x.vec))
 
     __call__ = apply
 
@@ -46,16 +44,19 @@ class Automorphism:
         """x -> other(self(x))"""
         if self.pres != other.pres:
             raise DomainError("automorphisms of different presentations")
+        vecs = _compose_vecs(self.pres._tables, self.key(), other.key())
         return Automorphism(
-            self.pres, [other.apply(img) for img in self.images], _validated=True
+            self.pres, [Element(self.pres, v) for v in vecs], _validated=True
         )
 
     def order(self, cap=2 ** 20) -> int:
-        ident = identity_automorphism(self.pres)
+        t = self.pres._tables
+        ident = identity_automorphism(self.pres).key()
+        key = self.key()
         k = 1
-        a = self
+        a = key
         while a != ident:
-            a = a.compose(self)
+            a = _compose_vecs(t, a, key)
             k += 1
             if k > cap:
                 raise DomainError("automorphism order exceeds cap")
@@ -178,24 +179,84 @@ def compose(a: Automorphism, b: Automorphism) -> Automorphism:
     return a.compose(b)
 
 
-def automorphism_order(a: Automorphism) -> int:
-    return a.order()
+# -- maps as tuples of image vectors --------------------------------------------
 
 
-def fixes_pointwise(a: Automorphism, S: Subgroup) -> bool:
-    return a.fixes_pointwise(S)
+def _apply_vec(t, images, vec):
+    """The image of an exponent vector under the map sending generator i
+    to the vector images[i]."""
+    out = t.identity
+    for img, e in zip(images, vec):
+        if e:
+            out = kernel.mul(t, out, img if e == 1 else kernel.power(t, img, e))
+    return out
+
+
+def _compose_vecs(t, a, b):
+    """Image vectors of x -> b(a(x))."""
+    return tuple(_apply_vec(t, b, v) for v in a)
+
+
+def _power_vecs(t, images, k):
+    """Image vectors of the k-th power of a map, k >= 1, by square and
+    multiply: O(log k) compositions."""
+    acc = None
+    sq = images
+    while True:
+        if k & 1:
+            acc = sq if acc is None else _compose_vecs(t, acc, sq)
+        k >>= 1
+        if not k:
+            return acc
+        sq = _compose_vecs(t, sq, sq)
+
+
+def _prime_divisors(k):
+    out = []
+    q = 2
+    while q * q <= k:
+        if k % q == 0:
+            out.append(q)
+            while k % q == 0:
+                k //= q
+        q += 1
+    if k > 1:
+        out.append(k)
+    return out
+
+
+def _has_order(t, images, ident, k):
+    """Whether the map has order exactly k >= 1: its k-th power is the
+    identity `ident` and, for each prime q dividing k, its k/q-th power
+    is not."""
+    if _power_vecs(t, images, k) != ident:
+        return False
+    return all(_power_vecs(t, images, k // q) != ident for q in _prime_divisors(k))
+
+
+# -- the inner test ---------------------------------------------------------------
 
 
 def is_inner(G: PcPresentation, alpha: Automorphism, caps=DEFAULT_CAPS):
     """The conjugating element, or None.  Conjugation by g depends only on
-    gZ(G), so representatives of G/Z(G) are searched, exhaustively."""
+    gZ(G), so the canonical representatives of G/Z(G) give every inner map,
+    each once.  A table built once per presentation maps the images of
+    each inner map to its representative, which is the least conjugating
+    element in exponent order."""
     Z = structure.center(G, caps)
-    Q = quotient(G, Z)
-    gens = G.gens()
-    for rep in Q.elements():
-        if all(x.conjugate(rep) == alpha.apply(x) for x in gens):
-            return rep
-    return None
+    table = structure._memo(G, "inner_maps", lambda: _inner_maps(G, Z))
+    return table.get(alpha.key())
+
+
+def _inner_maps(G: PcPresentation, Z: Subgroup):
+    t = G._tables
+    gens = identity_automorphism(G).key()
+    table = {}
+    for rep in quotient(G, Z).elements():
+        r = rep.vec
+        rinv = kernel.inv(t, r)
+        table[tuple(kernel.mul(t, kernel.mul(t, rinv, g), r) for g in gens)] = rep
+    return table
 
 
 @dataclass(frozen=True)
@@ -249,114 +310,163 @@ def witness_for(G, alpha, fixed: Subgroup, fixed_name: str, path="construction",
 def search_order_p_automorphisms(G: PcPresentation, fixed: Subgroup,
                                  caps=DEFAULT_CAPS, order=None):
     """All automorphisms of order exactly `order` (default p) fixing the
-    given subgroup pointwise.
+    given subgroup pointwise, sorted by their image vectors, each with the
+    conjugating element of the exhaustive inner test.
 
-    Backtracks over generator images from the highest index down; at each
+    The automorphisms are the leaves of one backtracking pass over exponent
+    vectors (`_search_leaves`).  A leaf has order k exactly when its k-th
+    power is the identity and no k/q-th power is, for q a prime dividing
+    k; the powers come by square and multiply, so a large k costs
+    O(log k) compositions."""
+    if order is None:
+        order = G.prime
+    if order < 1:
+        raise DomainError(f"target order must be at least 1, got {order}")
+    leaves = _search_leaves(G, fixed, caps)
+    return list(_classified(G, fixed, leaves, order, caps))
+
+
+def first_noninner(G: PcPresentation, fixed: Subgroup, caps=DEFAULT_CAPS):
+    """The first noninner witness of search_order_p_automorphisms(G, fixed,
+    caps), or None.  The leaves are classified in the same order, and only
+    up to that witness."""
+    leaves = _search_leaves(G, fixed, caps)
+    return next(
+        (w for w in _classified(G, fixed, leaves, G.prime, caps) if w.is_noninner),
+        None,
+    )
+
+
+def _classified(G, fixed, leaves, order, caps):
+    """Witnesses of the given order among the leaves, lazily, in order."""
+    t = G._tables
+    ident = identity_automorphism(G).key()
+    name = None
+    for images in leaves:
+        if not _has_order(t, images, ident, order):
+            continue
+        alpha = Automorphism(G, [Element(G, v) for v in images], _validated=True)
+        if name is None:
+            # only once a witness exists: _fixed_name checks the default
+            # sweep cap, which a search with larger caps must not trip
+            name = _fixed_name(G, fixed)
+        yield AutWitness(
+            automorphism=alpha,
+            order=order,
+            fixed_set=name,
+            inner=is_inner(G, alpha, caps),
+            exhaustive_inner_test=True,
+            path="search",
+        )
+
+
+def _search_leaves(G: PcPresentation, fixed: Subgroup, caps):
+    """Sorted image-vector tuples of every automorphism fixing the given
+    subgroup pointwise.
+
+    Backtracks over generator images from the highest index down, with no
+    Element objects in the loop.  A generator in the fixed subgroup is its
+    own image; any other image has the generator's order and reproduces
+    each of its p-power powers that lies in the fixed subgroup.  At each
     level every power and conjugation relation supported on the assigned
-    suffix is checked.  When the fixed subgroup contains the Frattini
-    subgroup, images must preserve p-th powers and commutators against
-    already-fixed data, which prunes hard.  Each completed map is
-    re-validated from scratch and classified by the exhaustive inner test.
-    """
+    suffix is checked; when the fixed subgroup contains the Frattini
+    subgroup, the images must also reproduce the commutators of the
+    generators.  A node is pruned when the images of indices i..n-1 span a
+    smaller space modulo frattini(G) than the generators do: an
+    automorphism induces an invertible map on G/frattini(G), which keeps
+    that rank.  At the root this proves generation (Burnside's basis
+    theorem), so a leaf is an automorphism without further validation;
+    the test suite keeps the re-validating search as its oracle."""
     if G.order > caps.auto_search:
         raise CapExceeded("automorphism search", G.order, caps.auto_search)
     G.require_consistent()
     p = G.prime
-    order = order if order is not None else p
     n = G.n_gens
-    gens = G.gens()
-    all_elements = list(G.elements())
+    t = G._tables
+    mul, power = kernel.mul, kernel.power
     phi = structure.frattini(G, caps)
     contains_phi = all(fixed.membership(u) for u in phi.igs)
-    orders_of = {x.vec: x.order() for x in all_elements}
+    _, project = structure.frattini_quotient(G)
+    gens = G.gens()
+    vecs = [g.vec for g in gens]
+    order_of = {x.vec: x.order() for x in G.elements()}
 
-    # power constraints from the fixed subgroup: if g^k lands in it, the
-    # image must reproduce g^k exactly
     def candidates(i):
-        g = gens[i]
-        if fixed.membership(g):
-            return [g]
-        want_order = orders_of[g.vec]
-        out = []
-        gp = g ** p
-        for h in all_elements:
-            if orders_of[h.vec] != want_order:
-                continue
-            if contains_phi and h ** p != gp:
-                continue
-            ok = True
+        """(image, its inverse, its rel_orders[i]-th power, its
+        coordinates modulo frattini(G)) for each possible image of g_i."""
+        g = vecs[i]
+        if fixed.membership(gens[i]):
+            pool = [g]
+        else:
+            want = order_of[g]
+            pinned = []
             k = p
-            while k < want_order:
-                gk = g ** k
-                if fixed.membership(gk) and h ** k != gk:
-                    ok = False
-                    break
+            while k < want:
+                gk = power(t, g, k)
+                if fixed.membership(Element(G, gk)):
+                    pinned.append((k, gk))
                 k *= p
-            if ok:
-                out.append(h)
-        return out
+            pool = [
+                h for h in order_of
+                if order_of[h] == want
+                and all(power(t, h, k) == gk for k, gk in pinned)
+            ]
+        m = G.rel_orders[i]
+        return [(h, kernel.inv(t, h), power(t, h, m), list(project(h)))
+                for h in pool]
 
     cand = [candidates(i) for i in range(n)]
+    coords = [list(project(g)) for g in vecs]
+    target = [_rank_mod_p([list(r) for r in coords[i:]], p) for i in range(n)]
+    comm = {}
+    if contains_phi:
+        for i in range(n):
+            for j in range(i + 1, n):
+                comm[i, j] = gens[i].commutator(gens[j]).vec
+    fixed_igs = [u.vec for u in fixed.igs]
 
-    def eval_word_suffix(word, images):
-        out = G.identity()
-        for gidx, e in word:
-            out = out * images[gidx] ** e
+    images = [None] * n
+    rows = [None] * n
+    leaves = []
+
+    def value(word):
+        out = t.identity
+        for g, e in word:
+            v = images[g]
+            out = mul(t, out, v if e == 1 else power(t, v, e))
         return out
 
-    found = []
-    images = [None] * n
-
-    def level_ok(i):
-        # relations fully supported on indices >= i
-        m = G.rel_orders[i]
-        if images[i] ** m != eval_word_suffix(G.pow_words[i], images):
+    def relations_hold(i, h, hinv, hpow):
+        if hpow != value(G.pow_words[i]):
             return False
         for j in range(i + 1, n):
+            hj = images[j]
+            c = mul(t, mul(t, hinv, hj), h)
             w = G.conj_words[i * n + j]
-            rhs = images[j] if w is None else eval_word_suffix(w, images)
-            if images[j].conjugate(images[i]) != rhs:
+            if c != (hj if w is None else value(w)):
                 return False
-        if contains_phi:
-            for j in range(i + 1, n):
-                if images[i].commutator(images[j]) != gens[i].commutator(gens[j]):
-                    return False
+            # c = hj^h, so [h, hj] = c^{-1} hj
+            if contains_phi and mul(t, c, comm[i, j]) != hj:
+                return False
         return True
 
     def descend(i):
         if i < 0:
-            found.append(tuple(images))
+            leaf = tuple(images)
+            if all(_apply_vec(t, leaf, u) == u for u in fixed_igs):
+                leaves.append(leaf)
             return
-        for h in cand[i]:
+        for h, hinv, hpow, row in cand[i]:
             images[i] = h
-            if level_ok(i):
+            rows[i] = row
+            if (_rank_mod_p([list(r) for r in rows[i:]], p) >= target[i]
+                    and relations_hold(i, h, hinv, hpow)):
                 descend(i - 1)
         images[i] = None
 
     descend(n - 1)
-
-    witnesses = []
-    for imgs in found:
-        err = validation_error(G, imgs)
-        if err:
-            continue
-        alpha = Automorphism(G, imgs, _validated=True)
-        if not alpha.fixes_pointwise(fixed):
-            continue
-        if alpha.order() != order:
-            continue
-        witnesses.append(
-            AutWitness(
-                automorphism=alpha,
-                order=order,
-                fixed_set=_fixed_name(G, fixed),
-                inner=is_inner(G, alpha, caps),
-                exhaustive_inner_test=True,
-                path="search",
-            )
-        )
-    witnesses.sort(key=lambda w: w.automorphism.key())
-    return witnesses
+    leaves.sort()
+    return leaves
 
 
 def _fixed_name(G, S: Subgroup) -> str:
@@ -604,17 +714,10 @@ def powerful_quotient_witness(G: PcPresentation, caps=DEFAULT_CAPS) -> AutWitnes
 
 
 def _search_noninner(G, fixed, fixed_name, caps):
-    for w in search_order_p_automorphisms(G, fixed, caps):
-        if w.is_noninner:
-            return AutWitness(
-                automorphism=w.automorphism,
-                order=w.order,
-                fixed_set=fixed_name,
-                inner=None,
-                exhaustive_inner_test=True,
-                path="search-fallback",
-            )
-    return None
+    w = first_noninner(G, fixed, caps)
+    if w is None:
+        return None
+    return replace(w, fixed_set=fixed_name, path="search-fallback")
 
 
 def _socle_pairing_subgroup(G, caps):

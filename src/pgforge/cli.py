@@ -116,6 +116,17 @@ def cmd_search_autos(args):
     return 0
 
 
+def _positive_int(text):
+    """argparse type for caps and target orders: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="forge",
@@ -124,7 +135,7 @@ def build_parser():
     )
     parser.add_argument(
         "--cap",
-        type=int,
+        type=_positive_int,
         default=None,
         help="override the desk-scale caps with a single group-order bound",
     )
@@ -133,7 +144,7 @@ def build_parser():
     def add_cap(p):
         p.add_argument(
             "--cap",
-            type=int,
+            type=_positive_int,
             default=argparse.SUPPRESS,
             help="override the desk-scale caps with a single group-order bound",
         )
@@ -169,7 +180,8 @@ def build_parser():
     p = sub.add_parser("search-autos", help="exhaustive fixed-point automorphism search")
     p.add_argument("file")
     p.add_argument("--fix", required=True, choices=["frattini", "omega1"])
-    p.add_argument("--order", type=int, default=None, help="target order (default p)")
+    p.add_argument("--order", type=_positive_int, default=None,
+                   help="target order (default p)")
     add_cap(p)
     p.set_defaults(fn=cmd_search_autos)
 

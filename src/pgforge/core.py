@@ -400,6 +400,8 @@ def parse_presentation(text: str) -> PcPresentation:
             name = rest.strip()
         elif directive == "prime":
             prime = _parse_int(rest, "prime", lineno)
+            if not is_prime(prime):
+                raise PresentationError(f"{prime} is not prime", lineno)
         elif directive == "gens":
             n = _parse_int(rest, "generator count", lineno)
             if n < 0:
@@ -452,8 +454,6 @@ def parse_presentation(text: str) -> PcPresentation:
     for i in range(1, n + 1):
         if i not in orders:
             raise PresentationError(f"missing `order {i}`")
-    if not is_prime(prime):
-        raise PresentationError(f"{prime} is not prime")
     for i in range(1, n + 1):
         m, lineno = orders[i]
         v = p_valuation(m, prime)

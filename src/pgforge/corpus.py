@@ -511,11 +511,6 @@ def builtin_corpus(validate=True, caps=DEFAULT_CAPS):
     return entries
 
 
-def corpus_by_id(entries=None):
-    entries = entries if entries is not None else builtin_corpus()
-    return {e.id: e for e in entries}
-
-
 # -- manifest ingestion -------------------------------------------------------
 
 

@@ -18,6 +18,7 @@ from pgforge.autos import (
     central_socle_automorphisms,
     cohomological_witness,
     coset_shift_scan,
+    first_noninner,
     liebeck_sigma,
     powerful_quotient_witness,
     search_order_p_automorphisms,
@@ -106,13 +107,12 @@ def check_lemma_2_1(entry, caps):
     if G.order > caps.auto_search:
         return ("skip", f"order {G.order} above the search cap", None, None)
     phi = structure.frattini(G, caps)
-    witnesses = search_order_p_automorphisms(G, phi, caps)
-    noninner = [w for w in witnesses if w.is_noninner]
+    noninner = first_noninner(G, phi, caps)
     scan = coset_shift_scan(G, caps)
     for (M, g, z, alpha) in scan:
         if alpha.order() != G.prime or not alpha.fixes_pointwise(phi):
             return ("fail", "", None, {"scan witness failed validation": z.vec})
-    if noninner:
+    if noninner is not None:
         return ("pass", "", {"noninner_exists": True,
                              "scan_witnesses": len(scan)}, None)
     # hypothesis holds: the inclusion must be exact everywhere
@@ -163,11 +163,10 @@ def check_cor_2_3(entry, caps):
     rhs = structure.d_abelian(Z, caps) * structure.rank_d(G, caps)
     if lhs == rhs:
         return ("pass", "", {"d_z2_mod_z": lhs, "product": rhs}, None)
-    phi = structure.frattini(G, caps)
-    for w in search_order_p_automorphisms(G, phi, caps):
-        if w.is_noninner:
-            return ("pass", "", {"d_z2_mod_z": lhs, "product": rhs,
-                                 "witness": _witness_payload(w)}, None)
+    w = first_noninner(G, structure.frattini(G, caps), caps)
+    if w is not None:
+        return ("pass", "", {"d_z2_mod_z": lhs, "product": rhs,
+                             "witness": _witness_payload(w)}, None)
     return ("fail", "", None, {"d_z2_mod_z": lhs, "product": rhs,
                                "witness": "none found"})
 
@@ -185,10 +184,9 @@ def check_cor_2_4(entry, caps):
         return ("skip", "coclass is not 1", None, None)
     if G.order > caps.auto_search:
         return ("skip", f"order {G.order} above the search cap", None, None)
-    phi = structure.frattini(G, caps)
-    for w in search_order_p_automorphisms(G, phi, caps):
-        if w.is_noninner:
-            return ("pass", "", _witness_payload(w), None)
+    w = first_noninner(G, structure.frattini(G, caps), caps)
+    if w is not None:
+        return ("pass", "", _witness_payload(w), None)
     return ("fail", "", None, {"witness": "none found"})
 
 
@@ -208,11 +206,10 @@ def check_thm_2_5(entry, caps):
     c = structure.coclass(G)
     if ell * (d + 1) <= c + 1:
         return ("pass", "", {"bound": f"{ell}*({d}+1) <= {c}+1"}, None)
-    phi = structure.frattini(G, caps)
-    for w in search_order_p_automorphisms(G, phi, caps):
-        if w.is_noninner:
-            return ("pass", "", {"bound_failed": f"{ell}*({d}+1) > {c}+1",
-                                 "witness": _witness_payload(w)}, None)
+    w = first_noninner(G, structure.frattini(G, caps), caps)
+    if w is not None:
+        return ("pass", "", {"bound_failed": f"{ell}*({d}+1) > {c}+1",
+                             "witness": _witness_payload(w)}, None)
     return ("fail", "", None, {"bound_failed": f"{ell}*({d}+1) > {c}+1",
                                "witness": "none found"})
 
@@ -293,10 +290,9 @@ def check_thm_2_9(entry, caps):
         return ("skip", "center is cyclic", None, None)
     if G.order > caps.auto_search:
         return ("skip", f"order {G.order} above the search cap", None, None)
-    phi = structure.frattini(G, caps)
-    for w in search_order_p_automorphisms(G, phi, caps):
-        if w.is_noninner:
-            return ("pass", "", _witness_payload(w), None)
+    w = first_noninner(G, structure.frattini(G, caps), caps)
+    if w is not None:
+        return ("pass", "", _witness_payload(w), None)
     return ("fail", "", None, {"witness": "none found"})
 
 

@@ -274,10 +274,6 @@ def is_normal(S: Subgroup) -> bool:
     )
 
 
-def centralizes(S: Subgroup, x: Element) -> bool:
-    return all(e.commutator(x).is_identity for e in S.igs)
-
-
 # -- quotients -------------------------------------------------------------
 
 

@@ -6,10 +6,14 @@ import pytest
 from pgforge.autos import (
     AutWitness,
     Automorphism,
+    _fixed_name,
+    _has_order,
     central_socle_automorphisms,
     cohomological_witness,
     compose,
     coset_shift_scan,
+    first_noninner,
+    fixed_set_by_name,
     generates,
     identity_automorphism,
     inner_automorphism,
@@ -33,7 +37,7 @@ from pgforge.structure import (
     maximal_subgroups,
     omega1,
 )
-from pgforge.subgroups import full_subgroup, subgroup_closure
+from pgforge.subgroups import full_subgroup, quotient, subgroup_closure
 from pgforge.caps import DEFAULT_CAPS, DeskCaps
 from pgforge import corpus
 
@@ -104,9 +108,7 @@ def test_is_inner_matches_naive_sweep(small_corpus):
         autos += [w.automorphism for w in
                   search_order_p_automorphisms(G, frattini(G))[:3]]
         for alpha in autos:
-            fast = is_inner(G, alpha)
-            slow = naive_is_inner(G, alpha)
-            assert (fast is None) == (slow is None)
+            assert is_inner(G, alpha) == naive_is_inner(G, alpha)
 
 
 def test_fixes_pointwise(d8):
@@ -340,6 +342,12 @@ def test_search_fixing_omega1(g64_pres):
         assert w.automorphism.fixes_pointwise(om)
 
 
+def test_search_rejects_order_below_one(d8):
+    for order in (0, -2):
+        with pytest.raises(DomainError, match="at least 1"):
+            search_order_p_automorphisms(d8, frattini(d8), order=order)
+
+
 def test_search_cap_refuses():
     P = corpus.metacyclic(3, 3, 2).presentation  # order 256
     with pytest.raises(CapExceeded):
@@ -547,3 +555,233 @@ def test_validation_error_matches_closure_oracle():
             verdicts.add(want)
     assert None in verdicts
     assert "images do not generate the group" in verdicts
+
+
+# -- the re-validating search, kept as the oracle ----------------------------------
+
+
+def element_apply(images, x):
+    out = x.pres.identity()
+    for img, e in zip(images, x.vec):
+        if e:
+            out = out * img ** e
+    return out
+
+
+def oracle_order(alpha, cap=2 ** 20):
+    """The order by composing the map with itself until the identity,
+    with Element arithmetic."""
+    gens = alpha.pres.gens()
+    power = list(alpha.images)
+    k = 1
+    while power != gens:
+        power = [element_apply(alpha.images, y) for y in power]
+        k += 1
+        if k > cap:
+            raise DomainError("automorphism order exceeds cap")
+    return k
+
+
+def oracle_is_inner(G, alpha, caps=DEFAULT_CAPS):
+    """The first representative of G/Z(G) whose conjugation is the map."""
+    for rep in quotient(G, center(G, caps)).elements():
+        if all(x.conjugate(rep) == element_apply(alpha.images, x) for x in G.gens()):
+            return rep
+    return None
+
+
+def oracle_search(G, fixed, caps=DEFAULT_CAPS, order=None):
+    """The search with Element arithmetic, relations checked level by
+    level, and every completed map re-validated from scratch (relations
+    and generation), checked to fix the subgroup pointwise, its order found
+    by repeated composition and its innerness by the rep-by-rep sweep."""
+    p = G.prime
+    order = order if order is not None else p
+    n = G.n_gens
+    gens = G.gens()
+    all_elements = list(G.elements())
+    contains_phi = all(fixed.membership(u) for u in frattini(G, caps).igs)
+
+    def candidates(i):
+        g = gens[i]
+        if fixed.membership(g):
+            return [g]
+        out = []
+        for h in all_elements:
+            if h.order() != g.order():
+                continue
+            if contains_phi and h ** p != g ** p:
+                continue
+            k = p
+            while k < g.order():
+                if fixed.membership(g ** k) and h ** k != g ** k:
+                    break
+                k *= p
+            else:
+                out.append(h)
+        return out
+
+    cand = [candidates(i) for i in range(n)]
+    images = [None] * n
+    found = []
+
+    def value(word):
+        out = G.identity()
+        for g, e in word:
+            out = out * images[g] ** e
+        return out
+
+    def level_ok(i):
+        if images[i] ** G.rel_orders[i] != value(G.pow_words[i]):
+            return False
+        for j in range(i + 1, n):
+            w = G.conj_words[i * n + j]
+            if images[j].conjugate(images[i]) != (images[j] if w is None else value(w)):
+                return False
+            if contains_phi and (images[i].commutator(images[j])
+                                 != gens[i].commutator(gens[j])):
+                return False
+        return True
+
+    def descend(i):
+        if i < 0:
+            found.append(tuple(images))
+            return
+        for h in cand[i]:
+            images[i] = h
+            if level_ok(i):
+                descend(i - 1)
+        images[i] = None
+
+    descend(n - 1)
+    witnesses = []
+    for imgs in found:
+        if validation_error(G, imgs):
+            continue
+        if not all(element_apply(imgs, u) == u for u in fixed.igs):
+            continue
+        alpha = Automorphism(G, imgs, _validated=True)
+        if oracle_order(alpha) != order:
+            continue
+        witnesses.append(AutWitness(alpha, order, _fixed_name(G, fixed),
+                                    oracle_is_inner(G, alpha, caps), True, "search"))
+    witnesses.sort(key=lambda w: w.automorphism.key())
+    return witnesses
+
+
+def searchable_corpus():
+    return [e for e in corpus.builtin_corpus(validate=False)
+            if e.presentation.order <= DEFAULT_CAPS.auto_search]
+
+
+# the oracle takes 22 s and 11 s on these two with the Frattini subgroup
+# fixed (trivial there, so every GL(d, p) element is a leaf to re-validate)
+ORACLE_LEFT_OUT = [("abelian-2-1_1_1_1", "frattini"), ("abelian-3-1_1_1", "frattini")]
+
+
+def test_search_matches_revalidating_oracle_on_corpus():
+    """Identical witness lists, in order, and first_noninner is the first
+    noninner entry, for both fixed sets on every group within the cap."""
+    left_out = []
+    searched = noninner = 0
+    for entry in searchable_corpus():
+        G = entry.presentation
+        for name in ("frattini", "omega1-center"):
+            fixed = fixed_set_by_name(G, name)
+            got = [w.to_dict() for w in search_order_p_automorphisms(G, fixed)]
+            first = next((w for w in got if w["noninner"]), None)
+            w = first_noninner(G, fixed)
+            assert (w and w.to_dict()) == first, (entry.id, name)
+            noninner += first is not None
+            if (entry.id, name) in ORACLE_LEFT_OUT:
+                left_out.append((entry.id, name))
+                continue
+            want = [w.to_dict() for w in oracle_search(G, fixed)]
+            assert got == want, (entry.id, name)
+            searched += 1
+    assert left_out == ORACLE_LEFT_OUT
+    assert searched == 2 * len(searchable_corpus()) - len(ORACLE_LEFT_OUT)
+    assert noninner >= 10
+
+
+def test_search_matches_oracle_for_every_fixed_subgroup():
+    """Any subgroup may be fixed, including one whose generators are moved
+    while a product of them is not (<x1 x2> in C2 x C2 leaves one swap)."""
+    from pgforge.subgroups import enumerate_subgroups
+
+    v4 = corpus.abelian(2, [1, 1]).presentation
+    x1, x2 = v4.gens()
+    swap = search_order_p_automorphisms(v4, subgroup_closure(v4, [x1 * x2]))
+    assert [w.automorphism.key() for w in swap] == [((0, 1), (1, 0))]
+    for entry in (corpus.dihedral(8), corpus.quaternion(8), corpus.abelian(2, [2, 1]),
+                  corpus.abelian(2, [1, 1, 1]), corpus.dihedral(16)):
+        G = entry.presentation
+        for S in enumerate_subgroups(G):
+            got = [w.to_dict() for w in search_order_p_automorphisms(G, S)]
+            assert got == [w.to_dict() for w in oracle_search(G, S)], (entry.id, S.key())
+
+
+@pytest.mark.parametrize("gid,fix", [("dihedral-16", "frattini"), ("g64", "omega1-center"),
+                                     ("extraspecial-3-exp3", "frattini")])
+def test_search_matches_oracle_at_order_p_squared(gid, fix):
+    G = next(e for e in corpus.builtin_corpus(validate=False) if e.id == gid).presentation
+    fixed = fixed_set_by_name(G, fix)
+    k = G.prime ** 2
+    got = [w.to_dict() for w in search_order_p_automorphisms(G, fixed, order=k)]
+    assert got == [w.to_dict() for w in oracle_search(G, fixed, order=k)]
+
+
+def random_automorphisms(G, rng, count, tries=4000):
+    """Random generator-image tuples that validate, so orders prime to p
+    occur too (Aut(Q8) and GL(d, p) have them)."""
+    elements = list(G.elements())
+    out = []
+    for _ in range(tries):
+        images = [rng.choice(elements) for _ in range(G.n_gens)]
+        if validation_error(G, images) is None:
+            out.append(Automorphism(G, images, _validated=True))
+            if len(out) == count:
+                break
+    return out
+
+
+def test_direct_order_test_matches_composition_loop():
+    rng = random.Random(61)
+    hits = {}
+    for entry in (corpus.quaternion(8), corpus.dihedral(16), corpus.abelian(2, [1, 1, 1]),
+                  corpus.abelian(2, [2, 1]), corpus.abelian(3, [1, 1]),
+                  corpus.extraspecial(3, "p"), corpus.abelian(5, [1, 1])):
+        G = entry.presentation
+        p = G.prime
+        t = G._tables
+        ident = identity_automorphism(G).key()
+        alphas = random_automorphisms(G, rng, 25)
+        alphas += [identity_automorphism(G), inner_automorphism(G, G.gen(0))]
+        assert len(alphas) >= 20, entry.id
+        for alpha in alphas:
+            true_order = oracle_order(alpha)
+            assert alpha.order() == true_order
+            other = 3 if p == 2 else 2
+            for k in (1, p, p * p, other, 2 * p * other, 2 ** 20):
+                verdict = _has_order(t, alpha.key(), ident, k)
+                assert verdict == (true_order == k), (entry.id, alpha, k)
+                if verdict:
+                    hits[k == p, k % p == 0] = True
+    # order p, order 1, and an order prime to p all occurred
+    assert set(hits) == {(True, True), (False, False), (False, True)}
+
+
+def test_warm_inner_table_refuses_like_a_cold_call():
+    tight = DeskCaps(element_sweep=8)
+    alpha_of = lambda G: inner_automorphism(G, G.gen(0))
+
+    cold_G = corpus.dihedral(16).presentation
+    with pytest.raises(CapExceeded) as cold:
+        is_inner(cold_G, alpha_of(cold_G), tight)
+
+    warm_G = corpus.dihedral(16).presentation
+    assert is_inner(warm_G, alpha_of(warm_G)) is not None
+    with pytest.raises(CapExceeded) as warm:
+        is_inner(warm_G, alpha_of(warm_G), tight)
+    assert (warm.value.what, warm.value.needed, warm.value.cap) == \
+        (cold.value.what, cold.value.needed, cold.value.cap) == ("element sweep", 16, 8)

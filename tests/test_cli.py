@@ -114,3 +114,29 @@ def test_inspect_bad_integer_field_exits_2(tmp_path, capsys):
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["inspect", str(tmp_path / "absent.pc")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--cap", "-1", "search-autos", "D8", "--fix", "frattini"],
+    ["--cap", "0", "search-autos", "D8", "--fix", "frattini"],
+    ["search-autos", "D8", "--fix", "frattini", "--cap", "-1"],
+    ["search-autos", "D8", "--fix", "frattini", "--cap", "0"],
+    ["verify", "cor-2.4", "--group", "dihedral-8", "--cap", "-1"],
+    ["--cap", "-1", "inspect", "D8"],
+    ["search-autos", "D8", "--fix", "frattini", "--order", "-2"],
+    ["search-autos", "D8", "--fix", "frattini", "--order", "0"],
+    ["search-autos", "D8", "--fix", "frattini", "--order", "two"],
+])
+def test_caps_and_orders_must_be_positive_integers(d8_file, capsys, argv):
+    argv = [d8_file if a == "D8" else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
+    assert "must be at least 1" in err or "invalid integer" in err
+
+
+def test_search_autos_order_one_is_the_identity(d8_file, capsys):
+    assert main(["search-autos", d8_file, "--fix", "frattini", "--order", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["count"] == 1 and doc["noninner_count"] == 0
+    assert doc["witnesses"][0]["images"] == [[1, 0], [0, 1]]

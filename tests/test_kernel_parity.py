@@ -272,3 +272,22 @@ def test_pure_kernel_selected_by_env(tmp_path):
         text=True,
     )
     assert out.stdout.strip() == "python"
+
+
+# sha256 of the _ckernel.pyx that the shipped _ckernel.c was generated from.
+# The C file is tracked because Cython is not a dependency; a changed .pyx
+# without a regenerated .c would build a stale compiled kernel.
+CKERNEL_PYX_SHA256 = "d7744637ada1b8fca7cf212f0279b91e67da16c30b17effb7182a0324833b2e9"
+
+
+def test_shipped_c_kernel_matches_pyx():
+    import hashlib
+    from pathlib import Path
+
+    package = Path(_pykernel.__file__).parent
+    digest = hashlib.sha256((package / "_ckernel.pyx").read_bytes()).hexdigest()
+    assert digest == CKERNEL_PYX_SHA256, (
+        "_ckernel.pyx changed: regenerate `_ckernel.c` with Cython "
+        "(cython -3 src/pgforge/_ckernel.pyx) and update CKERNEL_PYX_SHA256"
+    )
+    assert (package / "_ckernel.c").read_text().startswith("/* Generated by Cython")

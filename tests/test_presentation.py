@@ -63,6 +63,13 @@ def test_parse_bad_integer_fields_name_the_line(line):
         parse_presentation(text)
 
 
+@pytest.mark.parametrize("prime", ["4", "-3", "1", "0"])
+def test_parse_bad_prime_names_the_prime_line(prime):
+    text = f"group x\n# a comment\nprime {prime}\ngens 1\norder 1 2\n"
+    with pytest.raises(PresentationError, match=f"^line 3: {prime} is not prime$"):
+        parse_presentation(text)
+
+
 def test_parse_rejects_non_p_power_order():
     with pytest.raises(PresentationError, match="power of 2"):
         parse_presentation("group x\nprime 2\ngens 1\norder 1 6\n")

@@ -85,14 +85,15 @@ def cmd_cohomology(args):
             "use its normal closure or different generators"
         )
     M = cohomology.module_of(G, N, args.caps)
+    zs, bs, i1 = cohomology._z1_b1_h1(M, args.caps)
     doc = {
         "group": G.name,
         "normal_order": N.order,
         "module": M.to_dict(),
         "h0": list(cohomology.h0(M)),
-        "z1_size": len(cohomology.z1(M, args.caps)),
-        "b1_size": len(cohomology.b1(M)),
-        "h1": list(cohomology.h1(M, args.caps)),
+        "z1_size": len(zs),
+        "b1_size": len(bs),
+        "h1": list(i1),
     }
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0

@@ -2,10 +2,16 @@
 
 For a normal subgroup N of G, the quotient Q = G/N acts on A = Z(N) by
 conjugation.  This module computes the fixed points A_Q, the trace image
-A^tau, H0 = A_Q / A^tau, the group Z1 of crossed homomorphisms (total
-tables on Q, solved from generator values and the cocycle law
-f(qr) = f(q)^r f(r)), the principal subgroup B1, H1 = Z1/B1, and the
-bridge sending a cocycle f to the automorphism g -> g (gN)^f.
+A^tau, H0 = A_Q / A^tau, the group Z1 of crossed homomorphisms, the
+principal subgroup B1, H1 = Z1/B1, and the bridge sending a cocycle f to
+the automorphism g -> g (gN)^f.
+
+A crossed homomorphism is a total table on Q obeying the cocycle law
+f(qr) = f(q)^r f(r).  It is fixed by its values on generators of Q, and
+in coordinates of A every other value is an integer-linear form in them,
+so Z1 is the solution space of linear conditions modulo the orders of A's
+basis.  `z1` builds those forms in one walk of Q, solves the conditions
+by Hermite reduction and enumerates the solutions; nothing is filtered.
 
 For p-groups, vanishing of H0 or H1 in one degree forces vanishing in the
 other; the nonvanishing checks assert both sides and that equivalence.
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from math import prod
 
 from pgforge.caps import DEFAULT_CAPS
 from pgforge.core import Element, PcPresentation
@@ -214,65 +221,163 @@ class CrossedHom:
         return True
 
 
-def z1(M: GModule, caps=DEFAULT_CAPS):
-    """All crossed homomorphisms, found by assigning values on a greedy
-    generating set of Q and extending along the Cayley graph; assignments
-    that close inconsistently are rejected.  Equivalent to filtering all
-    A-valued tables by the cocycle law, which the tests do as an oracle."""
+def _xgcd(a, b):
+    """(g, u, v) with g = gcd(a, b) = u*a + v*b, for a > 0 and b >= 0."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    return a, u0, v0
+
+
+def _fold(modulus, rows, values, orders):
+    """One column of an integer Hermite reduction in X = Z/o_1 + ... + Z/o_r
+    (o = `orders`), for a column read modulo `modulus`.
+
+    rows[i] has the value values[i] in the column.  The pivot (a, vec)
+    starts as the column's relation row (modulus, 0), and each row with a
+    nonzero value is folded into it by the unimodular step
+    [[u, v], [b/g, -a/g]], which leaves g = gcd(a, b) in the pivot and 0
+    in the row.  Returns the final pivot and the rows that are zero in the
+    column; these generate the elements of <rows> whose value is 0."""
+    a, pv = modulus, (0,) * len(orders)
+    rest = []
+    for b, r in zip(values, rows):
+        if not b:
+            rest.append(r)
+            continue
+        g, u, v = _xgcd(a, b)
+        ag, bg = a // g, b // g
+        other = tuple((bg * x - ag * y) % o for x, y, o in zip(pv, r, orders))
+        pv = tuple((u * x + v * y) % o for x, y, o in zip(pv, r, orders))
+        a = g
+        if any(other):
+            rest.append(other)
+    return (a, pv), rest
+
+
+def _cocycle_forms(M: GModule):
+    """One breadth-first walk of Q's Cayley graph with linear forms.
+
+    With s_1..s_k the greedy generators of Q and A written in the
+    coordinates of M.basis (orders o_1..o_m), a cocycle is fixed by its
+    values x_j = f(s_j) in A, and f(q) = sum_j x_j C_j(q) is linear in
+    x = (x_1, ..., x_k), an element of X = A^k with coordinate orders
+    `x_orders`.  The walk builds the forms by f(q s_j) = f(q)^{s_j} x_j.
+    Returns (forms, conditions, x_orders): forms[i][c] holds the
+    coefficients of x in coordinate c of f(q_i), and each condition
+    (o_c, d) is one edge that reached an element a second time with a
+    different form, read as x . d = 0 modulo o_c.
+    """
     picks = M.Q.generator_reps()
     qs = M.q_elements
     idx = {q.vec: i for i, q in enumerate(qs)}
-    n = len(qs)
-    if M.A.order ** max(len(picks), 0) * n > 50_000_000:
-        raise CapExceeded(
-            "cocycle solver", M.A.order ** len(picks) * n, 50_000_000
+    orders = M.basis_orders
+    m = len(orders)
+    zero = (0,) * (m * len(picks))
+    # the columns of each action matrix
+    mat_cols = [tuple(zip(*M.action_matrix(s))) for s in picks]
+    start = idx[M.Q.canonical(M.G.identity()).vec]
+    forms = [None] * len(qs)
+    forms[start] = (zero,) * m
+    conditions = {}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for qi in frontier:
+            q = qs[qi]
+            by_x = list(zip(*forms[qi]))
+            for j, (s, cols) in enumerate(zip(picks, mat_cols)):
+                ni = idx[M.Q.canonical(q * s).vec]
+                form = []
+                for c, (o, weights) in enumerate(zip(orders, cols)):
+                    col = [sum(w * e for w, e in zip(weights, es)) for es in by_x]
+                    col[j * m + c] += 1
+                    form.append(tuple(v % o for v in col))
+                form = tuple(form)
+                old = forms[ni]
+                if old is None:
+                    forms[ni] = form
+                    nxt.append(ni)
+                elif old != form:
+                    for c, o in enumerate(orders):
+                        d = tuple((a - b) % o for a, b in zip(form[c], old[c]))
+                        if any(d):
+                            conditions[(o, d)] = None
+        frontier = nxt
+    return forms, list(conditions), orders * len(picks)
+
+
+def _kernel_basis(conditions, x_orders):
+    """A triangular basis of {x in X : x . d = 0 mod o for each (o, d)}.
+
+    First the Hermite reduction of the rows [D | I] with the relation rows
+    o e_c, one condition column at a time: the rows left zero in every
+    condition column generate the kernel.  Then the reduction of those
+    rows with the relations o_i e_i, one coordinate at a time.  Returns one
+    (d_i, h_i) per coordinate i: h_i is zero before i, its entry at i is
+    d_i modulo o_i, and d_i divides o_i, so the kernel has prod o_i / d_i
+    elements, the sums of t_i h_i with 0 <= t_i < o_i / d_i."""
+    width = len(x_orders)
+    rows = [tuple(int(r == i) for i in range(width)) for r in range(width)]
+    for o, d in conditions:
+        values = [sum(a * b for a, b in zip(r, d)) % o for r in rows]
+        _, rows = _fold(o, rows, values, x_orders)
+    basis = []
+    for i, o in enumerate(x_orders):
+        pivot, rows = _fold(o, rows, [r[i] for r in rows], x_orders)
+        basis.append(pivot)
+    return basis
+
+
+def z1(M: GModule, caps=DEFAULT_CAPS):
+    """All crossed homomorphisms, sorted by key, solved as the kernel of
+    one linear system rather than filtered from A^k.
+
+    `_cocycle_forms` writes f(q) as a linear form in the values on the
+    greedy generators of Q, with one condition per clash of the walk, and
+    `_kernel_basis` solves the conditions.  Each cocycle's table is then a
+    sum of basis tables.  The enumeration, |Z1| |Q| values, is refused
+    above 50 000 000 before it starts.  The tests keep the
+    assignment-by-assignment walk and the filter of all A-valued tables as
+    oracles.
+    """
+    forms, conditions, x_orders = _cocycle_forms(M)
+    counts = [
+        (o // d, h)
+        for o, (d, h) in zip(x_orders, _kernel_basis(conditions, x_orders))
+        if d < o
+    ]
+    n = len(forms)
+    size = prod(count for count, _ in counts)
+    if size * n > 50_000_000:
+        raise CapExceeded("cocycle solver", size * n, 50_000_000)
+    # coordinate tables, flat over (q, c), of every sum of t_i h_i
+    orders = M.basis_orders
+    m = len(orders)
+    flat_orders = orders * n
+    tables = [(0,) * (n * m)]
+    for count, h in counts:
+        th = tuple(
+            sum(a * b for a, b in zip(h, col)) % o
+            for form in forms
+            for col, o in zip(form, orders)
         )
-    ident_idx = idx[M.Q.canonical(M.G.identity()).vec]
-    out = []
-    pick_idx = [idx[p.vec] for p in picks]
-    for assignment in itertools.product(M.a_elements, repeat=len(picks)):
-        table = [None] * n
-        table[ident_idx] = M.G.identity()
-        for i, a in zip(pick_idx, assignment):
-            if table[i] is None:
-                table[i] = a
-            elif table[i] != a:
-                table = None
-                break
-        if table is None:
-            continue
-        # BFS: extend along right multiplication by the picks
-        ok = True
-        frontier = [ident_idx]
-        seen = {ident_idx}
-        while frontier and ok:
-            nxt = []
-            for qi in frontier:
-                q = qs[qi]
-                fq = table[qi]
-                for s, a in zip(picks, assignment):
-                    qs_next = M.Q.canonical(q * s)
-                    ni = idx[qs_next.vec]
-                    val = M.act(fq, s) * a
-                    if table[ni] is None:
-                        table[ni] = val
-                        if ni not in seen:
-                            seen.add(ni)
-                            nxt.append(ni)
-                    elif table[ni] != val:
-                        ok = False
-                        break
-                    elif ni not in seen:
-                        seen.add(ni)
-                        nxt.append(ni)
-                if not ok:
-                    break
-            frontier = nxt
-        if not ok or any(v is None for v in table):
-            continue
-        f = CrossedHom(M, table)
-        out.append(f)
-    out.sort(key=lambda f: f.key())
+        grown = []
+        for t in tables:
+            grown.append(t)
+            for _ in range(count - 1):
+                t = tuple((a + b) % o for a, b, o in zip(t, th, flat_orders))
+                grown.append(t)
+        tables = grown
+    elem = {exps: Element(M.G, vec) for vec, exps in M._coords.items()}
+    out = [
+        CrossedHom(M, [elem[t[i * m:(i + 1) * m]] for i in range(n)])
+        for t in tables
+    ]
+    out.sort(key=CrossedHom.key)
     return out
 
 
@@ -289,22 +394,28 @@ def b1(M: GModule):
 
 def h1(M: GModule, caps=DEFAULT_CAPS):
     """Invariant factors of Z1/B1 under pointwise product."""
+    return _z1_b1_h1(M, caps)[2]
+
+
+def _z1_b1_h1(M: GModule, caps=DEFAULT_CAPS):
+    """Z1, B1 and the invariant factors of Z1/B1, each computed once."""
     zs = z1(M, caps)
-    bs = {f.key() for f in b1(M)}
+    bs = b1(M)
     if len(zs) % len(bs):
         raise DomainError("principal subgroup does not divide the cocycle group")
+    principal = {f.key() for f in bs}
     p = M.G.prime
     orders = Counter()
     for f in zs:
         o = 1
         g = f
-        while g.key() not in bs:
+        while g.key() not in principal:
             g = g.power(p)
             o *= p
         orders[o] += 1
     # each coset of B1 holds |B1| cocycles of one order
     quotient_orders = Counter({o: c // len(bs) for o, c in orders.items()})
-    return tuple(structure._invariant_factors(p, quotient_orders))
+    return zs, bs, tuple(structure._invariant_factors(p, quotient_orders))
 
 
 # -- the automorphism bridge ---------------------------------------------------

@@ -37,6 +37,8 @@ def is_prime(n: int) -> bool:
 
 def p_valuation(m: int, p: int):
     """v with m = p^v, or None if m is not a power of p."""
+    if m < 1:
+        return None
     v = 0
     while m % p == 0:
         m //= p

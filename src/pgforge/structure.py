@@ -11,9 +11,10 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
+from pgforge import kernel
 from pgforge.caps import DEFAULT_CAPS
 from pgforge.core import Element, PcPresentation, p_valuation
-from pgforge.errors import CapExceeded, DomainError
+from pgforge.errors import CapExceeded, DomainError, MixedPresentationError
 from pgforge.subgroups import (
     Subgroup,
     full_subgroup,
@@ -51,16 +52,24 @@ def _sweep(P: PcPresentation, caps):
     return P.elements()
 
 
-def center(G: PcPresentation, caps=DEFAULT_CAPS) -> Subgroup:
-    def compute():
-        gens = G.gens()
-        members = [
-            x for x in _sweep(G, caps)
-            if all(x.commutator(g).is_identity for g in gens)
-        ]
-        return subgroup_closure(G, members)
+def _commuting_sweep(G: PcPresentation, targets, caps):
+    """The elements commuting with every target, by an element sweep that
+    compares x g with g x on exponent vectors."""
+    elements = _sweep(G, caps)
+    if any(not (g.pres is G or g.pres == G) for g in targets):
+        raise MixedPresentationError("centralizer target from another presentation")
+    t = G._tables
+    mul = kernel.mul
+    vecs = [g.vec for g in targets]
+    members = [
+        x.vec for x in elements
+        if all(mul(t, x.vec, g) == mul(t, g, x.vec) for g in vecs)
+    ]
+    return subgroup_closure(G, members)
 
-    return _memo(G, "center", compute, caps)
+
+def center(G: PcPresentation, caps=DEFAULT_CAPS) -> Subgroup:
+    return _memo(G, "center", lambda: _commuting_sweep(G, G.gens(), caps), caps)
 
 
 def centralizer(G: PcPresentation, target, caps=DEFAULT_CAPS) -> Subgroup:
@@ -71,11 +80,7 @@ def centralizer(G: PcPresentation, target, caps=DEFAULT_CAPS) -> Subgroup:
         tgens = list(target.igs)
     else:
         raise DomainError("centralizer target must be an Element or Subgroup")
-    members = [
-        x for x in _sweep(G, caps)
-        if all(x.commutator(t).is_identity for t in tgens)
-    ]
-    return subgroup_closure(G, members)
+    return _commuting_sweep(G, tgens, caps)
 
 
 def derived_subgroup(G: PcPresentation) -> Subgroup:

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pgforge.cli import main
-from pgforge.core import serialize_presentation
+from pgforge.core import parse_presentation, serialize_presentation
+from pgforge.errors import PresentationError
 from pgforge import corpus
 
 
@@ -140,3 +144,63 @@ def test_search_autos_order_one_is_the_identity(d8_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["count"] == 1 and doc["noninner_count"] == 0
     assert doc["witnesses"][0]["images"] == [[1, 0], [0, 1]]
+
+
+# -- robustness on mutated presentation files ----------------------------------
+
+# the corpus texts, up to order 256 so that a mutation that enlarges a group
+# keeps `inspect` within the sweep cap
+CORPUS_TEXTS = [
+    serialize_presentation(e.presentation)
+    for e in corpus.builtin_corpus(validate=False)
+    if e.presentation.order <= 256
+]
+# small integers only: `gens` is read before any cap applies
+REPLACEMENTS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.text(alphabet="x^*=#-.a", max_size=4),
+)
+
+
+@st.composite
+def mutated_texts(draw):
+    """A corpus text with one line dropped, two lines swapped, or one
+    token replaced by a small integer or a junk string."""
+    lines = draw(st.sampled_from(CORPUS_TEXTS)).splitlines()
+    kind = draw(st.sampled_from(["drop", "swap", "token"]))
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "swap":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        tokens = lines[i].split()
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(REPLACEMENTS)
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "g.pc"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(text=mutated_texts())
+def test_mutated_presentations_end_in_an_exit_code(scratch_file, text):
+    """Only PresentationError escapes the parser, and `forge inspect`
+    answers 0, 1 or 2 without a traceback; a parse error is exit 2."""
+    try:
+        parse_presentation(text)
+        parsed = True
+    except PresentationError:
+        parsed = False
+    scratch_file.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["inspect", str(scratch_file)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if not parsed:
+        assert code == 2 and err.getvalue().startswith("error: ")

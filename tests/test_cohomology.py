@@ -1,11 +1,14 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from pgforge.autos import identity_automorphism, inner_automorphism, is_inner
 from pgforge.cohomology import (
     CrossedHom,
+    _cocycle_forms,
+    _kernel_basis,
     b1,
     c_aut_slice,
     cocycle_exponent_report,
@@ -24,8 +27,14 @@ from pgforge.cohomology import (
     trace_image,
     z1,
 )
+from pgforge.caps import DEFAULT_CAPS
 from pgforge.errors import CapExceeded, DomainError, HypothesesUnmet
-from pgforge.structure import center, center_of_subgroup, frattini
+from pgforge.structure import (
+    _invariant_factors,
+    center,
+    center_of_subgroup,
+    frattini,
+)
 from pgforge.subgroups import (
     enumerate_normal_subgroups,
     enumerate_subgroups,
@@ -34,6 +43,92 @@ from pgforge.subgroups import (
     subgroup_closure,
 )
 from pgforge import corpus
+
+
+def oracle_z1(M):
+    """Every assignment in A^k on the greedy generators of Q, each extended
+    along the Cayley graph and rejected on a clash: the filter that the
+    kernel computation in `z1` must agree with."""
+    picks = M.Q.generator_reps()
+    qs = M.q_elements
+    idx = {q.vec: i for i, q in enumerate(qs)}
+    n = len(qs)
+    ident_idx = idx[M.Q.canonical(M.G.identity()).vec]
+    out = []
+    pick_idx = [idx[p.vec] for p in picks]
+    for assignment in itertools.product(M.a_elements, repeat=len(picks)):
+        table = [None] * n
+        table[ident_idx] = M.G.identity()
+        for i, a in zip(pick_idx, assignment):
+            if table[i] is None:
+                table[i] = a
+            elif table[i] != a:
+                table = None
+                break
+        if table is None:
+            continue
+        # BFS: extend along right multiplication by the picks
+        ok = True
+        frontier = [ident_idx]
+        seen = {ident_idx}
+        while frontier and ok:
+            nxt = []
+            for qi in frontier:
+                q = qs[qi]
+                fq = table[qi]
+                for s, a in zip(picks, assignment):
+                    qs_next = M.Q.canonical(q * s)
+                    ni = idx[qs_next.vec]
+                    val = M.act(fq, s) * a
+                    if table[ni] is None:
+                        table[ni] = val
+                        if ni not in seen:
+                            seen.add(ni)
+                            nxt.append(ni)
+                    elif table[ni] != val:
+                        ok = False
+                        break
+                    elif ni not in seen:
+                        seen.add(ni)
+                        nxt.append(ni)
+                if not ok:
+                    break
+            frontier = nxt
+        if not ok or any(v is None for v in table):
+            continue
+        out.append(CrossedHom(M, table))
+    out.sort(key=lambda f: f.key())
+    return out
+
+
+def oracle_h1(M, zs):
+    """Invariant factors of Z1/B1 from the orders of the cosets."""
+    bs = {f.key() for f in b1(M)}
+    p = M.G.prime
+    orders = Counter()
+    for f in zs:
+        o, g = 1, f
+        while g.key() not in bs:
+            g, o = g.power(p), o * p
+        orders[o] += 1
+    return tuple(_invariant_factors(p, {o: c // len(bs) for o, c in orders.items()}))
+
+
+@pytest.fixture(scope="module")
+def corpus_modules():
+    """Every (corpus group, normal subgroup) module within the default
+    caps."""
+    out = []
+    for entry in corpus.builtin_corpus():
+        G = entry.presentation
+        if G.order > DEFAULT_CAPS.subgroup_enum:
+            continue
+        for N in enumerate_normal_subgroups(G):
+            try:
+                out.append((entry.id, module_of(G, N)))
+            except CapExceeded:
+                continue
+    return out
 
 
 def z1_table_filter_oracle(M):
@@ -145,6 +240,60 @@ def test_z1_matches_table_filter_oracle(d8, q8, es27):
     for G, N in cases:
         M = module_of(G, N)
         assert [f.key() for f in z1(M)] == z1_table_filter_oracle(M)
+
+
+def test_z1_and_h1_match_the_assignment_oracle_on_every_corpus_module(
+    corpus_modules,
+):
+    """The kernel solver against the assignment-by-assignment walk, and
+    h1 against the coset orders of the walk's cocycles."""
+    assert len(corpus_modules) > 400
+    for gid, M in corpus_modules:
+        expected = oracle_z1(M)
+        assert [f.key() for f in z1(M)] == [f.key() for f in expected], gid
+        assert h1(M) == oracle_h1(M, expected), gid
+
+
+def test_kernel_basis_is_triangular_and_counts_z1(corpus_modules):
+    """Each h_i is zero before i with d_i at i, solves every condition of
+    the walk, and the kernel has prod o_i / d_i elements, one per cocycle."""
+    for gid, M in corpus_modules:
+        forms, conditions, x_orders = _cocycle_forms(M)
+        basis = _kernel_basis(conditions, x_orders)
+        size = 1
+        for i, (o, (d, h)) in enumerate(zip(x_orders, basis)):
+            assert o % d == 0 and not any(h[:i]), gid
+            assert h[i] == d % o, gid
+            for oc, dc in conditions:
+                assert sum(a * b for a, b in zip(h, dc)) % oc == 0, gid
+            size *= o // d
+        assert len({f.key() for f in z1(M)}) == size, gid
+
+
+def test_z1_refuses_on_the_enumerated_size():
+    """The refusal reads |Z1| |Q| from the kernel's diagonal.  Q = C2^6
+    acts trivially on A = C2^6, so Z1 = Hom(Q, A) has 2^36 elements."""
+    G = corpus.abelian(2, [1] * 12).presentation
+    N = subgroup_closure(G, G.gens()[6:])
+    M = module_of(G, N)
+    with pytest.raises(CapExceeded) as exc:
+        z1(M)
+    assert exc.value.what == "cocycle solver"
+    assert exc.value.needed == 2 ** 36 * 2 ** 6
+
+
+def test_z1_answers_where_the_assignment_walk_refused():
+    """Q = C2^4 acting trivially on A = C8 x C8: the walk over A^4 needed
+    64^4 * 16 > 50 000 000 tables and refused; Z1 = Hom(Q, A) has only
+    4^4 elements."""
+    G = corpus.abelian(2, [3, 3, 1, 1, 1, 1]).presentation
+    N = subgroup_closure(G, G.gens()[:2])
+    M = module_of(G, N)
+    assert M.A.order ** len(M.Q.generator_reps()) * M.Q.order > 50_000_000
+    zs = z1(M)
+    assert len(zs) == 4 ** 4
+    assert all(f.satisfies_law() for f in zs[::37])
+    assert h1(M) == (2,) * 8
 
 
 def test_h1_inversion_module(d8):

@@ -75,6 +75,16 @@ def test_parse_rejects_non_p_power_order():
         parse_presentation("group x\nprime 2\ngens 1\norder 1 6\n")
 
 
+@pytest.mark.parametrize("order", ["0", "-2", "-3", "1"])
+def test_parse_rejects_zero_and_negative_orders(order):
+    """A relative order of 0 once sent p_valuation into an endless loop."""
+    text = f"group x\nprime 2\ngens 1\norder 1 {order}\n"
+    with pytest.raises(PresentationError, match="^line 4: .*not a positive power of 2"):
+        parse_presentation(text)
+    with pytest.raises(PresentationError, match="not a positive power of 2"):
+        PcPresentation(2, [int(order)])
+
+
 def test_parse_rejects_unknown_directive():
     with pytest.raises(PresentationError, match="unknown directive"):
         parse_presentation("group x\nprime 2\ngens 1\norder 1 2\nfoo bar\n")

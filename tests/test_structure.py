@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from pgforge.core import PcPresentation
-from pgforge.errors import CapExceeded, DomainError
+from pgforge.caps import DEFAULT_CAPS
+from pgforge.errors import CapExceeded, DomainError, MixedPresentationError
 from pgforge.structure import (
     abelian_basis,
     abelian_invariants,
@@ -55,6 +56,39 @@ def test_center_examples(d8, q8, c4xc2):
     assert center(c4xc2).order == 8  # abelian: the whole group
     for P in (d8, q8):
         assert {x.vec for x in center(P).elements()} == sweep_center(P)
+
+
+def commutator_sweep(P, targets):
+    """The element sweep by commutators that the vector comparison
+    replaced."""
+    return subgroup_closure(P, [
+        x for x in P.elements()
+        if all(x.commutator(t).is_identity for t in targets)
+    ])
+
+
+def test_center_and_centralizer_match_the_commutator_sweep():
+    """On every corpus group within the sweep cap: the center, and the
+    centralizers of each generator and of the Frattini and derived
+    subgroups."""
+    caps = DEFAULT_CAPS
+    groups = 0
+    for entry in corpus.builtin_corpus():
+        G = entry.presentation
+        if G.order > caps.element_sweep:
+            continue
+        groups += 1
+        assert center(G) == commutator_sweep(G, G.gens()), entry.id
+        for g in G.gens():
+            assert centralizer(G, g) == commutator_sweep(G, [g]), entry.id
+        for S in (frattini(G), derived_subgroup(G)):
+            assert centralizer(G, S) == commutator_sweep(G, S.igs), entry.id
+    assert groups > 30
+
+
+def test_centralizer_refuses_a_target_of_another_presentation(d8, q8):
+    with pytest.raises(MixedPresentationError):
+        centralizer(d8, q8.gen(0))
 
 
 def test_centralizer_examples(d8):

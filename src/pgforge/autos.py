@@ -16,27 +16,39 @@ from dataclasses import dataclass, replace
 from pgforge import kernel
 from pgforge.caps import DEFAULT_CAPS
 from pgforge.core import Element, PcPresentation
-from pgforge.errors import CapExceeded, DomainError, HypothesesUnmet
+from pgforge.errors import (CapExceeded, DomainError, HypothesesUnmet,
+                            MixedPresentationError)
 from pgforge import structure
 from pgforge.subgroups import Subgroup, quotient, subgroup_closure
 
 
 class Automorphism:
-    """A generator-image map validated against the presentation."""
+    """A generator-image map validated against the presentation, stored
+    as the tuple of image exponent vectors; `images` gives the Elements."""
 
-    __slots__ = ("pres", "images", "_inverse_images")
+    __slots__ = ("pres", "_vecs")
 
     def __init__(self, pres, images, _validated=False):
-        self.pres = pres
-        self.images = tuple(images)
-        self._inverse_images = None
         if not _validated:
-            err = validation_error(pres, self.images)
+            err = validation_error(pres, images)
             if err:
                 raise DomainError(err)
+        self.pres = pres
+        self._vecs = tuple(x.vec for x in images)
+
+    @classmethod
+    def _of_vecs(cls, pres, vecs):
+        """The map with these image vectors, known to be an automorphism."""
+        alpha = cls.__new__(cls)
+        alpha.pres, alpha._vecs = pres, tuple(vecs)
+        return alpha
+
+    @property
+    def images(self):
+        return tuple(Element(self.pres, v) for v in self._vecs)
 
     def apply(self, x: Element) -> Element:
-        return Element(self.pres, _apply_vec(self.pres._tables, self.key(), x.vec))
+        return Element(self.pres, _image(self.pres._tables, self._vecs, enumerate(x.vec)))
 
     __call__ = apply
 
@@ -44,46 +56,40 @@ class Automorphism:
         """x -> other(self(x))"""
         if self.pres != other.pres:
             raise DomainError("automorphisms of different presentations")
-        vecs = _compose_vecs(self.pres._tables, self.key(), other.key())
-        return Automorphism(
-            self.pres, [Element(self.pres, v) for v in vecs], _validated=True
+        return Automorphism._of_vecs(
+            self.pres, _compose_vecs(self.pres._tables, self._vecs, other._vecs)
         )
 
     def order(self, cap=2 ** 20) -> int:
         t = self.pres._tables
-        ident = identity_automorphism(self.pres).key()
-        key = self.key()
+        ident = _gen_vecs(self.pres.n_gens)
         k = 1
-        a = key
+        a = self._vecs
         while a != ident:
-            a = _compose_vecs(t, a, key)
+            a = _compose_vecs(t, a, self._vecs)
             k += 1
             if k > cap:
                 raise DomainError("automorphism order exceeds cap")
         return k
 
-    def is_identity(self) -> bool:
-        return self == identity_automorphism(self.pres)
-
     def inverse_images(self):
-        """Preimages of the generators, by a full element sweep."""
-        if self._inverse_images is None:
-            lookup = {}
-            for x in self.pres.elements():
-                lookup[self.apply(x).vec] = x
-            self._inverse_images = tuple(
-                lookup[g.vec] for g in self.pres.gens()
-            )
-        return self._inverse_images
+        """Preimages of the generators."""
+        return self.inverse().images
 
     def inverse(self) -> "Automorphism":
-        return Automorphism(self.pres, self.inverse_images(), _validated=True)
+        """The (k-1)-th power, k the order, by square and multiply."""
+        k = self.order()
+        if k == 1:
+            return self
+        return Automorphism._of_vecs(
+            self.pres, _power_vecs(self.pres._tables, self._vecs, k - 1)
+        )
 
     def fixes_pointwise(self, S: Subgroup) -> bool:
         return all(self.apply(u) == u for u in S.igs)
 
     def key(self):
-        return tuple(img.vec for img in self.images)
+        return self._vecs
 
     def __eq__(self, other):
         return (
@@ -103,30 +109,54 @@ class Automorphism:
 
 
 def validation_error(pres: PcPresentation, images):
-    """None if the images define an automorphism, else a description."""
-    n = pres.n_gens
-    if len(images) != n:
+    """None if the images define an automorphism, else a description: the
+    first broken power relation, else the first broken conjugation
+    relation (conjugating generator outer), else failed generation."""
+    if len(images) != pres.n_gens:
         return "one image per generator required"
-
-    def eval_word(word):
-        out = pres.identity()
-        for g, e in word:
-            out = out * images[g] ** e
-        return out
-
-    for i in range(n):
-        m = pres.rel_orders[i]
-        if images[i] ** m != eval_word(pres.pow_words[i]):
+    vecs = _vecs_in(pres, images)
+    t = pres._tables
+    err = None
+    for i, (h, m) in enumerate(zip(vecs, pres.rel_orders)):
+        j = _broken_relation(pres, t, vecs, i, kernel.inv(t, h), kernel.power(t, h, m))
+        if j == i:
+            # every power relation comes before any conjugation relation
             return f"power relation of x{i + 1} violated"
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = pres.conj_words[i * n + j]
-            lhs = images[j].conjugate(images[i])
-            rhs = images[j] if w is None else eval_word(w)
-            if lhs != rhs:
-                return f"conjugation relation of x{j + 1} by x{i + 1} violated"
-    if not generates(pres, images):
-        return "images do not generate the group"
+        if j is not None and err is None:
+            err = f"conjugation relation of x{j + 1} by x{i + 1} violated"
+    if err is None and not generates(pres, images):
+        err = "images do not generate the group"
+    return err
+
+
+def _vecs_in(G: PcPresentation, elements):
+    """The vectors of elements of G; another presentation's raise."""
+    for x in elements:
+        if x.pres is not G and x.pres != G:
+            raise MixedPresentationError(
+                f"elements of {G.name!r} and {x.pres.name!r} cannot be combined"
+            )
+    return [x.vec for x in elements]
+
+
+def _broken_relation(G: PcPresentation, t, images, i, hinv, hpow, comm=None):
+    """The first relation of x_i that the image vectors break: i for the
+    power relation, else the least j > i for the conjugation of x_j by
+    x_i, or for the commutator [x_i, x_j] when comm maps (i, j) to it;
+    None if all hold.  h = images[i] has inverse hinv and rel_orders[i]-th
+    power hpow, and only images[i:] are read."""
+    if hpow != _image(t, images, G.pow_words[i]):
+        return i
+    n = G.n_gens
+    for j in range(i + 1, n):
+        hj = images[j]
+        c = kernel.mul(t, kernel.mul(t, hinv, hj), images[i])
+        w = G.conj_words[i * n + j]
+        if c != (hj if w is None else _image(t, images, w)):
+            return j
+        # c = hj^h, so [h, hj] = c^-1 hj
+        if comm is not None and kernel.mul(t, c, comm[i, j]) != hj:
+            return j
     return None
 
 
@@ -166,13 +196,11 @@ def make_automorphism(G: PcPresentation, images) -> Automorphism:
 
 
 def identity_automorphism(G: PcPresentation) -> Automorphism:
-    return Automorphism(G, G.gens(), _validated=True)
+    return Automorphism._of_vecs(G, _gen_vecs(G.n_gens))
 
 
 def inner_automorphism(G: PcPresentation, g: Element) -> Automorphism:
-    return Automorphism(
-        G, [x.conjugate(g) for x in G.gens()], _validated=True
-    )
+    return Automorphism._of_vecs(G, _conjugation_vecs(G, _vecs_in(G, [g])[0]))
 
 
 def compose(a: Automorphism, b: Automorphism) -> Automorphism:
@@ -182,19 +210,32 @@ def compose(a: Automorphism, b: Automorphism) -> Automorphism:
 # -- maps as tuples of image vectors --------------------------------------------
 
 
-def _apply_vec(t, images, vec):
-    """The image of an exponent vector under the map sending generator i
-    to the vector images[i]."""
+def _gen_vecs(n):
+    """Image vectors of the identity map: the generators' unit vectors."""
+    return tuple(tuple(int(k == i) for k in range(n)) for i in range(n))
+
+
+def _conjugation_vecs(G: PcPresentation, r):
+    """Image vectors of conjugation x -> r^-1 x r."""
+    t = G._tables
+    rinv = kernel.inv(t, r)
+    return tuple(kernel.mul(t, kernel.mul(t, rinv, g), r) for g in _gen_vecs(G.n_gens))
+
+
+def _image(t, images, word):
+    """The image of a normal word, given as (g, e) pairs, under the map
+    sending generator g to the vector images[g]; vec is enumerate(vec)."""
     out = t.identity
-    for img, e in zip(images, vec):
+    for g, e in word:
         if e:
-            out = kernel.mul(t, out, img if e == 1 else kernel.power(t, img, e))
+            v = images[g]
+            out = kernel.mul(t, out, v if e == 1 else kernel.power(t, v, e))
     return out
 
 
 def _compose_vecs(t, a, b):
     """Image vectors of x -> b(a(x))."""
-    return tuple(_apply_vec(t, b, v) for v in a)
+    return tuple(_image(t, b, enumerate(v)) for v in a)
 
 
 def _power_vecs(t, images, k):
@@ -249,14 +290,7 @@ def is_inner(G: PcPresentation, alpha: Automorphism, caps=DEFAULT_CAPS):
 
 
 def _inner_maps(G: PcPresentation, Z: Subgroup):
-    t = G._tables
-    gens = identity_automorphism(G).key()
-    table = {}
-    for rep in quotient(G, Z).elements():
-        r = rep.vec
-        rinv = kernel.inv(t, r)
-        table[tuple(kernel.mul(t, kernel.mul(t, rinv, g), r) for g in gens)] = rep
-    return table
+    return {_conjugation_vecs(G, rep.vec): rep for rep in quotient(G, Z).elements()}
 
 
 @dataclass(frozen=True)
@@ -340,12 +374,12 @@ def first_noninner(G: PcPresentation, fixed: Subgroup, caps=DEFAULT_CAPS):
 def _classified(G, fixed, leaves, order, caps):
     """Witnesses of the given order among the leaves, lazily, in order."""
     t = G._tables
-    ident = identity_automorphism(G).key()
+    ident = _gen_vecs(G.n_gens)
     name = None
     for images in leaves:
         if not _has_order(t, images, ident, order):
             continue
-        alpha = Automorphism(G, [Element(G, v) for v in images], _validated=True)
+        alpha = Automorphism._of_vecs(G, images)
         if name is None:
             # only once a witness exists: _fixed_name checks the default
             # sweep cap, which a search with larger caps must not trip
@@ -383,7 +417,7 @@ def _search_leaves(G: PcPresentation, fixed: Subgroup, caps):
     p = G.prime
     n = G.n_gens
     t = G._tables
-    mul, power = kernel.mul, kernel.power
+    power = kernel.power
     phi = structure.frattini(G, caps)
     contains_phi = all(fixed.membership(u) for u in phi.igs)
     _, project = structure.frattini_quotient(G)
@@ -418,49 +452,27 @@ def _search_leaves(G: PcPresentation, fixed: Subgroup, caps):
     cand = [candidates(i) for i in range(n)]
     coords = [list(project(g)) for g in vecs]
     target = [_rank_mod_p([list(r) for r in coords[i:]], p) for i in range(n)]
-    comm = {}
+    comm = None
     if contains_phi:
-        for i in range(n):
-            for j in range(i + 1, n):
-                comm[i, j] = gens[i].commutator(gens[j]).vec
+        comm = {(i, j): gens[i].commutator(gens[j]).vec
+                for i in range(n) for j in range(i + 1, n)}
     fixed_igs = [u.vec for u in fixed.igs]
 
     images = [None] * n
     rows = [None] * n
     leaves = []
 
-    def value(word):
-        out = t.identity
-        for g, e in word:
-            v = images[g]
-            out = mul(t, out, v if e == 1 else power(t, v, e))
-        return out
-
-    def relations_hold(i, h, hinv, hpow):
-        if hpow != value(G.pow_words[i]):
-            return False
-        for j in range(i + 1, n):
-            hj = images[j]
-            c = mul(t, mul(t, hinv, hj), h)
-            w = G.conj_words[i * n + j]
-            if c != (hj if w is None else value(w)):
-                return False
-            # c = hj^h, so [h, hj] = c^{-1} hj
-            if contains_phi and mul(t, c, comm[i, j]) != hj:
-                return False
-        return True
-
     def descend(i):
         if i < 0:
             leaf = tuple(images)
-            if all(_apply_vec(t, leaf, u) == u for u in fixed_igs):
+            if all(_image(t, leaf, enumerate(u)) == u for u in fixed_igs):
                 leaves.append(leaf)
             return
         for h, hinv, hpow, row in cand[i]:
             images[i] = h
             rows[i] = row
             if (_rank_mod_p([list(r) for r in rows[i:]], p) >= target[i]
-                    and relations_hold(i, h, hinv, hpow)):
+                    and _broken_relation(G, t, images, i, hinv, hpow, comm) is None):
                 descend(i - 1)
         images[i] = None
 
@@ -579,20 +591,16 @@ def central_socle_automorphisms(G: PcPresentation, caps=DEFAULT_CAPS):
         raise CapExceeded("central socle sweep", G.order, caps.element_sweep)
     om = structure.omega1(structure.center(G, caps), caps)
     phi = structure.frattini(G, caps)
-    socle = sorted(om.elements(), key=lambda e: e.vec)
+    socle = sorted(z.vec for z in om.elements())
     N = subgroup_closure(G, list(om.igs) + list(phi.igs))
     Qp, project = quotient(G, N).presentation()
-    gens = G.gens()
-    coords = [project(g.vec) for g in gens]
+    t = G._tables
+    gens = _gen_vecs(G.n_gens)
+    coords = [project(g) for g in gens]
     members = []
     for values in itertools.product(socle, repeat=Qp.n_gens):
-        shifts = []
-        for c in coords:
-            s = G.identity()
-            for b, e in zip(values, c):
-                s = s * b ** e
-            shifts.append(s)
-        images = [g * s for g, s in zip(gens, shifts)]
+        shifts = tuple(_image(t, values, enumerate(c)) for c in coords)
+        images = [Element(G, kernel.mul(t, g, s)) for g, s in zip(gens, shifts)]
         err = validation_error(G, images)
         if err:
             raise DomainError(f"central socle map is not an automorphism: {err}")
@@ -600,7 +608,7 @@ def central_socle_automorphisms(G: PcPresentation, caps=DEFAULT_CAPS):
         for fixed, name in ((om, "omega1(Z(G))"), (phi, "the Frattini subgroup")):
             if not alpha.fixes_pointwise(fixed):
                 raise DomainError(f"central socle member moved {name}")
-        members.append((alpha, tuple(s.vec for s in shifts)))
+        members.append((alpha, shifts))
     members.sort(key=lambda mh: mh[0].key())
     return [m for m, _ in members], [h for _, h in members]
 
@@ -685,7 +693,7 @@ def powerful_quotient_witness(G: PcPresentation, caps=DEFAULT_CAPS) -> AutWitnes
         try:
             members, _ = central_socle_automorphisms(G, caps)
             for alpha in members:
-                if alpha.is_identity() or alpha.order() != p:
+                if alpha.order() != p:
                     continue
                 if is_inner(G, alpha, caps) is None:
                     return witness_for(G, alpha, phi, "frattini",

@@ -44,6 +44,7 @@ class GModule:
         "N",
         "A",
         "Q",
+        "gen_reps",
         "q_elements",
         "basis",
         "basis_orders",
@@ -56,6 +57,7 @@ class GModule:
         self.N = N
         self.A = A
         self.Q = Q
+        self.gen_reps = Q.generator_reps()
         self.q_elements = sorted(Q.elements(), key=lambda e: e.vec)
         self.a_elements = sorted(A.elements(), key=lambda e: e.vec)
         self.basis = structure.abelian_basis(A, caps)
@@ -112,13 +114,12 @@ class GModule:
         return True
 
     def to_dict(self):
-        gen_reps = self.Q.generator_reps()
         return {
             "a_invariants": list(self.basis_orders),
             "q_order": self.Q.order,
             "action_matrices": {
                 g.word_str(): [list(r) for r in self.action_matrix(g)]
-                for g in gen_reps
+                for g in self.gen_reps
             },
         }
 
@@ -145,10 +146,9 @@ def trace_image(M: GModule) -> Subgroup:
 
 
 def fixed_points(M: GModule) -> Subgroup:
-    gen_reps = M.Q.generator_reps()
     members = [
         a for a in M.a_elements
-        if all(M.act(a, q) == a for q in gen_reps)
+        if all(M.act(a, q) == a for q in M.gen_reps)
     ]
     return subgroup_closure(M.G, members)
 
@@ -271,7 +271,7 @@ def _cocycle_forms(M: GModule):
     (o_c, d) is one edge that reached an element a second time with a
     different form, read as x . d = 0 modulo o_c.
     """
-    picks = M.Q.generator_reps()
+    picks = M.gen_reps
     qs = M.q_elements
     idx = {q.vec: i for i, q in enumerate(qs)}
     orders = M.basis_orders
@@ -462,7 +462,7 @@ def c_aut_slice(G: PcPresentation, N: Subgroup, caps=DEFAULT_CAPS):
         if validation_error(G, images):
             continue
         alpha = Automorphism(G, images, _validated=True)
-        if all(alpha.apply(u) == u for u in N.igs):
+        if alpha.fixes_pointwise(N):
             out.append(alpha)
     out.sort(key=lambda a: a.key())
     return out
@@ -499,7 +499,7 @@ def condition_check(G: PcPresentation, N: Subgroup, caps=DEFAULT_CAPS):
         alpha = cocycle_to_automorphism(M, f)
         if alpha.order() != G.prime:
             raise DomainError("bridge image has the wrong order")
-        if not all(alpha.apply(u) == u for u in N.igs):
+        if not alpha.fixes_pointwise(N):
             raise DomainError("bridge image moved the fixed subgroup")
         if is_inner(G, alpha, caps) is not None:
             raise DomainError("bridge image is inner against the criterion")

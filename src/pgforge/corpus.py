@@ -514,19 +514,19 @@ def builtin_corpus(validate=True, caps=DEFAULT_CAPS):
 # -- manifest ingestion -------------------------------------------------------
 
 
-def _parse_fact_value(name, raw):
+def _parse_fact_value(name, raw, lineno):
     raw = raw.strip()
-    if name in ("powerful", "p_central"):
-        if raw.lower() in ("true", "yes", "1"):
-            return True
-        if raw.lower() in ("false", "no", "0"):
-            return False
-        raise DomainError(f"fact {name}: expected a boolean, got {raw!r}")
-    if name == "center_invariants":
-        if raw in ("-", ""):
-            return ()
-        return tuple(int(x) for x in raw.split(","))
-    return int(raw)
+    try:
+        if name in ("powerful", "p_central"):
+            return {"true": True, "yes": True, "1": True,
+                    "false": False, "no": False, "0": False}[raw.lower()]
+        if name == "center_invariants":
+            return () if raw in ("-", "") else tuple(int(x) for x in raw.split(","))
+        return int(raw)
+    except (KeyError, ValueError):
+        kind = {"powerful": "a boolean", "p_central": "a boolean",
+                "center_invariants": "a comma list of integers"}.get(name, "an integer")
+        raise PresentationError(f"fact {name}: expected {kind}, got {raw!r}", lineno) from None
 
 
 def load_manifest(path, caps=DEFAULT_CAPS):
@@ -562,7 +562,7 @@ def load_manifest(path, caps=DEFAULT_CAPS):
             name, raw_value = fields
             if name not in FACT_NAMES:
                 raise PresentationError(f"unknown fact {name!r}", lineno)
-            current["facts"].append((name, _parse_fact_value(name, raw_value)))
+            current["facts"].append((name, _parse_fact_value(name, raw_value, lineno)))
         else:
             raise PresentationError(f"unknown manifest directive {directive!r}", lineno)
     entries = []

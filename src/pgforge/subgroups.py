@@ -26,16 +26,6 @@ def _leading(vec):
     return None
 
 
-def _modinv(a, m):
-    # extended euclid; callers guarantee a is a unit mod m
-    r0, r1, s0, s1 = a % m, m, 1, 0
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    return s0 % m
-
-
 def _sift(t, table, vec):
     """Strip vec through a pivot table (entry at its leading index, or
     None); the remainder is the identity exactly when vec lies in the
@@ -70,7 +60,7 @@ class _IgsBuilder:
         g = gcd(e, m)
         if e == g:
             return vec
-        u = _modinv(e // g, m // g)
+        u = pow(e // g, -1, m // g)
         return kernel.power(self.t, vec, u)
 
     def sift(self, vec):

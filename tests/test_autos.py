@@ -26,7 +26,12 @@ from pgforge.autos import (
     validation_error,
 )
 from pgforge.core import PcPresentation, p_valuation
-from pgforge.errors import CapExceeded, DomainError, HypothesesUnmet
+from pgforge.errors import (
+    CapExceeded,
+    DomainError,
+    HypothesesUnmet,
+    MixedPresentationError,
+)
 from pgforge.structure import (
     agemo,
     center,
@@ -555,6 +560,47 @@ def test_validation_error_matches_closure_oracle():
             verdicts.add(want)
     assert None in verdicts
     assert "images do not generate the group" in verdicts
+
+
+def test_validation_error_refuses_images_of_another_presentation(d8):
+    """Checked explicitly, since the relation check runs on vectors, and
+    for every image: not only where evaluating a relation would combine
+    elements of both presentations, as the first tuple does."""
+    other = corpus.abelian(2, [1, 1, 1]).presentation
+    for images in ([d8.gen(0), d8.gen(1), other.gen(2)],
+                   [d8.gen(0), other.gen(1), d8.gen(2)], other.gens()):
+        with pytest.raises(MixedPresentationError):
+            validation_error(d8, images)
+        with pytest.raises(MixedPresentationError):
+            make_automorphism(d8, images)
+    with pytest.raises(MixedPresentationError):
+        inner_automorphism(d8, other.gen(0))
+
+
+def sweep_inverse_images(alpha):
+    """Oracle: the preimages of the generators, by applying the map to
+    every element."""
+    lookup = {alpha.apply(x).vec: x for x in alpha.pres.elements()}
+    return tuple(lookup[g.vec] for g in alpha.pres.gens())
+
+
+def test_inverse_by_powering_matches_the_element_sweep():
+    """On every search witness of every corpus group within the search cap,
+    for both fixed sets, and on the identity."""
+    witnesses = 0
+    for entry in searchable_corpus():
+        G = entry.presentation
+        ident = identity_automorphism(G)
+        alphas = [ident]
+        for name in ("frattini", "omega1-center"):
+            alphas += [w.automorphism
+                       for w in search_order_p_automorphisms(G, fixed_set_by_name(G, name))]
+        witnesses += len(alphas) - 1
+        for alpha in alphas:
+            inv = alpha.inverse()
+            assert inv.images == alpha.inverse_images() == sweep_inverse_images(alpha), entry.id
+            assert compose(alpha, inv) == compose(inv, alpha) == ident, entry.id
+    assert witnesses > 1000
 
 
 # -- the re-validating search, kept as the oracle ----------------------------------

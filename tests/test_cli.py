@@ -76,12 +76,41 @@ def test_verify_all_with_manifest_and_json(tmp_path, capsys):
     assert "abelian-2-1_1" in ids  # the manifest entry joined the corpus
 
 
+@pytest.mark.parametrize("expect,message", [
+    ("order abc", "fact order: expected an integer, got 'abc'"),
+    ("class 2 3", "fact class: expected an integer, got '2 3'"),
+    ("center_invariants 2,x",
+     "fact center_invariants: expected a comma list of integers, got '2,x'"),
+    ("powerful maybe", "fact powerful: expected a boolean, got 'maybe'"),
+])
+def test_bad_manifest_values_exit_2_naming_the_line(tmp_path, capsys, expect, message):
+    gfile = tmp_path / "v4.pc"
+    gfile.write_text(serialize_presentation(corpus.abelian(2, [1, 1]).presentation))
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"file v4.pc\nexpect order 4\nexpect {expect}\n")
+    assert main(["verify", "lemma-2.8", "--manifest", str(manifest)]) == 2
+    assert capsys.readouterr().err == f"error: line 3: {message}\n"
+
+
 def test_cohomology_command(d8_file, capsys):
     assert main(["cohomology", d8_file, "--normal", "x2^2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["h0"] == [2]
     assert doc["z1_size"] == 4
     assert doc["b1_size"] == 1
+
+
+def test_cohomology_command_spans_the_quotient_once(d8_file, capsys, monkeypatch):
+    """The module stores Q's generator representatives; the action
+    matrices, the Z1 walk and the fixed points all read them."""
+    from pgforge.subgroups import QuotientGroup
+
+    calls = []
+    spans = QuotientGroup.generator_reps
+    monkeypatch.setattr(QuotientGroup, "generator_reps",
+                        lambda Q: calls.append(Q) or spans(Q))
+    assert main(["cohomology", d8_file, "--normal", "x2^2"]) == 0
+    assert len(calls) == 1
 
 
 def test_cohomology_rejects_non_normal(d8_file, capsys):

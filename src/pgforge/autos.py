@@ -423,7 +423,8 @@ def _search_leaves(G: PcPresentation, fixed: Subgroup, caps):
     _, project = structure.frattini_quotient(G)
     gens = G.gens()
     vecs = [g.vec for g in gens]
-    order_of = {x.vec: x.order() for x in G.elements()}
+    orders = structure.element_orders(G, caps)
+    position = structure._positions(G)
 
     def candidates(i):
         """(image, its inverse, its rel_orders[i]-th power, its
@@ -432,7 +433,7 @@ def _search_leaves(G: PcPresentation, fixed: Subgroup, caps):
         if fixed.membership(gens[i]):
             pool = [g]
         else:
-            want = order_of[g]
+            want = orders[position(g)]
             pinned = []
             k = p
             while k < want:
@@ -441,8 +442,8 @@ def _search_leaves(G: PcPresentation, fixed: Subgroup, caps):
                     pinned.append((k, gk))
                 k *= p
             pool = [
-                h for h in order_of
-                if order_of[h] == want
+                h for h, o in zip(structure._vectors(G), orders)
+                if o == want
                 and all(power(t, h, k) == gk for k, gk in pinned)
             ]
         m = G.rel_orders[i]

@@ -17,6 +17,8 @@ from pgforge.core import Element, PcPresentation, p_valuation
 from pgforge.errors import CapExceeded, DomainError, MixedPresentationError
 from pgforge.subgroups import (
     Subgroup,
+    _sift,
+    coset_layers,
     full_subgroup,
     is_normal,
     normal_closure,
@@ -47,25 +49,71 @@ def _check_sweep(P: PcPresentation, caps):
         raise CapExceeded("element sweep", P.order, caps.element_sweep)
 
 
-def _sweep(P: PcPresentation, caps):
-    _check_sweep(P, caps)
-    return P.elements()
+def _vectors(P: PcPresentation):
+    """The exponent vectors of P, in the lexicographic order of
+    P.elements()."""
+    return itertools.product(*(range(m) for m in P.rel_orders))
+
+
+def _commuting(t, vecs, targets):
+    """The vectors x among vecs with x g = g x for every target vector g."""
+    mul = kernel.mul
+    return [x for x in vecs if all(mul(t, x, g) == mul(t, g, x) for g in targets)]
 
 
 def _commuting_sweep(G: PcPresentation, targets, caps):
-    """The elements commuting with every target, by an element sweep that
-    compares x g with g x on exponent vectors."""
-    elements = _sweep(G, caps)
+    """The subgroup of the elements commuting with every target, by a
+    sweep of G's exponent vectors."""
+    _check_sweep(G, caps)
     if any(not (g.pres is G or g.pres == G) for g in targets):
         raise MixedPresentationError("centralizer target from another presentation")
-    t = G._tables
-    mul = kernel.mul
-    vecs = [g.vec for g in targets]
-    members = [
-        x.vec for x in elements
-        if all(mul(t, x.vec, g) == mul(t, g, x.vec) for g in vecs)
-    ]
-    return subgroup_closure(G, members)
+    return subgroup_closure(G, _commuting(G._tables, _vectors(G), [g.vec for g in targets]))
+
+
+def _positions(P: PcPresentation):
+    """The position of an exponent vector in P.elements(): its value in
+    the mixed radix of the relative orders."""
+    strides = []
+    step = 1
+    for m in reversed(P.rel_orders):
+        strides.append(step)
+        step *= m
+    strides.reverse()
+    return lambda vec: sum(e * s for e, s in zip(vec, strides))
+
+
+def _chain_orders(p, up):
+    """The element orders of a list closed under p-th powers, with the
+    identity at position 0, from up[i], the position of the p-th power of
+    entry i: |x| = p |x^p| for x != 1, followed along x -> x^p, so each
+    order is found once."""
+    orders = [0] * len(up)
+    orders[0] = 1
+    for i in range(len(up)):
+        chain = []
+        j = i
+        while not orders[j]:
+            chain.append(j)
+            j = up[j]
+        o = orders[j]
+        for k in reversed(chain):
+            o *= p
+            orders[k] = o
+    return orders
+
+
+def element_orders(G: PcPresentation, caps=DEFAULT_CAPS):
+    """The order of every element of G, as a tuple in G.elements() order,
+    from one p-th power per element."""
+    def compute():
+        _check_sweep(G, caps)
+        t = G._tables
+        p = G.prime
+        power = kernel.power
+        position = _positions(G)
+        return tuple(_chain_orders(p, [position(power(t, v, p)) for v in _vectors(G)]))
+
+    return _memo(G, "element_orders", compute, caps)
 
 
 def center(G: PcPresentation, caps=DEFAULT_CAPS) -> Subgroup:
@@ -97,10 +145,16 @@ def derived_subgroup(G: PcPresentation) -> Subgroup:
 
 
 def agemo(G: PcPresentation, i: int = 1, caps=DEFAULT_CAPS) -> Subgroup:
-    """Subgroup generated by all p^i-th powers."""
+    """Subgroup generated by all p^i-th powers: those of the elements of
+    order above p^i, once each."""
     def compute():
         q = G.prime ** i
-        return subgroup_closure(G, [x ** q for x in _sweep(G, caps)])
+        t = G._tables
+        orders = element_orders(G, caps)
+        powers = dict.fromkeys(
+            kernel.power(t, v, q) for v, o in zip(_vectors(G), orders) if o > q
+        )
+        return subgroup_closure(G, powers)
 
     return _memo(G, ("agemo", i), compute, caps)
 
@@ -149,34 +203,52 @@ def omega1(S: Subgroup, caps=DEFAULT_CAPS) -> Subgroup:
     must be abelian."""
     if not S.is_abelian():
         raise DomainError("omega1 requires an abelian subgroup")
-    p = S.pres.prime
+    P = S.pres
     if S.order > caps.element_sweep:
         raise CapExceeded("omega1 sweep", S.order, caps.element_sweep)
-    members = [x for x in S.elements() if (x ** p).is_identity]
-    return subgroup_closure(S.pres, members)
+    t = P._tables
+    power = kernel.power
+    members = [v for v in S.vectors() if power(t, v, P.prime) == t.identity]
+    return subgroup_closure(P, members)
 
 
 def omega1_general(G: PcPresentation, caps=DEFAULT_CAPS) -> Subgroup:
+    """Subgroup generated by the elements of order dividing p."""
     def compute():
         p = G.prime
-        members = [x for x in _sweep(G, caps) if (x ** p).is_identity]
-        return subgroup_closure(G, members)
+        orders = element_orders(G, caps)
+        return subgroup_closure(G, [v for v, o in zip(_vectors(G), orders) if o <= p])
 
     return _memo(G, "omega1", compute, caps)
 
 
+def _next_center(G: PcPresentation, Z: Subgroup) -> Subgroup:
+    """Z_{i+1} from Z = Z_i.  x lies in it exactly when [x, g] lies in Z
+    for every generator g, which depends only on the coset xZ, so one
+    canonical representative per coset is tested: [x, g] = (g x)^-1 (x g),
+    sifted through Z's pivot table."""
+    t = G._tables
+    mul, inv = kernel.mul, kernel.inv
+    ident = t.identity
+    gens = [g.vec for g in G.gens()]
+    reps = itertools.product(*(range(l) for l in coset_layers(Z)))
+    members = [
+        x for x in reps
+        if all(_sift(t, Z._table, mul(t, inv(t, mul(t, g, x)), mul(t, x, g))) == ident
+               for g in gens)
+    ]
+    return subgroup_closure(G, [u.vec for u in Z.igs] + members)
+
+
 def upper_central_series(G: PcPresentation, caps=DEFAULT_CAPS):
-    """1 = Z_0 < Z_1 < ... terminating at G."""
+    """1 = Z_0 < Z_1 < ... terminating at G; Z_1 is the center, and each
+    later level sweeps the coset representatives of the one before."""
     def compute():
+        _check_sweep(G, caps)
         series = [trivial_subgroup(G)]
-        gens = G.gens()
         while series[-1].order < G.order:
             prev = series[-1]
-            members = [
-                x for x in _sweep(G, caps)
-                if all(prev.membership(x.commutator(g)) for g in gens)
-            ]
-            nxt = subgroup_closure(G, members)
+            nxt = center(G, caps) if len(series) == 1 else _next_center(G, prev)
             if nxt.order == prev.order:
                 raise DomainError("upper central series stalled; group not nilpotent?")
             series.append(nxt)
@@ -245,7 +317,13 @@ def abelian_invariants(A: Subgroup, caps=DEFAULT_CAPS):
         raise DomainError("abelian_invariants requires an abelian subgroup")
     if A.order > caps.element_sweep:
         raise CapExceeded("abelian invariants sweep", A.order, caps.element_sweep)
-    return _invariant_factors(A.pres.prime, Counter(x.order() for x in A.elements()))
+    t = A.pres._tables
+    p = A.pres.prime
+    power = kernel.power
+    vecs = A.vectors()
+    position = {v: i for i, v in enumerate(vecs)}
+    orders = _chain_orders(p, [position[power(t, v, p)] for v in vecs])
+    return _invariant_factors(p, Counter(orders))
 
 
 def d_abelian(A: Subgroup, caps=DEFAULT_CAPS) -> int:
@@ -334,13 +412,12 @@ def ds_condition(G: PcPresentation, caps=DEFAULT_CAPS) -> bool:
 
 
 def center_of_subgroup(G: PcPresentation, S: Subgroup, caps=DEFAULT_CAPS) -> Subgroup:
+    """Z(S), by a sweep of S's exponent vectors against its IGS."""
     if S.order > caps.element_sweep:
         raise CapExceeded("subgroup center sweep", S.order, caps.element_sweep)
-    members = [
-        x for x in S.elements()
-        if all(x.commutator(u).is_identity for u in S.igs)
-    ]
-    return subgroup_closure(G, members)
+    if not (S.pres is G or S.pres == G):
+        raise MixedPresentationError("subgroup of another presentation")
+    return subgroup_closure(G, _commuting(G._tables, S.vectors(), [u.vec for u in S.igs]))
 
 
 def commutator_image_subgroup(A: Subgroup, x: Element, caps=DEFAULT_CAPS) -> Subgroup:
@@ -436,10 +513,7 @@ class GroupProfile:
 
 
 def exponent(G: PcPresentation, caps=DEFAULT_CAPS) -> int:
-    def compute():
-        return max(x.order() for x in _sweep(G, caps))
-
-    return _memo(G, "exponent", compute, caps)
+    return max(element_orders(G, caps))
 
 
 def profile(G: PcPresentation, caps=DEFAULT_CAPS) -> GroupProfile:

@@ -160,19 +160,33 @@ class Subgroup:
 
     __contains__ = membership
 
-    def elements(self):
-        """All elements, as ordered products over the IGS layers."""
+    def vectors(self):
+        """The exponent vectors of all elements, as ordered products
+        u_1^q_1 ... u_k^q_k over the IGS layers, q_1 varying slowest.
+
+        The products are grown one layer at a time, one multiplication per
+        new product, rather than each built from the identity."""
         pres = self.pres
         t = pres._tables
-        layers = []
+        mul = kernel.mul
+        vecs = [t.identity]
         for e in self.igs:
             i = e.leading_index()
-            layers.append(range(pres.rel_orders[i] // e.vec[i]))
-        for exps in itertools.product(*layers):
-            vec = t.identity
-            for e, q in zip(self.igs, exps):
-                if q:
-                    vec = kernel.mul(t, vec, kernel.power(t, e.vec, q))
+            size = pres.rel_orders[i] // e.vec[i]
+            powers = [e.vec]  # u, u^2, ..., u^(size - 1)
+            while len(powers) < size - 1:
+                powers.append(mul(t, powers[-1], e.vec))
+            grown = []
+            for v in vecs:
+                grown.append(v)
+                grown.extend(mul(t, v, u) for u in powers)
+            vecs = grown
+        return vecs
+
+    def elements(self):
+        """All elements, in the order of `vectors`."""
+        pres = self.pres
+        for vec in self.vectors():
             yield Element(pres, vec)
 
     def random_element(self, rng):
@@ -267,6 +281,18 @@ def is_normal(S: Subgroup) -> bool:
 # -- quotients -------------------------------------------------------------
 
 
+def coset_layers(N: Subgroup):
+    """Layer sizes of the canonical coset representatives of N: p^v at
+    the pivot of an IGS entry with leading exponent p^v, the full relative
+    order elsewhere.  The vectors with 0 <= e_i < layers[i] meet every
+    coset of N exactly once."""
+    layers = list(N.pres.rel_orders)
+    for e in N.igs:
+        i = e.leading_index()
+        layers[i] = e.vec[i]
+    return tuple(layers)
+
+
 class QuotientGroup:
     """G/N with canonical coset representatives.
 
@@ -283,13 +309,7 @@ class QuotientGroup:
             raise DomainError("quotient kernel must be normal")
         self.parent = parent
         self.kernel_subgroup = N
-        # layer sizes for representative vectors: p^v at pivots, full
-        # relative order elsewhere
-        layers = list(parent.rel_orders)
-        for e in N.igs:
-            i = e.leading_index()
-            layers[i] = e.vec[i]
-        self._layers = tuple(layers)
+        self._layers = coset_layers(N)
         self._pres = None
         self._proj = None
 
@@ -441,7 +461,7 @@ def _lattice(G: PcPresentation):
     while frontier:
         nxt = []
         for S in frontier:
-            members = [s.vec for s in S.elements()]
+            members = S.vectors()
             done = set(members)
             igs = list(S.igs)
             for x in all_vecs:

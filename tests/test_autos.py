@@ -315,6 +315,39 @@ def test_search_d8_finds_noninner(d8):
         assert (w.inner is None) == (naive_is_inner(d8, w.automorphism) is None)
 
 
+def test_search_prunes_by_commutators_when_frattini_is_fixed(monkeypatch):
+    """With the Frattini subgroup fixed, the search also checks that the
+    images reproduce the generators' commutators.  On a presentation whose
+    Frattini subgroup is not spanned by its last generators this rejects
+    nodes that every power and conjugation relation accepts.  (On the
+    corpus presentations it never does, since their Frattini subgroups
+    are such tails.)  Here D8 x C2 is generated by involutions s, t, c and
+    zc, with z = [t, s] = (zc) c, so Frattini = <z> is not a tail."""
+    from pgforge import autos
+    from pgforge.core import parse_presentation
+
+    G = parse_presentation(
+        "group d8xc2-involutions\nprime 2\ngens 4\n"
+        "order 1 2\norder 2 2\norder 3 2\norder 4 2\n"
+        "conj 2 1 = x2*x3*x4\n"
+    )
+    check = autos._broken_relation
+    by_commutator = []
+
+    def counted(G_, t, images, i, hinv, hpow, comm=None):
+        broken = check(G_, t, images, i, hinv, hpow, comm)
+        if comm is not None and broken != check(G_, t, images, i, hinv, hpow):
+            by_commutator.append(i)
+        return broken
+
+    monkeypatch.setattr(autos, "_broken_relation", counted)
+    ws = search_order_p_automorphisms(G, frattini(G))
+    assert len(by_commutator) > 0
+    for w in ws:
+        assert validation_error(G, w.automorphism.images) is None
+        assert w.automorphism.fixes_pointwise(frattini(G))
+
+
 def test_search_deterministic(d8):
     a = search_order_p_automorphisms(d8, frattini(d8))
     b = search_order_p_automorphisms(d8, frattini(d8))

@@ -101,9 +101,32 @@ def oracle_z1(M):
     return out
 
 
+def oracle_b1(M):
+    """The principal crossed homomorphism of every a in A, each table
+    built by conjugating a by every q in Q."""
+    seen = {}
+    for a in M.a_elements:
+        ai = a.inverse()
+        f = CrossedHom(M, [ai * M.act(a, q) for q in M.q_elements])
+        seen[f.key()] = f
+    return sorted(seen.values(), key=lambda f: f.key())
+
+
+def law_on_all_pairs(f):
+    """The cocycle law f(qr) = f(q)^r f(r) checked on all |Q|^2 pairs."""
+    M = f.module
+    idx = {q.vec: i for i, q in enumerate(M.q_elements)}
+    for q, fq in zip(M.q_elements, f.values):
+        for r, fr in zip(M.q_elements, f.values):
+            qr = M.Q.canonical(q * r)
+            if f.values[idx[qr.vec]] != M.act(fq, r) * fr:
+                return False
+    return True
+
+
 def oracle_h1(M, zs):
     """Invariant factors of Z1/B1 from the orders of the cosets."""
-    bs = {f.key() for f in b1(M)}
+    bs = {f.key() for f in oracle_b1(M)}
     p = M.G.prime
     orders = Counter()
     for f in zs:
@@ -136,7 +159,7 @@ def z1_table_filter_oracle(M):
     out = []
     for vals in itertools.product(M.a_elements, repeat=len(M.q_elements)):
         f = CrossedHom(M, vals)
-        if f.satisfies_law():
+        if law_on_all_pairs(f):
             out.append(f.key())
     return sorted(out)
 
@@ -328,6 +351,61 @@ def test_z1_group_closure_and_law(d8):
         assert f.value_at(d8.identity()).is_identity
         for g in zs:
             assert f.mul(g).key() in keys
+
+
+def test_b1_matches_the_conjugation_oracle_on_every_corpus_module(corpus_modules):
+    """B1 spanned by the basis tables equals the table of every a in A,
+    in key order."""
+    for gid, M in corpus_modules:
+        assert [f.key() for f in b1(M)] == [f.key() for f in oracle_b1(M)], gid
+
+
+def test_law_on_generator_pairs_matches_all_pairs(corpus_modules):
+    """satisfies_law on the pairs (q, s), s a generator of Q, against the
+    check of all |Q|^2 pairs: for solved cocycles, which satisfy both, and
+    for each of them with one value replaced at random, which mostly do
+    not.  The modules with a trivial Q are included."""
+    rng = random.Random(20091)
+    tables = broken = trivial_q = 0
+    for gid, M in corpus_modules:
+        if len(M.q_elements) > 16:
+            continue
+        trivial_q += M.Q.order == 1
+        zs = z1(M)
+        for f in rng.sample(zs, min(3, len(zs))):
+            vals = list(f.values)
+            vals[rng.randrange(len(vals))] = rng.choice(M.a_elements)
+            for g in (f, CrossedHom(M, vals)):
+                law = law_on_all_pairs(g)
+                assert g.satisfies_law() == law, gid
+                tables += 1
+                broken += not law
+    assert trivial_q > 0 and broken > 500 and tables > 2000
+
+
+def test_law_on_generator_pairs_matches_all_pairs_on_every_small_table(
+    corpus_modules,
+):
+    """The same comparison on every A-valued table of one module per
+    corpus group: the first with A nontrivial, at most 256 tables and two
+    or more generators of Q.  These include tables that obey the law for
+    some generators and not for others."""
+    modules = {}
+    for gid, M in corpus_modules:
+        if (M.A.order > 1 and M.A.order ** len(M.q_elements) <= 256
+                and len(M.gen_reps) > 1):
+            modules.setdefault(gid, M)
+    assert len(modules) > 10
+    for gid, M in modules.items():
+        for vals in itertools.product(M.a_elements, repeat=len(M.q_elements)):
+            f = CrossedHom(M, vals)
+            assert f.satisfies_law() == law_on_all_pairs(f), gid
+
+
+def test_crossed_hom_reads_its_value_at_each_element(d8):
+    M = module_of(d8, frattini(d8))
+    for f in z1(M):
+        assert [f(q) for q in M.q_elements] == list(f.values)
 
 
 def test_b1_size_is_a_over_fixed_points(small_corpus):

@@ -18,6 +18,7 @@ from pgforge.structure import (
     d_abelian,
     derived_subgroup,
     ds_condition,
+    element_orders,
     exponent,
     frattini,
     is_abelian,
@@ -34,6 +35,7 @@ from pgforge.structure import (
     upper_central_series,
 )
 from pgforge.subgroups import (
+    enumerate_normal_subgroups,
     enumerate_subgroups,
     full_subgroup,
     subgroup_closure,
@@ -353,12 +355,13 @@ def test_memo_hit_raises_as_a_cold_call():
     central_quotient(warm)
     for fn in (center, lambda G, caps: agemo(G, 1, caps), frattini,
                omega1_general, upper_central_series, is_powerful, is_p_central,
-               ds_condition, exponent, profile, central_quotient):
+               ds_condition, element_orders, exponent, profile, central_quotient):
         with pytest.raises(CapExceeded) as cold:
             fn(corpus.g64().presentation, small)
         with pytest.raises(CapExceeded) as hit:
             fn(warm, small)
-        assert (hit.value.what, hit.value.needed) == (cold.value.what, cold.value.needed)
+        assert (hit.value.what, hit.value.needed, hit.value.cap) == (
+            cold.value.what, cold.value.needed, cold.value.cap)
 
 
 def sweep_frattini(G):
@@ -391,3 +394,113 @@ def test_frattini_refuses_alike_after_the_generation_test():
         frattini(warm, small)
     assert (hit.value.what, hit.value.needed) == (cold.value.what, cold.value.needed)
     assert frattini(warm).order == 16
+
+
+# -- the Element sweeps that the exponent-vector routines replaced -------------
+
+
+def sweep_upper_central_series(G):
+    """Each level by a sweep of all of G, with an Element commutator and a
+    membership test per (x, generator) pair."""
+    series = [trivial_subgroup(G)]
+    gens = G.gens()
+    while series[-1].order < G.order:
+        prev = series[-1]
+        series.append(subgroup_closure(G, [
+            x for x in G.elements()
+            if all(prev.membership(x.commutator(g)) for g in gens)
+        ]))
+    return series
+
+
+def sweep_agemo(G, i):
+    return subgroup_closure(G, [x ** (G.prime ** i) for x in G.elements()])
+
+
+def sweep_omega1(P, elements):
+    return subgroup_closure(P, [x for x in elements if (x ** P.prime).is_identity])
+
+
+def sweep_center_of_subgroup(G, S):
+    return subgroup_closure(G, [
+        x for x in S.elements()
+        if all(x.commutator(u).is_identity for u in S.igs)
+    ])
+
+
+def sweep_abelian_invariants(A):
+    from collections import Counter
+    from pgforge.structure import _invariant_factors
+
+    return _invariant_factors(A.pres.prime, Counter(x.order() for x in A.elements()))
+
+
+def sweep_groups():
+    """Every corpus group within the element sweep cap, with fresh memos."""
+    out = [e for e in corpus.builtin_corpus(validate=False)
+           if e.presentation.order <= DEFAULT_CAPS.element_sweep]
+    assert len(out) == 39
+    return out
+
+
+def test_group_sweeps_match_the_element_sweeps():
+    """The order table, exponent, agemo, omega1_general and the upper
+    central series against the Element sweeps, on every corpus group."""
+    for entry in sweep_groups():
+        G = entry.presentation
+        assert element_orders(G) == tuple(x.order() for x in G.elements()), entry.id
+        assert exponent(G) == max(x.order() for x in G.elements()), entry.id
+        for i in (1, 2):
+            assert agemo(G, i) == sweep_agemo(G, i), (entry.id, i)
+        assert omega1_general(G) == sweep_omega1(G, G.elements()), entry.id
+        assert [S.key() for S in upper_central_series(G)] == [
+            S.key() for S in sweep_upper_central_series(G)
+        ], entry.id
+
+
+def test_subgroup_sweeps_match_the_element_sweeps():
+    """center_of_subgroup on every normal subgroup, and omega1 and
+    abelian_invariants on every abelian one and on the center, against
+    the Element sweeps, on every corpus group within the lattice cap."""
+    checked = 0
+    for entry in sweep_groups():
+        G = entry.presentation
+        if G.order > DEFAULT_CAPS.subgroup_enum:
+            continue
+        for S in enumerate_normal_subgroups(G):
+            Z = center_of_subgroup(G, S)
+            assert Z == sweep_center_of_subgroup(G, S), entry.id
+            for A in {S, Z} if S.is_abelian() else {Z}:
+                assert omega1(A) == sweep_omega1(G, A.elements()), entry.id
+                assert abelian_invariants(A) == sweep_abelian_invariants(A), entry.id
+            checked += 1
+    assert checked > 400
+
+
+def test_subgroup_vectors_are_the_layer_products():
+    """Subgroup.vectors grows the products u_1^q_1 ... u_k^q_k layer by
+    layer; each must equal the product built from the identity, in the
+    order of itertools.product over the layers."""
+    from pgforge import kernel
+
+    for entry in sweep_groups():
+        G = entry.presentation
+        if G.order > 64:
+            continue
+        t = G._tables
+        for S in enumerate_subgroups(G):
+            layers = [range(G.rel_orders[u.leading_index()] // u.vec[u.leading_index()])
+                      for u in S.igs]
+            expected = []
+            for exps in itertools.product(*layers):
+                vec = t.identity
+                for u, q in zip(S.igs, exps):
+                    vec = kernel.mul(t, vec, kernel.power(t, u.vec, q))
+                expected.append(vec)
+            assert S.vectors() == expected, entry.id
+            assert len(set(expected)) == S.order
+
+
+def test_center_of_subgroup_refuses_a_subgroup_of_another_presentation(d8, q8):
+    with pytest.raises(MixedPresentationError):
+        center_of_subgroup(d8, full_subgroup(q8))

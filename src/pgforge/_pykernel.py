@@ -159,33 +159,41 @@ def inv(tables, u):
     Clears exponents of u from the lowest index up: multiplying by
     g_i^{orders[i] - e_i} sends the product into the span of higher
     generators, so the appended syllables form the inverse word.
+    The appended syllables have increasing indices and exponents
+    0 < k < orders[i], so the word already is a normal form: its
+    exponents are the inverse's vector, with no collection left to do.
     """
     orders = tables.orders
     z = list(u)
-    word = []
+    a = [0] * tables.n
     for i in range(tables.n):
         e = z[i]
         if e:
             k = orders[i] - e
             if k:
-                word.append((i, k))
+                a[i] = k
                 _run(tables, z, [(i, k)])
-    word.reverse()
-    a = [0] * tables.n
-    _run(tables, a, word)
     return tuple(a)
 
 
 def power(tables, u, k):
+    """u^k by square and multiply, right to left.  The accumulator starts
+    at the first set bit instead of at the identity, which saves the
+    products 1 * u^(2^j); k = +-1 costs no product."""
     if k < 0:
         u = inv(tables, u)
         k = -k
-    acc = tables.identity
+    if not k:
+        return tables.identity
     sq = tuple(u)
+    while not k & 1:
+        sq = mul(tables, sq, sq)
+        k >>= 1
+    acc = sq
+    k >>= 1
     while k:
+        sq = mul(tables, sq, sq)
         if k & 1:
             acc = mul(tables, acc, sq)
         k >>= 1
-        if k:
-            sq = mul(tables, sq, sq)
     return acc

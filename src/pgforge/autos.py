@@ -19,7 +19,7 @@ from pgforge.core import Element, PcPresentation
 from pgforge.errors import (CapExceeded, DomainError, HypothesesUnmet,
                             MixedPresentationError)
 from pgforge import structure
-from pgforge.subgroups import Subgroup, quotient, subgroup_closure
+from pgforge.subgroups import Subgroup, coset_layers, quotient, subgroup_closure
 
 
 class Automorphism:
@@ -453,8 +453,17 @@ def _search_leaves(G: PcPresentation, fixed: Subgroup, caps):
     cand = [candidates(i) for i in range(n)]
     coords = [list(project(g)) for g in vecs]
     target = [_rank_mod_p([list(r) for r in coords[i:]], p) for i in range(n)]
+    # When phi's IGS is the unit vectors of the last generators x_k..x_n-1,
+    # those generators are fixed, and x_j^(x_i) = x_j c_ij with c_ij =
+    # [x_j, x_i] in phi a word in them.  The conjugation relation then
+    # reads h_j^(h_i) = h_j c_ij, which is [h_j, h_i] = [x_j, x_i]: the
+    # commutator check would repeat it, so it is made only otherwise.
+    tail = n - len(phi.igs)
+    phi_is_tail = [u.vec for u in phi.igs] == [
+        tuple(int(i == k) for i in range(n)) for k in range(tail, n)
+    ]
     comm = None
-    if contains_phi:
+    if contains_phi and not phi_is_tail:
         comm = {(i, j): gens[i].commutator(gens[j]).vec
                 for i in range(n) for j in range(i + 1, n)}
     fixed_igs = [u.vec for u in fixed.igs]
@@ -537,6 +546,40 @@ def maximal_coset_shift(G: PcPresentation, M: Subgroup, g: Element,
     return make_automorphism(G, images)
 
 
+def coset_commutator_images(G: PcPresentation, M: Subgroup, caps=DEFAULT_CAPS):
+    """For a maximal M: the coset index of a vector, and the commutator
+    image {[a, g] : a in Z(M)} of each coset Mg outside M, as a set of
+    vectors.
+
+    G/M has order p, and its canonical coset representatives are the
+    powers x^k (0 <= k < p) of the one generator x whose coset layer is
+    not trivial, so g lies in M x^k for k = sum_i e_i k_i mod p, with e
+    g's exponents and k_i the index of the generator g_i.  For a in Z(M)
+    and m in M, [a, mg] = [a, g], so each image is formed once, from x^k:
+    p - 1 images per maximal subgroup, not one per element outside it.
+    Returns (index, images) with images[k] the image of M x^k, k >= 1."""
+    p = G.prime
+    t = G._tables
+    n = G.n_gens
+    mul, inv = kernel.mul, kernel.inv
+    layers = coset_layers(M)
+    lead = next(i for i, l in enumerate(layers) if l > 1)
+    Q = quotient(G, M)
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    gen_index = [Q.canonical_vec(u)[lead] for u in units]
+    zm = structure.center_of_subgroup(G, M, caps).vectors()
+    images = [None]
+    for k in range(1, p):
+        g = kernel.power(t, units[lead], k)
+        # [a, g] = (g a)^-1 (a g)
+        images.append({mul(t, inv(t, mul(t, g, a)), mul(t, a, g)) for a in zm})
+
+    def index(vec):
+        return sum(e * c for e, c in zip(vec, gen_index)) % p
+
+    return index, images
+
+
 def coset_shift_scan(G: PcPresentation, caps=DEFAULT_CAPS):
     """All triples (M, g, z) with z central of order p outside the
     commutator image [Z(M), g] for which the coset shift is a validated
@@ -551,14 +594,16 @@ def coset_shift_scan(G: PcPresentation, caps=DEFAULT_CAPS):
     p = G.prime
     Z = structure.center(G, caps)
     om = structure.omega1(Z, caps)
+    shifts = sorted(om.elements(), key=lambda e: e.vec)
     witnesses = []
     for M in structure.maximal_subgroups(G, caps):
-        zm = structure.center_of_subgroup(G, M, caps)
-        outside = [g for g in G.elements() if not M.membership(g)]
-        for g in outside:
-            image = {a.commutator(g) for a in zm.elements()}
-            for z in sorted(om.elements(), key=lambda e: e.vec):
-                if z.is_identity or z in image:
+        index, images = coset_commutator_images(G, M, caps)
+        for g in G.elements():
+            k = index(g.vec)
+            if not k:
+                continue
+            for z in shifts:
+                if z.is_identity or z.vec in images[k]:
                     continue
                 try:
                     alpha = maximal_coset_shift(G, M, g, z, caps)

@@ -23,16 +23,20 @@ import itertools
 from collections import Counter
 from math import prod
 
+from pgforge import kernel
 from pgforge.caps import DEFAULT_CAPS
 from pgforge.core import Element, PcPresentation
 from pgforge.errors import CapExceeded, DomainError, HypothesesUnmet
 from pgforge import structure
 from pgforge.subgroups import (
     Subgroup,
+    _sift,
+    coset_layers,
     enumerate_subgroups,
     is_normal,
     quotient,
     subgroup_closure,
+    subgroup_of_elements,
 )
 
 
@@ -64,13 +68,20 @@ class GModule:
         self.a_elements = sorted(A.elements(), key=lambda e: e.vec)
         self.basis = structure.abelian_basis(A, caps)
         self.basis_orders = tuple(b.order() for b in self.basis)
-        coords = {}
-        for exps in itertools.product(*(range(o) for o in self.basis_orders)):
-            x = G.identity()
-            for b, e in zip(self.basis, exps):
-                if e:
-                    x = x * b ** e
-            coords[x.vec] = exps
+        # b_1^e_1 ... b_m^e_m for every exponent tuple, e_1 varying slowest,
+        # grown one basis element at a time with one product per element
+        t = G._tables
+        coords = {t.identity: ()}
+        for b, o in zip(self.basis, self.basis_orders):
+            powers = [b.vec]  # b, b^2, ..., b^(o - 1)
+            while len(powers) < o - 1:
+                powers.append(kernel.mul(t, powers[-1], b.vec))
+            grown = {}
+            for v, exps in coords.items():
+                grown[v] = exps + (0,)
+                for e, u in enumerate(powers, 1):
+                    grown[kernel.mul(t, v, u)] = exps + (e,)
+            coords = grown
         self._coords = coords
 
     @property
@@ -87,11 +98,12 @@ class GModule:
     def action_matrix(self, q: Element):
         """Row i = coordinates of basis[i]^q, entries mod the column
         orders."""
-        rows = []
-        for b in self.basis:
-            img = self.act(b, q)
-            rows.append(tuple(self.coords(img)))
-        return tuple(rows)
+        t = self.G._tables
+        qinv = kernel.inv(t, q.vec)
+        return tuple(
+            self._coords[kernel.mul(t, kernel.mul(t, qinv, b.vec), q.vec)]
+            for b in self.basis
+        )
 
     def verify(self, rng=None, pairs=200):
         """Action is a homomorphism and does not depend on coset
@@ -148,11 +160,12 @@ def trace_image(M: GModule) -> Subgroup:
 
 
 def fixed_points(M: GModule) -> Subgroup:
-    members = [
-        a for a in M.a_elements
-        if all(M.act(a, q) == a for q in M.gen_reps)
-    ]
-    return subgroup_closure(M.G, members)
+    """The a in A with a^q = a, that is aq = qa, for every generator q of
+    Q; the swept list is the whole subgroup."""
+    members = structure._commuting(
+        M.G._tables, [a.vec for a in M.a_elements], [q.vec for q in M.gen_reps]
+    )
+    return subgroup_of_elements(M.G, members)
 
 
 def h0(M: GModule):
@@ -595,6 +608,31 @@ def norm_identity_report(G: PcPresentation, case: str, caps=DEFAULT_CAPS):
         if structure.nilpotency_class(G) > 2:
             raise HypothesesUnmet("class exceeds 2")
 
+    return _norm_sweep(G, case, caps)
+
+
+def _conjugation_table(t, vecs, g):
+    """{a: a^g} over the vectors of a normal subgroup, from one inverse of
+    g and two products per a."""
+    mul = kernel.mul
+    ginv = kernel.inv(t, g)
+    return {a: mul(t, mul(t, ginv, a), g) for a in vecs}
+
+
+def _norm_sweep(G: PcPresentation, case: str, caps=DEFAULT_CAPS):
+    """The sweep of `norm_identity_report` without its hypothesis checks,
+    over (A, a, g, n) in that order, stopping at the first counterexample.
+
+    Every conjugation is made once per conjugator: for each A and each
+    admissible coset representative g a table a -> a^g over A, so a^(g^k)
+    is read by following it.  The norms for every n come from one running
+    product, N_(k+1)(a) = a^(g^k) N_k(a), and a^n and its inverse are
+    formed once per (a, n).  The test suite keeps the Element sweep as its
+    oracle."""
+    p = G.prime
+    t = G._tables
+    mul, power, inv = kernel.mul, kernel.power, kernel.inv
+    ident = t.identity
     Z = structure.center(G, caps)
     abelian_normals = [
         S for S in enumerate_subgroups(G, caps)
@@ -606,54 +644,66 @@ def norm_identity_report(G: PcPresentation, case: str, caps=DEFAULT_CAPS):
         # cosets modulo the (normal) centralizer of A, so sweeping the
         # canonical coset representatives is still exhaustive
         cent = structure.centralizer(G, A, caps)
-        Qc = quotient(G, cent)
-        reps = sorted(Qc.elements(), key=lambda e: e.vec)
+
+        def in_cent(v):
+            return _sift(t, cent._table, v) == ident
+
+        reps = itertools.product(*(range(l) for l in coset_layers(cent)))
+        avecs = A.vectors()
         if case == "class3-even":
-            xs = [x for x in reps if cent.membership(x ** 2)]
-            for a in A.elements():
-                a4inv = (a ** 4).inverse()
-                for x in xs:
-                    ax = a.conjugate(x)
-                    for y in xs:
-                        if not cent.membership((x * y) ** 2):
-                            continue
-                        val = ax.conjugate(y) * a.conjugate(y) * ax * a
-                        defect = val * a4inv
-                        if not Z.membership(defect):
+            xs = [x for x in reps if in_cent(power(t, x, 2))]
+            tables = [_conjugation_table(t, avecs, x) for x in xs]
+            ys = [[k for k, y in enumerate(xs) if in_cent(power(t, mul(t, x, y), 2))]
+                  for x in xs]
+            for a in avecs:
+                a4inv = inv(t, power(t, a, 4))
+                for x, tx, ks in zip(xs, tables, ys):
+                    ax = tx[a]
+                    for k in ks:
+                        ty = tables[k]
+                        val = mul(t, mul(t, mul(t, ty[ax], ty[a]), ax), a)
+                        defect = mul(t, val, a4inv)
+                        if _sift(t, Z._table, defect) != ident:
                             return {
                                 "status": "fail",
                                 "counterexample": {
                                     "A": A.key(),
-                                    "a": a.vec,
-                                    "x": x.vec,
-                                    "y": y.vec,
-                                    "defect": defect.vec,
+                                    "a": a,
+                                    "x": x,
+                                    "y": xs[k],
+                                    "defect": defect,
                                 },
                             }
                         checked += 1
         else:
-            gs = [g for g in reps if cent.membership(g ** p)]
+            gs = [g for g in reps if in_cent(power(t, g, p))]
             ns = [p] if case != "class2" else sorted({1, 2, p, p + 1, p * p})
-            for a in A.elements():
-                for g in gs:
-                    for n in ns:
-                        val = norm_element(a, g, n)
-                        defect = val * (a ** n).inverse()
+            tables = [_conjugation_table(t, avecs, g) for g in gs]
+            for a in avecs:
+                inverse_powers = [inv(t, power(t, a, n)) for n in ns]
+                for g, tg in zip(gs, tables):
+                    norms = {1: a}
+                    ak = acc = a
+                    for k in range(1, ns[-1]):
+                        ak = tg[ak]
+                        acc = norms[k + 1] = mul(t, ak, acc)
+                    for n, an_inv in zip(ns, inverse_powers):
+                        defect = mul(t, norms[n], an_inv)
                         exact = case == "pcentral-odd" and p > 3 and n == p
                         bad = (
-                            not defect.is_identity
+                            defect != ident
                             if exact
-                            else not Z.membership(defect)
+                            else _sift(t, Z._table, defect) != ident
                         )
                         if bad:
                             return {
                                 "status": "fail",
                                 "counterexample": {
                                     "A": A.key(),
-                                    "a": a.vec,
-                                    "g": g.vec,
+                                    "a": a,
+                                    "g": g,
                                     "n": n,
-                                    "defect": defect.vec,
+                                    "defect": defect,
                                 },
                             }
                         checked += 1
@@ -667,27 +717,31 @@ def norm_identity_report(G: PcPresentation, case: str, caps=DEFAULT_CAPS):
 def fixed_point_centralizer_report(M: GModule, caps=DEFAULT_CAPS):
     """When H0 vanishes the module is cohomologically trivial, and then
     for every subgroup H of Q the centralizer of the H-fixed points is H
-    itself.  Modules with H0 nonzero are recorded and skipped."""
+    itself.  Modules with H0 nonzero are recorded and skipped.
+
+    Fix(q), the a in A with a^q = a, is found once per q in Q, on vectors.
+    Then the H-fixed points are the intersection of Fix(h) over h in H,
+    and their centralizer is {q : fixed points inside Fix(q)}: the same
+    sets, with no conjugation per subgroup."""
     if h0(M) != ():
         return {"status": "skip", "reason": "not cohomologically trivial"}
     G = M.G
+    t = G._tables
     subs_over_n = [
         S for S in enumerate_subgroups(G, caps)
         if all(S.membership(u) for u in M.N.igs)
     ]
+    a_vecs = frozenset(a.vec for a in M.a_elements)
+    fix = {
+        q.vec: frozenset(structure._commuting(t, a_vecs, [q.vec]))
+        for q in M.q_elements
+    }
     verified = 0
     for S in subs_over_n:
-        h_reps = sorted({M.Q.canonical(x).vec for x in S.elements()})
+        h_reps = sorted({M.Q.canonical_vec(x) for x in S.vectors()})
         h_set = set(h_reps)
-        fixed = [
-            a for a in M.a_elements
-            if all(M.act(a, Element(G, h)) == a for h in h_reps)
-        ]
-        centralizer_reps = {
-            q.vec
-            for q in M.q_elements
-            if all(M.act(a, q) == a for a in fixed)
-        }
+        fixed = a_vecs.intersection(*(fix[h] for h in h_reps))
+        centralizer_reps = {q for q, fq in fix.items() if fixed <= fq}
         if centralizer_reps != h_set:
             return {
                 "status": "fail",

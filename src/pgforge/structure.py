@@ -24,6 +24,7 @@ from pgforge.subgroups import (
     normal_closure,
     quotient,
     subgroup_closure,
+    subgroup_of_elements,
     trivial_subgroup,
 )
 
@@ -63,11 +64,12 @@ def _commuting(t, vecs, targets):
 
 def _commuting_sweep(G: PcPresentation, targets, caps):
     """The subgroup of the elements commuting with every target, by a
-    sweep of G's exponent vectors."""
+    sweep of G's exponent vectors; the swept list is the whole subgroup,
+    so it is not closed again."""
     _check_sweep(G, caps)
     if any(not (g.pres is G or g.pres == G) for g in targets):
         raise MixedPresentationError("centralizer target from another presentation")
-    return subgroup_closure(G, _commuting(G._tables, _vectors(G), [g.vec for g in targets]))
+    return subgroup_of_elements(G, _commuting(G._tables, _vectors(G), [g.vec for g in targets]))
 
 
 def _positions(P: PcPresentation):
@@ -209,7 +211,7 @@ def omega1(S: Subgroup, caps=DEFAULT_CAPS) -> Subgroup:
     t = P._tables
     power = kernel.power
     members = [v for v in S.vectors() if power(t, v, P.prime) == t.identity]
-    return subgroup_closure(P, members)
+    return subgroup_of_elements(P, members)
 
 
 def omega1_general(G: PcPresentation, caps=DEFAULT_CAPS) -> Subgroup:
@@ -417,7 +419,7 @@ def center_of_subgroup(G: PcPresentation, S: Subgroup, caps=DEFAULT_CAPS) -> Sub
         raise CapExceeded("subgroup center sweep", S.order, caps.element_sweep)
     if not (S.pres is G or S.pres == G):
         raise MixedPresentationError("subgroup of another presentation")
-    return subgroup_closure(G, _commuting(G._tables, S.vectors(), [u.vec for u in S.igs]))
+    return subgroup_of_elements(G, _commuting(G._tables, S.vectors(), [u.vec for u in S.igs]))
 
 
 def commutator_image_subgroup(A: Subgroup, x: Element, caps=DEFAULT_CAPS) -> Subgroup:
@@ -519,7 +521,7 @@ def exponent(G: PcPresentation, caps=DEFAULT_CAPS) -> int:
 def profile(G: PcPresentation, caps=DEFAULT_CAPS) -> GroupProfile:
     def compute():
         G.require_consistent()
-        Z = center(G, caps)
+        center_invariants = tuple(abelian_invariants(center(G, caps), caps))
         n = p_valuation(G.order, G.prime)
         cls = nilpotency_class(G)
         return GroupProfile(
@@ -530,8 +532,8 @@ def profile(G: PcPresentation, caps=DEFAULT_CAPS) -> GroupProfile:
             nilpotency_class=cls,
             coclass=(n - cls) if n > 2 else None,
             d=rank_d(G, caps),
-            d_center=d_abelian(Z, caps),
-            center_invariants=tuple(abelian_invariants(Z, caps)),
+            d_center=len(center_invariants),
+            center_invariants=center_invariants,
             exponent=exponent(G, caps),
             is_powerful=is_powerful(G, caps),
             is_p_central=is_p_central(G, caps),

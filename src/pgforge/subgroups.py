@@ -204,11 +204,11 @@ class Subgroup:
         return self.order == 1
 
     def is_abelian(self):
-        return all(
-            u.commutator(v).is_identity
-            for u in self.igs
-            for v in self.igs
-        )
+        t = self.pres._tables
+        mul = kernel.mul
+        vecs = [u.vec for u in self.igs]
+        return all(mul(t, u, v) == mul(t, v, u)
+                   for i, u in enumerate(vecs) for v in vecs[i + 1:])
 
     def key(self):
         return tuple(e.vec for e in self.igs)
@@ -242,6 +242,31 @@ def subgroup_closure(P: PcPresentation, gens) -> Subgroup:
     return b.finish()
 
 
+def subgroup_of_elements(P: PcPresentation, vecs) -> Subgroup:
+    """The subgroup whose elements are exactly the given exponent vectors,
+    closed from one pick per depth instead of from every vector.
+
+    If the vectors are the elements of a subgroup H, those with leading
+    index i are the elements of H meeting G_i = <g_i, g_i+1, ...> outside
+    G_i+1, and their leading exponents are the nonzero multiples of H's
+    step at i, a p-power.  A vector of least leading exponent at each depth
+    therefore realizes every depth with the same step as H, so the picks
+    generate a subgroup of H of the same order: H itself.  Otherwise the
+    closure of the picks contains all the distinct vectors and more, so
+    DomainError is raised unless the closure's order is their number."""
+    picks = [None] * P.n_gens
+    distinct = set()
+    for v in vecs:
+        distinct.add(v)
+        i = _leading(v)
+        if i is not None and (picks[i] is None or v[i] < picks[i][i]):
+            picks[i] = v
+    S = subgroup_closure(P, [v for v in picks if v is not None])
+    if S.order != len(distinct):
+        raise DomainError("the vectors are not the elements of a subgroup")
+    return S
+
+
 def trivial_subgroup(P: PcPresentation) -> Subgroup:
     return subgroup_closure(P, [])
 
@@ -270,12 +295,17 @@ def normal_closure(P: PcPresentation, gens) -> Subgroup:
 
 
 def is_normal(S: Subgroup) -> bool:
+    """Whether every IGS entry's conjugate by every generator lies in S,
+    formed on vectors with each generator's inverse computed once."""
     P = S.pres
-    return all(
-        S.membership(e.conjugate(g))
-        for e in S.igs
-        for g in P.gens()
-    )
+    t = P._tables
+    mul = kernel.mul
+    for g in P.gens():
+        ginv = kernel.inv(t, g.vec)
+        for e in S.igs:
+            if _leading(_sift(t, S._table, mul(t, mul(t, ginv, e.vec), g.vec))) is not None:
+                return False
+    return True
 
 
 # -- quotients -------------------------------------------------------------
@@ -321,15 +351,19 @@ class QuotientGroup:
         return n
 
     def canonical(self, x: Element) -> Element:
+        return Element(self.parent, self.canonical_vec(x.vec))
+
+    def canonical_vec(self, vec):
+        """The canonical representative of the coset of an exponent
+        vector, as a vector."""
         t = self.parent._tables
-        vec = x.vec
         for e in self.kernel_subgroup.igs:
             i = e.leading_index()
             step = e.vec[i]
             q = vec[i] // step
             if q:
                 vec = kernel.mul(t, vec, kernel.power(t, e.vec, -q))
-        return Element(self.parent, vec)
+        return vec
 
     def multiply(self, x: Element, y: Element) -> Element:
         return self.canonical(x * y)

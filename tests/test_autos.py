@@ -11,6 +11,7 @@ from pgforge.autos import (
     central_socle_automorphisms,
     cohomological_witness,
     compose,
+    coset_commutator_images,
     coset_shift_scan,
     first_noninner,
     fixed_set_by_name,
@@ -200,6 +201,62 @@ def test_scan_dichotomy(small_corpus):
                         assert z in image
 
 
+def element_coset_shift_scan(G, caps=DEFAULT_CAPS):
+    """The scan with one Element commutator image per g outside M, which
+    the per-coset images replaced."""
+    from pgforge.structure import center_of_subgroup
+
+    p = G.prime
+    om = omega1(center(G, caps), caps)
+    witnesses = []
+    for M in maximal_subgroups(G, caps):
+        zm = center_of_subgroup(G, M, caps)
+        for g in [g for g in G.elements() if not M.membership(g)]:
+            image = {a.commutator(g) for a in zm.elements()}
+            for z in sorted(om.elements(), key=lambda e: e.vec):
+                if z.is_identity or z in image:
+                    continue
+                try:
+                    alpha = maximal_coset_shift(G, M, g, z, caps)
+                except DomainError:
+                    continue
+                if alpha.order() != p or not alpha.fixes_pointwise(M):
+                    continue
+                if is_inner(G, alpha, caps) is None:
+                    witnesses.append((M, g, z, alpha))
+    return witnesses
+
+
+def scan_keys(witnesses):
+    return [(M.key(), g.vec, z.vec, alpha.key()) for M, g, z, alpha in witnesses]
+
+
+def test_scan_matches_the_element_scan_on_the_corpus():
+    """Witness lists, in order, and each coset's commutator image against
+    [a, g] for every g, on every nonabelian corpus group within the sweep
+    cap."""
+    from pgforge.structure import center_of_subgroup
+
+    scanned = nonempty = 0
+    for entry in corpus.builtin_corpus(validate=False):
+        G = entry.presentation
+        if G.order > DEFAULT_CAPS.element_sweep or is_abelian(G):
+            continue
+        ws = coset_shift_scan(G)
+        assert scan_keys(ws) == scan_keys(element_coset_shift_scan(G)), entry.id
+        scanned += 1
+        nonempty += bool(ws)
+        for M in maximal_subgroups(G):
+            index, images = coset_commutator_images(G, M)
+            zm = list(center_of_subgroup(G, M).elements())
+            for g in G.elements():
+                k = index(g.vec)
+                assert (k == 0) == M.membership(g), entry.id
+                if k:
+                    assert images[k] == {a.commutator(g).vec for a in zm}, entry.id
+    assert scanned >= 20 and nonempty >= 3
+
+
 def test_scan_rejects_abelian():
     with pytest.raises(HypothesesUnmet):
         coset_shift_scan(corpus.abelian(2, [1, 1]).presentation)
@@ -346,6 +403,28 @@ def test_search_prunes_by_commutators_when_frattini_is_fixed(monkeypatch):
     for w in ws:
         assert validation_error(G, w.automorphism.images) is None
         assert w.automorphism.fixes_pointwise(frattini(G))
+
+
+def test_search_skips_the_commutator_check_when_frattini_is_a_tail(monkeypatch):
+    """When the Frattini subgroup's IGS is the unit vectors of the last
+    generators, the conjugation relations already force the commutators,
+    so no commutator table is passed."""
+    from pgforge import autos
+
+    check = autos._broken_relation
+    passed = []
+
+    def recorded(G_, t, images, i, hinv, hpow, comm=None):
+        passed.append(comm is not None)
+        return check(G_, t, images, i, hinv, hpow, comm)
+
+    monkeypatch.setattr(autos, "_broken_relation", recorded)
+    for entry in (corpus.extraspecial(3, "p"), corpus.abelian(2, [1, 1, 1])):
+        G = entry.presentation
+        units = [tuple(int(i == k) for i in range(G.n_gens)) for k in range(G.n_gens)]
+        assert [u.vec for u in frattini(G).igs] == units[G.n_gens - len(frattini(G).igs):]
+        search_order_p_automorphisms(G, frattini(G))
+    assert passed and not any(passed)
 
 
 def test_search_deterministic(d8):

@@ -6,9 +6,11 @@ import pytest
 
 from pgforge.autos import identity_automorphism, inner_automorphism, is_inner
 from pgforge.cohomology import (
+    NORM_CASES,
     CrossedHom,
     _cocycle_forms,
     _kernel_basis,
+    _norm_sweep,
     b1,
     c_aut_slice,
     cocycle_exponent_report,
@@ -28,17 +30,20 @@ from pgforge.cohomology import (
     z1,
 )
 from pgforge.caps import DEFAULT_CAPS
+from pgforge.core import Element
 from pgforge.errors import CapExceeded, DomainError, HypothesesUnmet
 from pgforge.structure import (
     _invariant_factors,
     center,
     center_of_subgroup,
+    centralizer,
     frattini,
 )
 from pgforge.subgroups import (
     enumerate_normal_subgroups,
     enumerate_subgroups,
     full_subgroup,
+    is_normal,
     quotient,
     subgroup_closure,
 )
@@ -360,6 +365,64 @@ def test_b1_matches_the_conjugation_oracle_on_every_corpus_module(corpus_modules
         assert [f.key() for f in b1(M)] == [f.key() for f in oracle_b1(M)], gid
 
 
+def oracle_coords(M):
+    """The coordinates of A from the product b_1^e_1 ... b_m^e_m of each
+    exponent tuple, built from the identity with Element powers."""
+    coords = {}
+    for exps in itertools.product(*(range(o) for o in M.basis_orders)):
+        x = M.G.identity()
+        for b, e in zip(M.basis, exps):
+            if e:
+                x = x * b ** e
+        coords[x.vec] = exps
+    return coords
+
+
+def oracle_fixed_points(M):
+    return subgroup_closure(M.G, [
+        a for a in M.a_elements if all(M.act(a, q) == a for q in M.gen_reps)
+    ])
+
+
+def oracle_fixed_point_centralizer_report(M, caps=DEFAULT_CAPS):
+    """The report with the fixed points and their centralizer found by
+    Element conjugation, per subgroup over N."""
+    if h0(M) != ():
+        return {"status": "skip", "reason": "not cohomologically trivial"}
+    G = M.G
+    verified = 0
+    for S in enumerate_subgroups(G, caps):
+        if not all(S.membership(u) for u in M.N.igs):
+            continue
+        h_reps = sorted({M.Q.canonical(x).vec for x in S.elements()})
+        fixed = [a for a in M.a_elements
+                 if all(M.act(a, Element(G, h)) == a for h in h_reps)]
+        centralizer_reps = {q.vec for q in M.q_elements
+                            if all(M.act(a, q) == a for a in fixed)}
+        if centralizer_reps != set(h_reps):
+            return {"status": "fail", "counterexample": {
+                "H": h_reps, "centralizer": sorted(centralizer_reps)}}
+        verified += 1
+    return {"status": "pass", "subgroups_verified": verified}
+
+
+def test_module_vectors_match_the_element_oracles(corpus_modules):
+    """The coordinates (with their order), the action matrices, the fixed
+    points and the fixed-point centralizer report, on every corpus
+    module."""
+    statuses = Counter()
+    for gid, M in corpus_modules:
+        assert list(M._coords.items()) == list(oracle_coords(M).items()), gid
+        for q in M.q_elements:
+            assert M.action_matrix(q) == tuple(
+                M.coords(M.act(b, q)) for b in M.basis), gid
+        assert fixed_points(M) == oracle_fixed_points(M), gid
+        rep = fixed_point_centralizer_report(M)
+        assert rep == oracle_fixed_point_centralizer_report(M), gid
+        statuses[rep["status"]] += 1
+    assert statuses["pass"] > 10 and statuses["skip"] > 10
+
+
 def test_law_on_generator_pairs_matches_all_pairs(corpus_modules):
     """satisfies_law on the pairs (q, s), s a generator of Q, against the
     check of all |Q|^2 pairs: for solved cocycles, which satisfy both, and
@@ -547,6 +610,120 @@ def test_norm_identity_sweeps_pass(case, entry_fn):
     rep = norm_identity_report(entry_fn().presentation, case)
     assert rep["status"] == "pass"
     assert rep["tuples_checked"] > 0
+
+
+def element_norm_sweep(G, case, caps=DEFAULT_CAPS):
+    """The norm sweep with Element arithmetic and one norm_element per
+    (A, a, g, n), which the conjugation tables replaced."""
+    p = G.prime
+    Z = center(G, caps)
+    abelian_normals = [
+        S for S in enumerate_subgroups(G, caps)
+        if not S.is_trivial() and S.is_abelian() and is_normal(S)
+    ]
+    checked = 0
+    for A in abelian_normals:
+        cent = centralizer(G, A, caps)
+        reps = sorted(quotient(G, cent).elements(), key=lambda e: e.vec)
+        if case == "class3-even":
+            xs = [x for x in reps if cent.membership(x ** 2)]
+            for a in A.elements():
+                a4inv = (a ** 4).inverse()
+                for x in xs:
+                    ax = a.conjugate(x)
+                    for y in xs:
+                        if not cent.membership((x * y) ** 2):
+                            continue
+                        defect = ax.conjugate(y) * a.conjugate(y) * ax * a * a4inv
+                        if not Z.membership(defect):
+                            return {"status": "fail", "counterexample": {
+                                "A": A.key(), "a": a.vec, "x": x.vec, "y": y.vec,
+                                "defect": defect.vec}}
+                        checked += 1
+        else:
+            gs = [g for g in reps if cent.membership(g ** p)]
+            ns = [p] if case != "class2" else sorted({1, 2, p, p + 1, p * p})
+            for a in A.elements():
+                for g in gs:
+                    for n in ns:
+                        defect = norm_element(a, g, n) * (a ** n).inverse()
+                        exact = case == "pcentral-odd" and p > 3 and n == p
+                        if (not defect.is_identity) if exact else not Z.membership(defect):
+                            return {"status": "fail", "counterexample": {
+                                "A": A.key(), "a": a.vec, "g": g.vec, "n": n,
+                                "defect": defect.vec}}
+                        checked += 1
+    return {"status": "pass", "tuples_checked": checked,
+            "abelian_normal_count": len(abelian_normals)}
+
+
+@pytest.fixture(scope="module")
+def shared_corpus():
+    """The built-in corpus, its per-presentation memos shared by the
+    tests of this module that take it."""
+    return corpus.builtin_corpus(validate=False)
+
+
+@pytest.mark.parametrize("case", NORM_CASES)
+def test_norm_sweeps_match_the_element_sweep_on_the_corpus(case, shared_corpus):
+    """Every corpus group within the caps: the report where the case's
+    hypotheses hold, and otherwise the bare sweep, which must stop at the
+    same first counterexample (class2 on dihedral-16, for one)."""
+    outcomes = Counter()
+    for entry in shared_corpus:
+        G = entry.presentation
+        try:
+            try:
+                rep = norm_identity_report(G, case)
+                holds = True
+            except HypothesesUnmet:
+                rep = _norm_sweep(G, case)
+                holds = False
+        except CapExceeded:
+            continue
+        assert rep == element_norm_sweep(G, case), (entry.id, case)
+        outcomes[holds, rep["status"]] += 1
+    assert outcomes[True, "fail"] == 0
+    assert outcomes[True, "pass"] >= 9
+    if case != "class3-even":
+        assert outcomes[False, "fail"] >= 5
+
+
+# UT(4, 2): x1, x2, x3 the transvections e12, e23, e34 and x4, x5, x6
+# the commutators e13, e24, e14.  The last column <x3, x5, x6> is abelian
+# normal with G/C = UT(3, 2), a dihedral group, so some admissible pairs
+# x, y have (xy)^2 outside the centralizer.
+UT42 = """group ut-4-2
+prime 2
+gens 6
+order 1 2
+order 2 2
+order 3 2
+order 4 2
+order 5 2
+order 6 2
+conj 2 1 = x2*x4
+conj 5 1 = x5*x6
+conj 3 2 = x3*x5
+conj 4 3 = x4*x6
+"""
+
+
+@pytest.fixture(scope="module")
+def ut42():
+    from pgforge.core import parse_presentation
+
+    return parse_presentation(UT42)
+
+
+@pytest.mark.parametrize("case", NORM_CASES)
+def test_norm_sweep_matches_the_element_sweep_on_a_dihedral_action(case, ut42):
+    G = ut42
+    try:
+        rep = norm_identity_report(G, case)
+    except HypothesesUnmet:
+        rep = _norm_sweep(G, case)
+    assert rep == element_norm_sweep(G, case)
 
 
 def test_norm_identity_hypotheses():

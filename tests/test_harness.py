@@ -145,3 +145,47 @@ def test_liebeck_check():
     rs = run_check("liebeck-sigma", [corpus.liebeck128()])
     assert rs[0].status == "pass"
     assert rs[0].witness["count"] == 3
+
+
+def element_inclusion_failure(G):
+    """The first (M, g) whose commutator image [Z(M), g] misses part of
+    omega1(Z(G)), with one Element image per g outside M."""
+    from pgforge.structure import center, center_of_subgroup, maximal_subgroups, omega1
+
+    om = omega1(center(G))
+    for M in maximal_subgroups(G):
+        zm = center_of_subgroup(G, M)
+        for g in G.elements():
+            if M.membership(g):
+                continue
+            image = {a.commutator(g).vec for a in zm.elements()}
+            missing = [z.vec for z in om.elements() if z.vec not in image]
+            if missing:
+                return {"M": M.key(), "g": g.vec, "outside": missing}
+    return None
+
+
+def test_lemma_2_1_inclusion_loop_matches_the_element_loop(monkeypatch):
+    """With the search and the scan stubbed to find nothing, the check
+    runs its inclusion loop on every nonabelian corpus group within the
+    search cap; where the real scan has witnesses the loop must report
+    the same first (M, g) and missing elements as the Element loop."""
+    from pgforge import harness
+    from pgforge.structure import is_abelian
+
+    monkeypatch.setattr(harness, "first_noninner", lambda G, fixed, caps: None)
+    monkeypatch.setattr(harness, "coset_shift_scan", lambda G, caps: [])
+    failures = 0
+    for entry in corpus.builtin_corpus(validate=False):
+        G = entry.presentation
+        if G.order > DEFAULT_CAPS.auto_search or is_abelian(G):
+            continue
+        status, _, payload, counterexample = harness.check_lemma_2_1(entry, DEFAULT_CAPS)
+        want = element_inclusion_failure(G)
+        if want is None:
+            assert (status, payload) == ("pass", {"noninner_exists": False,
+                                                  "inclusion": "verified"}), entry.id
+        else:
+            assert (status, counterexample) == ("fail", want), entry.id
+            failures += 1
+    assert failures >= 3

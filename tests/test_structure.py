@@ -307,6 +307,17 @@ def test_profile_roundtrip(d8):
     assert doc["d"] == 2 and doc["center_invariants"] == [2]
 
 
+def test_profile_center_rank_is_the_rank_of_the_center():
+    """d_center, read from the center's invariants, against d_abelian of
+    the center on every corpus group within the sweep cap."""
+    for entry in sweep_groups():
+        G = entry.presentation
+        prof = profile(G)
+        Z = center(G)
+        assert prof.center_invariants == tuple(abelian_invariants(Z)), entry.id
+        assert prof.d_center == d_abelian(Z), entry.id
+
+
 def test_central_quotient_presentation(g64_pres):
     cq = central_quotient(g64_pres)
     assert cq.order == 16

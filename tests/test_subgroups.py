@@ -14,6 +14,7 @@ from pgforge.subgroups import (
     normal_closure,
     quotient,
     subgroup_closure,
+    subgroup_of_elements,
     trivial_subgroup,
 )
 from pgforge import corpus
@@ -265,3 +266,71 @@ def test_cyclic_extension_lattice_matches_all_elements_oracle():
         assert got == want, entry.id
         checked += 1
     assert checked >= 30
+
+
+def element_is_normal(S):
+    """Normality by Element conjugates and membership tests."""
+    return all(S.membership(e.conjugate(g)) for e in S.igs for g in S.pres.gens())
+
+
+def element_is_abelian(S):
+    return all(u.commutator(v).is_identity for u in S.igs for v in S.igs)
+
+
+def lattice_groups():
+    """Every corpus group within the lattice cap, with fresh memos."""
+    return [e for e in corpus.builtin_corpus(validate=False)
+            if e.presentation.order <= DeskCaps().subgroup_enum]
+
+
+def test_is_normal_and_is_abelian_match_the_element_tests():
+    normal = total = 0
+    for entry in lattice_groups():
+        for S in enumerate_subgroups(entry.presentation):
+            assert is_normal(S) == element_is_normal(S), entry.id
+            assert S.is_abelian() == element_is_abelian(S), entry.id
+            normal += is_normal(S)
+            total += 1
+    assert 400 < normal < total
+
+
+def test_subgroup_of_elements_matches_the_closure_of_every_element():
+    """On every subgroup of every corpus group within the lattice cap,
+    in the order of its vectors and shuffled."""
+    rng = random.Random(2005)
+    checked = 0
+    for entry in lattice_groups():
+        G = entry.presentation
+        for S in enumerate_subgroups(G):
+            vecs = S.vectors()
+            assert subgroup_of_elements(G, vecs) == subgroup_closure(G, vecs) == S, entry.id
+            rng.shuffle(vecs)
+            assert subgroup_of_elements(G, vecs) == S, entry.id
+            checked += 1
+    assert checked > 800
+
+
+def test_subgroup_of_elements_refuses_a_list_that_is_not_a_subgroup():
+    """A subgroup with the identity dropped, with one outside element
+    added, or with the identity replaced by a repeated element, and a
+    generating set that is not closed, on every proper nontrivial subgroup
+    of the small corpus groups."""
+    refused = 0
+    for entry in lattice_groups():
+        G = entry.presentation
+        if G.order > 64:
+            continue
+        for S in enumerate_subgroups(G):
+            if S.is_trivial() or S.order == G.order:
+                continue
+            vecs = S.vectors()
+            outside = next(x.vec for x in G.elements() if not S.membership(x))
+            for bad in (vecs[1:], vecs + [outside], vecs[1:] + [vecs[1]]):
+                with pytest.raises(DomainError):
+                    subgroup_of_elements(G, bad)
+                refused += 1
+            if S.order > G.prime:
+                with pytest.raises(DomainError):
+                    subgroup_of_elements(G, [u.vec for u in S.igs])
+                refused += 1
+    assert refused > 1000

@@ -474,13 +474,28 @@ def _z1_b1_h1(M: GModule, caps=DEFAULT_CAPS):
 
 def cocycle_to_automorphism(M: GModule, f: CrossedHom):
     """The automorphism g -> g (gN)^f; lands in the slice of automorphisms
-    fixing N pointwise and trivial on G/N."""
+    fixing N pointwise and trivial on G/N.  The table is checked against
+    the cocycle law and the map validated, so any table may be passed."""
     from pgforge.autos import make_automorphism
 
     if not f.satisfies_law():
         raise DomainError("table violates the cocycle law")
     images = [g * f.value_at(g) for g in M.G.gens()]
     return make_automorphism(M.G, images)
+
+
+def bridge_vecs(M: GModule, fs):
+    """The image vectors g_i f(g_i N) of `cocycle_to_automorphism` for each
+    table f in fs, formed on vectors, with neither the law check nor the
+    validation: for cocycles that `z1` or `b1` has solved, the caller
+    compares them with a slice validated on its own."""
+    t = M.G._tables
+    gens = [g.vec for g in M.G.gens()]
+    cols = [M.q_index[M.Q.canonical_vec(g)] for g in gens]
+    return [
+        tuple(kernel.mul(t, g, f.values[c].vec) for g, c in zip(gens, cols))
+        for f in fs
+    ]
 
 
 def automorphism_to_cocycle(M: GModule, alpha) -> CrossedHom:
@@ -494,29 +509,54 @@ def automorphism_to_cocycle(M: GModule, alpha) -> CrossedHom:
 
 
 def c_aut_slice(G: PcPresentation, N: Subgroup, caps=DEFAULT_CAPS):
-    """All automorphisms fixing N pointwise with every defect g^{-1} g^a
-    in N, by direct search over defect tuples."""
-    from pgforge.autos import Automorphism, validation_error
+    """All automorphisms fixing the normal subgroup N pointwise with every
+    defect g^{-1} g^a in N, sorted by key.
 
-    gens = G.gens()
-    free = [i for i, g in enumerate(gens) if not N.membership(g)]
-    n_elements = sorted(N.elements(), key=lambda e: e.vec)
-    if len(n_elements) ** len(free) > 2_000_000:
-        raise CapExceeded(
-            "pointwise-fixing slice", len(n_elements) ** len(free), 2_000_000
-        )
-    out = []
-    for defects in itertools.product(n_elements, repeat=len(free)):
-        images = list(gens)
-        for i, t in zip(free, defects):
-            images[i] = gens[i] * t
-        if validation_error(G, images):
-            continue
-        alpha = Automorphism(G, images, _validated=True)
-        if alpha.fixes_pointwise(N):
-            out.append(alpha)
-    out.sort(key=lambda a: a.key())
-    return out
+    One backtracking pass over generator images, from the highest index
+    down, with no Element objects in the loop (as in
+    `autos._search_leaves`).  A generator in N is its own image; any other
+    g_i has the candidates g_i t, t in N.  At each level the power and
+    conjugation relations of x_i are checked on the assigned suffix, and a
+    leaf is kept when it fixes N's IGS.  A leaf is then an automorphism
+    with no generation test: it is the identity on G/N and on N, so its
+    kernel lies in N, where it is injective.  The search reads no cocycle
+    or module, so the bridge can be checked against it.  The product
+    |N|^free is refused above 2 000 000 before the search starts; the test
+    suite keeps the filter of that whole product as its oracle."""
+    from pgforge.autos import Automorphism, _broken_relation, _image
+
+    if not is_normal(N):
+        raise DomainError("c_aut_slice needs a normal subgroup")
+    t = G._tables
+    gens = [g.vec for g in G.gens()]
+    in_n = [_sift(t, N._table, g) == t.identity for g in gens]
+    n_vecs = sorted(N.vectors())
+    needed = len(n_vecs) ** in_n.count(False)
+    if needed > 2_000_000:
+        raise CapExceeded("pointwise-fixing slice", needed, 2_000_000)
+    cand = []
+    for g, m, fixed in zip(gens, G.rel_orders, in_n):
+        pool = [g] if fixed else [kernel.mul(t, g, v) for v in n_vecs]
+        cand.append([(h, kernel.inv(t, h), kernel.power(t, h, m)) for h in pool])
+    n_igs = [u.vec for u in N.igs]
+    images = [None] * len(gens)
+    leaves = []
+
+    def descend(i):
+        if i < 0:
+            leaf = tuple(images)
+            if all(_image(t, leaf, enumerate(u)) == u for u in n_igs):
+                leaves.append(leaf)
+            return
+        for h, hinv, hpow in cand[i]:
+            images[i] = h
+            if _broken_relation(G, t, images, i, hinv, hpow) is None:
+                descend(i - 1)
+        images[i] = None
+
+    descend(len(gens) - 1)
+    leaves.sort()
+    return [Automorphism._of_vecs(G, leaf) for leaf in leaves]
 
 
 def order_p_nonprincipal_cocycle(M: GModule, caps=DEFAULT_CAPS):

@@ -538,7 +538,9 @@ def load_manifest(path, caps=DEFAULT_CAPS):
 
     Fact names: order, class, coclass, d, center_invariants (comma list),
     exponent, powerful, p_central.  Every entry is consistency-checked and
-    fact-validated; any failure rejects that entry with a diagnostic.
+    fact-validated; any failure rejects that entry with a diagnostic.  A
+    `file` line with no path, or whose file is missing, a directory or
+    otherwise unreadable, raises PresentationError naming that line.
     """
     path = Path(path)
     text = path.read_text()
@@ -551,6 +553,8 @@ def load_manifest(path, caps=DEFAULT_CAPS):
         parts = line.split(None, 1)
         directive, rest = parts[0], parts[1] if len(parts) > 1 else ""
         if directive == "file":
+            if not rest.strip():
+                raise PresentationError("file needs a path", lineno)
             current = {"file": rest.strip(), "facts": [], "line": lineno}
             blocks.append(current)
         elif directive == "expect":
@@ -570,7 +574,13 @@ def load_manifest(path, caps=DEFAULT_CAPS):
         fpath = Path(block["file"])
         if not fpath.is_absolute():
             fpath = path.parent / fpath
-        pres = parse_presentation(fpath.read_text())
+        try:
+            text = fpath.read_text()
+        except OSError as exc:
+            raise PresentationError(
+                f"cannot read {block['file']!r}: {exc.strerror or exc}", block["line"]
+            ) from exc
+        pres = parse_presentation(text)
         entry = CorpusEntry(
             id=pres.name,
             presentation=pres,

@@ -17,6 +17,8 @@ from pgforge.core import Element, PcPresentation, p_valuation
 from pgforge.errors import CapExceeded, DomainError, MixedPresentationError
 from pgforge.subgroups import (
     Subgroup,
+    _IgsBuilder,
+    _leading,
     _sift,
     coset_layers,
     full_subgroup,
@@ -319,13 +321,17 @@ def abelian_invariants(A: Subgroup, caps=DEFAULT_CAPS):
         raise DomainError("abelian_invariants requires an abelian subgroup")
     if A.order > caps.element_sweep:
         raise CapExceeded("abelian invariants sweep", A.order, caps.element_sweep)
+    return _invariant_factors(A.pres.prime, Counter(_orders_in(A)[1]))
+
+
+def _orders_in(A: Subgroup):
+    """A's exponent vectors, in the order of `A.vectors()`, and their
+    element orders, from one p-th power per element."""
     t = A.pres._tables
     p = A.pres.prime
-    power = kernel.power
     vecs = A.vectors()
     position = {v: i for i, v in enumerate(vecs)}
-    orders = _chain_orders(p, [position[power(t, v, p)] for v in vecs])
-    return _invariant_factors(p, Counter(orders))
+    return vecs, _chain_orders(p, [position[kernel.power(t, v, p)] for v in vecs])
 
 
 def d_abelian(A: Subgroup, caps=DEFAULT_CAPS) -> int:
@@ -342,35 +348,35 @@ def section_invariants(G: PcPresentation, big: Subgroup, small: Subgroup):
 
 def abelian_basis(A: Subgroup, caps=DEFAULT_CAPS):
     """An independent generating list (b_1, ..., b_m) with descending
-    orders whose direct product is A."""
+    orders whose direct product is A.
+
+    Greedy over A's vectors by descending order, then by vector: a pick
+    keeps the product direct when <x> meets the span trivially, which for
+    x of order o happens exactly when x^(o/p), the generator of <x>'s
+    subgroup of order p, is outside the span.  So each candidate costs one
+    sift through the one span that the picks grow.  A candidate rejected
+    once stays rejected as the span grows, so one pass suffices."""
     if not A.is_abelian():
         raise DomainError("abelian_basis requires an abelian subgroup")
     if A.order > caps.element_sweep:
         raise CapExceeded("abelian basis sweep", A.order, caps.element_sweep)
     P = A.pres
+    t = P._tables
+    p = P.prime
+    vecs, orders = _orders_in(A)
     basis = []
-    span = trivial_subgroup(P)
-    remaining = sorted(A.elements(), key=lambda x: (-x.order(), x.vec))
-    while span.order < A.order:
-        for x in remaining:
-            if span.membership(x):
-                continue
-            # keep the decomposition direct: an independent pick has
-            # <x> meeting the span trivially
-            o = x.order()
-            cand_ok = True
-            y = x
-            for _ in range(1, o):
-                if span.membership(y) and not y.is_identity:
-                    cand_ok = False
-                    break
-                y = y * x
-            if cand_ok:
-                basis.append(x)
-                span = subgroup_closure(P, list(span.igs) + [x])
-                break
-        else:
-            raise DomainError("no independent pick; input was not abelian?")
+    size = 1
+    span = _IgsBuilder(P)
+    for o, x in sorted(zip(orders, vecs), key=lambda ox: (-ox[0], ox[1])):
+        if size == A.order:
+            break
+        if o > 1 and _leading(span.sift(kernel.power(t, x, o // p))) is not None:
+            basis.append(Element(P, x))
+            size *= o
+            span.add(x)
+            span.close()
+    if size != A.order:
+        raise DomainError("no independent pick; input was not abelian?")
     return basis
 
 
@@ -404,11 +410,20 @@ def is_p_central(G: PcPresentation, caps=DEFAULT_CAPS) -> bool:
 
 
 def ds_condition(G: PcPresentation, caps=DEFAULT_CAPS) -> bool:
-    """C_G(Z(frattini(G))) equals frattini(G)."""
+    """C_G(Z(frattini(G))) equals frattini(G).
+
+    The centralizer contains frattini(G), so it is a union of its cosets,
+    and a coset lies in it exactly when its canonical representative
+    does.  So the condition holds exactly when no representative of a
+    nontrivial coset commutes with Z(frattini(G))'s IGS: one test per
+    coset, not per element of G."""
     def compute():
         phi = frattini(G, caps)
         z_phi = center_of_subgroup(G, phi, caps)
-        return centralizer(G, z_phi, caps) == phi
+        _check_sweep(G, caps)
+        reps = itertools.product(*(range(l) for l in coset_layers(phi)))
+        next(reps)  # the identity, representing phi itself
+        return not _commuting(G._tables, reps, [u.vec for u in z_phi.igs])
 
     return _memo(G, "ds", compute, caps)
 

@@ -373,15 +373,19 @@ class QuotientGroup:
             yield Element(self.parent, vec)
 
     def generator_reps(self):
-        """Greedy generating set of the quotient, as parent elements."""
+        """Greedy generating set of the quotient, as parent elements: each
+        parent generator outside the span of the kernel and the earlier
+        picks.  One span is grown, a generator at a time, and each test
+        is one sift through it."""
         picks = []
-        span = self.kernel_subgroup
+        span = _IgsBuilder(self.parent)
+        for e in self.kernel_subgroup.igs:
+            span.add(e.vec)
         for g in self.parent.gens():
-            if not span.membership(g):
+            if _leading(span.sift(g.vec)) is not None:
                 picks.append(self.canonical(g))
-                span = subgroup_closure(
-                    self.parent, list(span.igs) + [g]
-                )
+                span.add(g.vec)
+                span.close()
         return picks
 
     def is_cyclic(self) -> bool:

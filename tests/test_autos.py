@@ -375,11 +375,13 @@ def test_search_d8_finds_noninner(d8):
 def test_search_prunes_by_commutators_when_frattini_is_fixed(monkeypatch):
     """With the Frattini subgroup fixed, the search also checks that the
     images reproduce the generators' commutators.  On a presentation whose
-    Frattini subgroup is not spanned by its last generators this rejects
-    nodes that every power and conjugation relation accepts.  (On the
-    corpus presentations it never does, since their Frattini subgroups
-    are such tails.)  Here D8 x C2 is generated by involutions s, t, c and
-    zc, with z = [t, s] = (zc) c, so Frattini = <z> is not a tail."""
+    Frattini subgroup is not spanned by its last generators this can
+    reject nodes that every power and conjugation relation accepts.  On
+    the corpus it never does: the Frattini subgroups of 11 of the 39
+    presentations are such tails, so no table is passed, and on the 25
+    others within the search cap the table rejects none of the 949 nodes
+    it is checked at.  Here D8 x C2 is generated by involutions s, t, c
+    and zc, with z = [t, s] = (zc) c, so Frattini = <z> is not a tail."""
     from pgforge import autos
     from pgforge.core import parse_presentation
 

@@ -92,6 +92,20 @@ def test_bad_manifest_values_exit_2_naming_the_line(tmp_path, capsys, expect, me
     assert capsys.readouterr().err == f"error: line 3: {message}\n"
 
 
+@pytest.mark.parametrize("line, message", [
+    ("file nothere.pc", "cannot read 'nothere.pc': No such file or directory"),
+    ("file groups", "cannot read 'groups': Is a directory"),
+    ("file", "file needs a path"),
+    ("file   # no path, only a comment", "file needs a path"),
+])
+def test_bad_manifest_file_lines_exit_2_naming_the_line(tmp_path, capsys, line, message):
+    (tmp_path / "groups").mkdir()
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(f"# one more group\n{line}\nexpect order 4\n")
+    assert main(["verify", "lemma-2.8", "--manifest", str(manifest)]) == 2
+    assert capsys.readouterr().err == f"error: line 2: {message}\n"
+
+
 def test_cohomology_command(d8_file, capsys):
     assert main(["cohomology", d8_file, "--normal", "x2^2"]) == 0
     doc = json.loads(capsys.readouterr().out)

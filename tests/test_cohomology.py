@@ -12,6 +12,7 @@ from pgforge.cohomology import (
     _kernel_basis,
     _norm_sweep,
     b1,
+    bridge_vecs,
     c_aut_slice,
     cocycle_exponent_report,
     cocycle_to_automorphism,
@@ -46,6 +47,7 @@ from pgforge.subgroups import (
     is_normal,
     quotient,
     subgroup_closure,
+    trivial_subgroup,
 )
 from pgforge import corpus
 
@@ -423,6 +425,54 @@ def test_module_vectors_match_the_element_oracles(corpus_modules):
     assert statuses["pass"] > 10 and statuses["skip"] > 10
 
 
+def closure_generator_reps(Q):
+    """The greedy picks with the span closed again from scratch for each
+    pick: the oracle of `QuotientGroup.generator_reps`."""
+    picks = []
+    span = Q.kernel_subgroup
+    for g in Q.parent.gens():
+        if not span.membership(g):
+            picks.append(Q.canonical(g))
+            span = subgroup_closure(Q.parent, list(span.igs) + [g])
+    return picks
+
+
+def closure_abelian_basis(A):
+    """The greedy basis with Element powers: a candidate is tested against
+    the span at every power, the scan restarts after each pick and the
+    span is closed again from scratch; the oracle of
+    `structure.abelian_basis`."""
+    P = A.pres
+    basis = []
+    span = trivial_subgroup(P)
+    remaining = sorted(A.elements(), key=lambda x: (-x.order(), x.vec))
+    while span.order < A.order:
+        for x in remaining:
+            if span.membership(x):
+                continue
+            y = x
+            for _ in range(1, x.order()):
+                if span.membership(y) and not y.is_identity:
+                    break
+                y = y * x
+            else:
+                basis.append(x)
+                span = subgroup_closure(P, list(span.igs) + [x])
+                break
+        else:
+            raise AssertionError("no independent pick")
+    return basis
+
+
+def test_module_picks_and_basis_match_the_closure_oracles(corpus_modules):
+    """Q's generator picks and A's basis, in order, on every corpus
+    module."""
+    assert len(corpus_modules) == 491
+    for gid, M in corpus_modules:
+        assert M.gen_reps == closure_generator_reps(M.Q), gid
+        assert M.basis == closure_abelian_basis(M.A), gid
+
+
 def test_law_on_generator_pairs_matches_all_pairs(corpus_modules):
     """satisfies_law on the pairs (q, s), s a generator of Q, against the
     check of all |Q|^2 pairs: for solved cocycles, which satisfy both, and
@@ -547,6 +597,81 @@ def test_bridge_rejects_bad_table(d8):
     if not f.satisfies_law():
         with pytest.raises(DomainError):
             cocycle_to_automorphism(M, f)
+
+
+# -- the slice search and the vector bridge against their filters -----------
+
+
+def filter_slice(G, N):
+    """The slice by its definition: every image tuple g_i t, t in N, over
+    the whole product N^free, validated and kept when it fixes N
+    pointwise; the oracle of the backtracking search in `c_aut_slice`."""
+    from pgforge.autos import Automorphism, validation_error
+
+    gens = G.gens()
+    free = [i for i, g in enumerate(gens) if not N.membership(g)]
+    n_elements = sorted(N.elements(), key=lambda e: e.vec)
+    out = []
+    for defects in itertools.product(n_elements, repeat=len(free)):
+        images = list(gens)
+        for i, t in zip(free, defects):
+            images[i] = gens[i] * t
+        if validation_error(G, images):
+            continue
+        alpha = Automorphism(G, images, _validated=True)
+        if alpha.fixes_pointwise(N):
+            out.append(alpha)
+    out.sort(key=lambda a: a.key())
+    return out
+
+
+@pytest.fixture(scope="module")
+def bijection_pairs():
+    """Every (corpus group, normal subgroup) pair within the bijection cap,
+    the pairs that prop-1.3 checks, each with its module."""
+    out = []
+    for entry in corpus.builtin_corpus():
+        G = entry.presentation
+        if G.order > DEFAULT_CAPS.bijection:
+            continue
+        for N in enumerate_normal_subgroups(G):
+            out.append((entry.id, G, N, module_of(G, N)))
+    return out
+
+
+def test_slice_search_matches_the_filter_on_every_pair(bijection_pairs):
+    assert len(bijection_pairs) == 336
+    assert len({gid for gid, *_ in bijection_pairs}) == 30
+    for gid, G, N, _ in bijection_pairs:
+        assert [a.key() for a in c_aut_slice(G, N)] == [
+            a.key() for a in filter_slice(G, N)
+        ], (gid, N.key())
+
+
+def test_vector_bridge_matches_the_validated_bridge_on_every_pair(bijection_pairs):
+    for gid, G, N, M in bijection_pairs:
+        for fs in (z1(M), b1(M)):
+            assert bridge_vecs(M, fs) == [
+                cocycle_to_automorphism(M, f).key() for f in fs
+            ], (gid, N.key())
+
+
+def test_slice_refuses_the_product_before_the_search():
+    """Elementary abelian of order 128 over its index-2 subgroup of even
+    exponent sums: all 7 generators are free, so 64^7 tuples."""
+    G = corpus.abelian(2, [1] * 7).presentation
+    gens = G.gens()
+    N = subgroup_closure(G, [gens[0] * g for g in gens[1:]])
+    assert N.order == 64
+    with pytest.raises(CapExceeded) as exc:
+        c_aut_slice(G, N)
+    assert (exc.value.what, exc.value.needed, exc.value.cap) == (
+        "pointwise-fixing slice", 64 ** 7, 2_000_000)
+
+
+def test_slice_needs_a_normal_subgroup(d8):
+    with pytest.raises(DomainError):
+        c_aut_slice(d8, subgroup_closure(d8, [d8.gen(0)]))
 
 
 def test_condition_check_extraspecial(es27):

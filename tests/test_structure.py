@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -354,6 +355,23 @@ def test_memo_hit_enforces_caps():
     with pytest.raises(CapExceeded):
         center(G, DeskCaps(element_sweep=8))
     assert center(G, DeskCaps(element_sweep=64)).order == 4
+
+
+def test_ds_condition_matches_the_centralizer_sweep_on_the_corpus():
+    """One representative per coset of the Frattini subgroup gives the
+    verdict of sweeping all of G for C_G(Z(frattini(G))), on every corpus
+    group within the sweep cap."""
+    verdicts = Counter()
+    for entry in corpus.builtin_corpus(validate=False):
+        G = entry.presentation
+        if G.order > DEFAULT_CAPS.element_sweep:
+            continue
+        phi = frattini(G)
+        expected = centralizer(G, center_of_subgroup(G, phi)) == phi
+        assert ds_condition(G) == expected, entry.id
+        verdicts[expected] += 1
+    assert sum(verdicts.values()) == 39
+    assert verdicts[True] and verdicts[False]
 
 
 def test_memo_hit_raises_as_a_cold_call():

@@ -72,10 +72,6 @@ class Automorphism:
                 raise DomainError("automorphism order exceeds cap")
         return k
 
-    def inverse_images(self):
-        """Preimages of the generators."""
-        return self.inverse().images
-
     def inverse(self) -> "Automorphism":
         """The (k-1)-th power, k the order, by square and multiply."""
         k = self.order()
@@ -139,12 +135,11 @@ def _vecs_in(G: PcPresentation, elements):
     return [x.vec for x in elements]
 
 
-def _broken_relation(G: PcPresentation, t, images, i, hinv, hpow, comm=None):
+def _broken_relation(G: PcPresentation, t, images, i, hinv, hpow):
     """The first relation of x_i that the image vectors break: i for the
     power relation, else the least j > i for the conjugation of x_j by
-    x_i, or for the commutator [x_i, x_j] when comm maps (i, j) to it;
-    None if all hold.  h = images[i] has inverse hinv and rel_orders[i]-th
-    power hpow, and only images[i:] are read."""
+    x_i; None if all hold.  h = images[i] has inverse hinv and
+    rel_orders[i]-th power hpow, and only images[i:] are read."""
     if hpow != _image(t, images, G.pow_words[i]):
         return i
     n = G.n_gens
@@ -153,9 +148,6 @@ def _broken_relation(G: PcPresentation, t, images, i, hinv, hpow, comm=None):
         c = kernel.mul(t, kernel.mul(t, hinv, hj), images[i])
         w = G.conj_words[i * n + j]
         if c != (hj if w is None else _image(t, images, w)):
-            return j
-        # c = hj^h, so [h, hj] = c^-1 hj
-        if comm is not None and kernel.mul(t, c, comm[i, j]) != hj:
             return j
     return None
 
@@ -396,78 +388,66 @@ def _classified(G, fixed, leaves, order, caps):
 
 def _search_leaves(G: PcPresentation, fixed: Subgroup, caps):
     """Sorted image-vector tuples of every automorphism fixing the given
-    subgroup pointwise.
-
-    Backtracks over generator images from the highest index down, with no
-    Element objects in the loop.  A generator in the fixed subgroup is its
-    own image; any other image has the generator's order and reproduces
-    each of its p-power powers that lies in the fixed subgroup.  At each
-    level every power and conjugation relation supported on the assigned
-    suffix is checked; when the fixed subgroup contains the Frattini
-    subgroup, the images must also reproduce the commutators of the
-    generators.  A node is pruned when the images of indices i..n-1 span a
-    smaller space modulo frattini(G) than the generators do: an
-    automorphism induces an invertible map on G/frattini(G), which keeps
-    that rank.  At the root this proves generation (Burnside's basis
-    theorem), so a leaf is an automorphism without further validation;
-    the test suite keeps the re-validating search as its oracle."""
+    subgroup pointwise: the leaves of `_fixing_leaves` over these pools.
+    A generator in the fixed subgroup is its own image; any other image
+    has the generator's order and reproduces each of its p-power powers
+    that lies in the fixed subgroup."""
     if G.order > caps.auto_search:
         raise CapExceeded("automorphism search", G.order, caps.auto_search)
     G.require_consistent()
     p = G.prime
-    n = G.n_gens
     t = G._tables
     power = kernel.power
-    phi = structure.frattini(G, caps)
-    contains_phi = all(fixed.membership(u) for u in phi.igs)
-    _, project = structure.frattini_quotient(G)
-    gens = G.gens()
-    vecs = [g.vec for g in gens]
     orders = structure.element_orders(G, caps)
     position = structure._positions(G)
+    pools = []
+    for g in G.gens():
+        if fixed.membership(g):
+            pools.append([g.vec])
+            continue
+        want = orders[position(g.vec)]
+        pinned = []
+        k = p
+        while k < want:
+            gk = power(t, g.vec, k)
+            if fixed.membership(Element(G, gk)):
+                pinned.append((k, gk))
+            k *= p
+        pools.append([
+            h for h, o in zip(structure._vectors(G), orders)
+            if o == want and all(power(t, h, k) == gk for k, gk in pinned)
+        ])
+    return _fixing_leaves(G, fixed, pools)
 
-    def candidates(i):
-        """(image, its inverse, its rel_orders[i]-th power, its
-        coordinates modulo frattini(G)) for each possible image of g_i."""
-        g = vecs[i]
-        if fixed.membership(gens[i]):
-            pool = [g]
-        else:
-            want = orders[position(g)]
-            pinned = []
-            k = p
-            while k < want:
-                gk = power(t, g, k)
-                if fixed.membership(Element(G, gk)):
-                    pinned.append((k, gk))
-                k *= p
-            pool = [
-                h for h, o in zip(structure._vectors(G), orders)
-                if o == want
-                and all(power(t, h, k) == gk for k, gk in pinned)
-            ]
-        m = G.rel_orders[i]
-        return [(h, kernel.inv(t, h), power(t, h, m), list(project(h)))
-                for h in pool]
 
-    cand = [candidates(i) for i in range(n)]
-    coords = [list(project(g)) for g in vecs]
-    target = [_rank_mod_p([list(r) for r in coords[i:]], p) for i in range(n)]
-    # When phi's IGS is the unit vectors of the last generators x_k..x_n-1,
-    # those generators are fixed, and x_j^(x_i) = x_j c_ij with c_ij =
-    # [x_j, x_i] in phi a word in them.  The conjugation relation then
-    # reads h_j^(h_i) = h_j c_ij, which is [h_j, h_i] = [x_j, x_i]: the
-    # commutator check would repeat it, so it is made only otherwise.
-    tail = n - len(phi.igs)
-    phi_is_tail = [u.vec for u in phi.igs] == [
-        tuple(int(i == k) for i in range(n)) for k in range(tail, n)
+def _fixing_leaves(G: PcPresentation, fixed: Subgroup, pools):
+    """Sorted image-vector tuples of the automorphisms that fix the
+    subgroup `fixed` pointwise and send each generator g_i into pools[i].
+
+    Backtracks over generator images from the highest index down, with no
+    Element objects in the loop; each pooled image is paired once with its
+    inverse, its rel_orders[i]-th power and its coordinates modulo
+    frattini(G).  At each level the power and conjugation relations of x_i
+    are checked on the assigned suffix.  A node is pruned when the images
+    of indices i..n-1 span a smaller space modulo frattini(G) than the
+    generators do: an automorphism induces an invertible map on
+    G/frattini(G), which keeps that rank.  At the root this proves
+    generation (Burnside's basis theorem), so a leaf that fixes `fixed`'s
+    IGS is an automorphism without further validation; the test suite
+    keeps the re-validating search as its oracle.  No commutator check is
+    needed when `fixed` contains frattini(G): such a leaf maps each
+    [x_i, x_j], which lies in frattini(G), to itself."""
+    p = G.prime
+    n = G.n_gens
+    t = G._tables
+    _, project = structure.frattini_quotient(G)
+    cand = [
+        [(h, kernel.inv(t, h), kernel.power(t, h, m), list(project(h))) for h in pool]
+        for pool, m in zip(pools, G.rel_orders)
     ]
-    comm = None
-    if contains_phi and not phi_is_tail:
-        comm = {(i, j): gens[i].commutator(gens[j]).vec
-                for i in range(n) for j in range(i + 1, n)}
+    coords = [list(project(g)) for g in _gen_vecs(n)]
+    target = [_rank_mod_p([list(r) for r in coords[i:]], p) for i in range(n)]
     fixed_igs = [u.vec for u in fixed.igs]
-
     images = [None] * n
     rows = [None] * n
     leaves = []
@@ -482,7 +462,7 @@ def _search_leaves(G: PcPresentation, fixed: Subgroup, caps):
             images[i] = h
             rows[i] = row
             if (_rank_mod_p([list(r) for r in rows[i:]], p) >= target[i]
-                    and _broken_relation(G, t, images, i, hinv, hpow, comm) is None):
+                    and _broken_relation(G, t, images, i, hinv, hpow) is None):
                 descend(i - 1)
         images[i] = None
 
@@ -530,7 +510,9 @@ def maximal_coset_shift(G: PcPresentation, M: Subgroup, g: Element,
     """The automorphism sending m g^i to m g^i z^i for m in M.
 
     Fixes M pointwise; has order p when z is nontrivial.  Requires z of
-    order dividing p inside the center and g outside the maximal M."""
+    order dividing p inside the center and g outside the maximal M.  For
+    central z, m g^i z^i = m (gz)^i, so this is the transversal map
+    g -> gz."""
     p = G.prime
     Z = structure.center(G, caps)
     if not (Z.membership(z) and (z ** p).is_identity):
@@ -539,11 +521,7 @@ def maximal_coset_shift(G: PcPresentation, M: Subgroup, g: Element,
         raise DomainError("coset generator must lie outside the maximal subgroup")
     if M.order * p != G.order:
         raise DomainError("subgroup is not maximal")
-    images = []
-    for x in G.gens():
-        i = coset_exponent(G, M, g, x)
-        images.append(x * z ** i)
-    return make_automorphism(G, images)
+    return _transversal_map_automorphism(G, M, g, g * z)
 
 
 def coset_commutator_images(G: PcPresentation, M: Subgroup, caps=DEFAULT_CAPS):

@@ -46,7 +46,8 @@ def cmd_inspect(args):
 def cmd_verify(args):
     entries = builtin_corpus()
     if args.manifest:
-        entries = entries + load_manifest(args.manifest, args.caps)
+        entries = entries + load_manifest(args.manifest, args.caps,
+                                          taken=[e.id for e in entries])
     results = run_check(args.check_id, entries, args.caps, group_id=args.group)
     doc = report_dict(results, args.caps)
     print(json.dumps(doc, indent=2, sort_keys=True))
@@ -56,7 +57,8 @@ def cmd_verify(args):
 def cmd_verify_all(args):
     entries = builtin_corpus()
     if args.manifest:
-        entries = entries + load_manifest(args.manifest, args.caps)
+        entries = entries + load_manifest(args.manifest, args.caps,
+                                          taken=[e.id for e in entries])
     results = run_all(entries, args.caps)
     doc = report_dict(results, args.caps)
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -139,10 +139,10 @@ class GModule:
 
 
 def module_of(G: PcPresentation, N: Subgroup, caps=DEFAULT_CAPS) -> GModule:
-    if not is_normal(N):
-        raise DomainError("module_of needs a normal subgroup")
-    A = structure.center_of_subgroup(G, N, caps)
+    """The module of N, which must be normal: `quotient` refuses it
+    otherwise, before the center sweep."""
     Q = quotient(G, N)
+    A = structure.center_of_subgroup(G, N, caps)
     if Q.order * A.order > caps.cohomology:
         raise CapExceeded("cohomology table", Q.order * A.order, caps.cohomology)
     return GModule(G, N, A, Q, caps)
@@ -512,18 +512,16 @@ def c_aut_slice(G: PcPresentation, N: Subgroup, caps=DEFAULT_CAPS):
     """All automorphisms fixing the normal subgroup N pointwise with every
     defect g^{-1} g^a in N, sorted by key.
 
-    One backtracking pass over generator images, from the highest index
-    down, with no Element objects in the loop (as in
-    `autos._search_leaves`).  A generator in N is its own image; any other
-    g_i has the candidates g_i t, t in N.  At each level the power and
-    conjugation relations of x_i are checked on the assigned suffix, and a
-    leaf is kept when it fixes N's IGS.  A leaf is then an automorphism
-    with no generation test: it is the identity on G/N and on N, so its
-    kernel lies in N, where it is injective.  The search reads no cocycle
+    The leaves of `autos._fixing_leaves`, the backtracking descent of the
+    order-p search with its generation pruning, over the pools [g_i] for a
+    generator in N and g_i N for any other.  Every map there that keeps
+    the relations and fixes N is an automorphism, being the identity on
+    G/N and on N, so its kernel lies in N, where it is injective: the
+    pruning drops no member of the slice.  The search reads no cocycle
     or module, so the bridge can be checked against it.  The product
     |N|^free is refused above 2 000 000 before the search starts; the test
     suite keeps the filter of that whole product as its oracle."""
-    from pgforge.autos import Automorphism, _broken_relation, _image
+    from pgforge.autos import Automorphism, _fixing_leaves
 
     if not is_normal(N):
         raise DomainError("c_aut_slice needs a normal subgroup")
@@ -534,29 +532,9 @@ def c_aut_slice(G: PcPresentation, N: Subgroup, caps=DEFAULT_CAPS):
     needed = len(n_vecs) ** in_n.count(False)
     if needed > 2_000_000:
         raise CapExceeded("pointwise-fixing slice", needed, 2_000_000)
-    cand = []
-    for g, m, fixed in zip(gens, G.rel_orders, in_n):
-        pool = [g] if fixed else [kernel.mul(t, g, v) for v in n_vecs]
-        cand.append([(h, kernel.inv(t, h), kernel.power(t, h, m)) for h in pool])
-    n_igs = [u.vec for u in N.igs]
-    images = [None] * len(gens)
-    leaves = []
-
-    def descend(i):
-        if i < 0:
-            leaf = tuple(images)
-            if all(_image(t, leaf, enumerate(u)) == u for u in n_igs):
-                leaves.append(leaf)
-            return
-        for h, hinv, hpow in cand[i]:
-            images[i] = h
-            if _broken_relation(G, t, images, i, hinv, hpow) is None:
-                descend(i - 1)
-        images[i] = None
-
-    descend(len(gens) - 1)
-    leaves.sort()
-    return [Automorphism._of_vecs(G, leaf) for leaf in leaves]
+    pools = [[g] if fixed else [kernel.mul(t, g, v) for v in n_vecs]
+             for g, fixed in zip(gens, in_n)]
+    return [Automorphism._of_vecs(G, leaf) for leaf in _fixing_leaves(G, N, pools)]
 
 
 def order_p_nonprincipal_cocycle(M: GModule, caps=DEFAULT_CAPS):
@@ -796,8 +774,6 @@ def nonvanishing_report(G: PcPresentation, N: Subgroup, caps=DEFAULT_CAPS):
     with noncyclic quotient, under the class/p-central hypotheses."""
     if N.is_trivial():
         raise HypothesesUnmet("N is trivial")
-    if not is_normal(N):
-        raise DomainError("N must be normal")
     Q = quotient(G, N)
     if Q.is_cyclic():
         raise HypothesesUnmet("quotient is cyclic")

@@ -428,21 +428,6 @@ def dihedral16_x_c2() -> CorpusEntry:
     )
 
 
-def standard_families(kind: str, *params) -> CorpusEntry:
-    table = {
-        "dihedral": dihedral,
-        "quaternion": quaternion,
-        "semidihedral": semidihedral,
-        "extraspecial": extraspecial,
-        "modular": modular,
-        "abelian": abelian,
-        "heisenberg_like": heisenberg_like,
-    }
-    if kind not in table:
-        raise DomainError(f"unknown family kind {kind!r}")
-    return table[kind](*params)
-
-
 def _log2_exact(order, who):
     from pgforge.core import p_valuation
 
@@ -529,7 +514,7 @@ def _parse_fact_value(name, raw, lineno):
         raise PresentationError(f"fact {name}: expected {kind}, got {raw!r}", lineno) from None
 
 
-def load_manifest(path, caps=DEFAULT_CAPS):
+def load_manifest(path, caps=DEFAULT_CAPS, taken=()):
     """Manifest format, one block per group:
 
         file <relative-or-absolute path>
@@ -540,7 +525,9 @@ def load_manifest(path, caps=DEFAULT_CAPS):
     exponent, powerful, p_central.  Every entry is consistency-checked and
     fact-validated; any failure rejects that entry with a diagnostic.  A
     `file` line with no path, or whose file is missing, a directory or
-    otherwise unreadable, raises PresentationError naming that line.
+    otherwise unreadable, raises PresentationError naming that line, and
+    so does one whose group name repeats an id in `taken` (the corpus the
+    manifest extends) or an earlier block's.
     """
     path = Path(path)
     text = path.read_text()
@@ -570,6 +557,7 @@ def load_manifest(path, caps=DEFAULT_CAPS):
         else:
             raise PresentationError(f"unknown manifest directive {directive!r}", lineno)
     entries = []
+    seen = dict.fromkeys(taken)
     for block in blocks:
         fpath = Path(block["file"])
         if not fpath.is_absolute():
@@ -581,6 +569,11 @@ def load_manifest(path, caps=DEFAULT_CAPS):
                 f"cannot read {block['file']!r}: {exc.strerror or exc}", block["line"]
             ) from exc
         pres = parse_presentation(text)
+        if pres.name in seen:
+            first = seen[pres.name]
+            clash = "is already in the corpus" if first is None else f"repeats line {first}"
+            raise PresentationError(f"group id {pres.name!r} {clash}", block["line"])
+        seen[pres.name] = block["line"]
         entry = CorpusEntry(
             id=pres.name,
             presentation=pres,

@@ -26,7 +26,7 @@ from pgforge.autos import (
     search_order_p_automorphisms,
     validation_error,
 )
-from pgforge.core import PcPresentation, p_valuation
+from pgforge.core import PcPresentation, p_valuation, parse_presentation
 from pgforge.errors import (
     CapExceeded,
     DomainError,
@@ -372,63 +372,6 @@ def test_search_d8_finds_noninner(d8):
         assert (w.inner is None) == (naive_is_inner(d8, w.automorphism) is None)
 
 
-def test_search_prunes_by_commutators_when_frattini_is_fixed(monkeypatch):
-    """With the Frattini subgroup fixed, the search also checks that the
-    images reproduce the generators' commutators.  On a presentation whose
-    Frattini subgroup is not spanned by its last generators this can
-    reject nodes that every power and conjugation relation accepts.  On
-    the corpus it never does: the Frattini subgroups of 11 of the 39
-    presentations are such tails, so no table is passed, and on the 25
-    others within the search cap the table rejects none of the 949 nodes
-    it is checked at.  Here D8 x C2 is generated by involutions s, t, c
-    and zc, with z = [t, s] = (zc) c, so Frattini = <z> is not a tail."""
-    from pgforge import autos
-    from pgforge.core import parse_presentation
-
-    G = parse_presentation(
-        "group d8xc2-involutions\nprime 2\ngens 4\n"
-        "order 1 2\norder 2 2\norder 3 2\norder 4 2\n"
-        "conj 2 1 = x2*x3*x4\n"
-    )
-    check = autos._broken_relation
-    by_commutator = []
-
-    def counted(G_, t, images, i, hinv, hpow, comm=None):
-        broken = check(G_, t, images, i, hinv, hpow, comm)
-        if comm is not None and broken != check(G_, t, images, i, hinv, hpow):
-            by_commutator.append(i)
-        return broken
-
-    monkeypatch.setattr(autos, "_broken_relation", counted)
-    ws = search_order_p_automorphisms(G, frattini(G))
-    assert len(by_commutator) > 0
-    for w in ws:
-        assert validation_error(G, w.automorphism.images) is None
-        assert w.automorphism.fixes_pointwise(frattini(G))
-
-
-def test_search_skips_the_commutator_check_when_frattini_is_a_tail(monkeypatch):
-    """When the Frattini subgroup's IGS is the unit vectors of the last
-    generators, the conjugation relations already force the commutators,
-    so no commutator table is passed."""
-    from pgforge import autos
-
-    check = autos._broken_relation
-    passed = []
-
-    def recorded(G_, t, images, i, hinv, hpow, comm=None):
-        passed.append(comm is not None)
-        return check(G_, t, images, i, hinv, hpow, comm)
-
-    monkeypatch.setattr(autos, "_broken_relation", recorded)
-    for entry in (corpus.extraspecial(3, "p"), corpus.abelian(2, [1, 1, 1])):
-        G = entry.presentation
-        units = [tuple(int(i == k) for i in range(G.n_gens)) for k in range(G.n_gens)]
-        assert [u.vec for u in frattini(G).igs] == units[G.n_gens - len(frattini(G).igs):]
-        search_order_p_automorphisms(G, frattini(G))
-    assert passed and not any(passed)
-
-
 def test_search_deterministic(d8):
     a = search_order_p_automorphisms(d8, frattini(d8))
     b = search_order_p_automorphisms(d8, frattini(d8))
@@ -712,7 +655,7 @@ def test_inverse_by_powering_matches_the_element_sweep():
         witnesses += len(alphas) - 1
         for alpha in alphas:
             inv = alpha.inverse()
-            assert inv.images == alpha.inverse_images() == sweep_inverse_images(alpha), entry.id
+            assert inv.images == sweep_inverse_images(alpha), entry.id
             assert compose(alpha, inv) == compose(inv, alpha) == ident, entry.id
     assert witnesses > 1000
 
@@ -839,34 +782,50 @@ def searchable_corpus():
 ORACLE_LEFT_OUT = [("abelian-2-1_1_1_1", "frattini"), ("abelian-3-1_1_1", "frattini")]
 
 
+# D8 x C2 generated by involutions s, t, c and zc, with z = [t, s] = (zc) c:
+# its Frattini subgroup <z> is not spanned by the last generators, so the
+# oracle's commutator check rejects nodes there that the relations accept
+D8XC2_INVOLUTIONS = (
+    "group d8xc2-involutions\nprime 2\ngens 4\n"
+    "order 1 2\norder 2 2\norder 3 2\norder 4 2\n"
+    "conj 2 1 = x2*x3*x4\n"
+)
+
+
 def test_search_matches_revalidating_oracle_on_corpus():
     """Identical witness lists, in order, and first_noninner is the first
-    noninner entry, for both fixed sets on every group within the cap."""
+    noninner entry, for both fixed sets on every group within the cap and
+    on D8 x C2 generated by involutions."""
+    groups = [(entry.id, entry.presentation) for entry in searchable_corpus()]
+    groups.append(("d8xc2-involutions", parse_presentation(D8XC2_INVOLUTIONS)))
     left_out = []
     searched = noninner = 0
-    for entry in searchable_corpus():
-        G = entry.presentation
+    for gid, G in groups:
         for name in ("frattini", "omega1-center"):
             fixed = fixed_set_by_name(G, name)
             got = [w.to_dict() for w in search_order_p_automorphisms(G, fixed)]
             first = next((w for w in got if w["noninner"]), None)
             w = first_noninner(G, fixed)
-            assert (w and w.to_dict()) == first, (entry.id, name)
+            assert (w and w.to_dict()) == first, (gid, name)
             noninner += first is not None
-            if (entry.id, name) in ORACLE_LEFT_OUT:
-                left_out.append((entry.id, name))
+            if (gid, name) in ORACLE_LEFT_OUT:
+                left_out.append((gid, name))
                 continue
             want = [w.to_dict() for w in oracle_search(G, fixed)]
-            assert got == want, (entry.id, name)
+            assert got == want, (gid, name)
             searched += 1
     assert left_out == ORACLE_LEFT_OUT
-    assert searched == 2 * len(searchable_corpus()) - len(ORACLE_LEFT_OUT)
+    assert searched == 2 * len(groups) - len(ORACLE_LEFT_OUT)
     assert noninner >= 10
 
 
 def test_search_matches_oracle_for_every_fixed_subgroup():
     """Any subgroup may be fixed, including one whose generators are moved
-    while a product of them is not (<x1 x2> in C2 x C2 leaves one swap)."""
+    while a product of them is not (<x1 x2> in C2 x C2 leaves one swap).
+    Every leaf of the descent is an automorphism, not only the witnesses:
+    the order test alone would also drop the maps that generation pruning
+    cuts off."""
+    from pgforge.autos import _search_leaves
     from pgforge.subgroups import enumerate_subgroups
 
     v4 = corpus.abelian(2, [1, 1]).presentation
@@ -879,6 +838,9 @@ def test_search_matches_oracle_for_every_fixed_subgroup():
         for S in enumerate_subgroups(G):
             got = [w.to_dict() for w in search_order_p_automorphisms(G, S)]
             assert got == [w.to_dict() for w in oracle_search(G, S)], (entry.id, S.key())
+            for leaf in _search_leaves(G, S, DEFAULT_CAPS):
+                images = Automorphism._of_vecs(G, leaf).images
+                assert validation_error(G, images) is None, (entry.id, S.key(), leaf)
 
 
 @pytest.mark.parametrize("gid,fix", [("dihedral-16", "frattini"), ("g64", "omega1-center"),

@@ -60,9 +60,14 @@ def test_verify_usage_error_exits_2(capsys):
     assert main(["verify", "not-a-check"]) == 2
 
 
+def write_v4(path):
+    """C2 x C2 under a name outside the built-in corpus."""
+    text = serialize_presentation(corpus.abelian(2, [1, 1]).presentation)
+    path.write_text(text.replace("group abelian-2-1_1\n", "group v4\n", 1))
+
+
 def test_verify_all_with_manifest_and_json(tmp_path, capsys):
-    gfile = tmp_path / "v4.pc"
-    gfile.write_text(serialize_presentation(corpus.abelian(2, [1, 1]).presentation))
+    write_v4(tmp_path / "v4.pc")
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("file v4.pc\nexpect order 4\nexpect class 1\n")
     out = tmp_path / "report.json"
@@ -73,7 +78,7 @@ def test_verify_all_with_manifest_and_json(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["summary"]["fail"] == 0
     ids = {r["group_id"] for r in doc["results"]}
-    assert "abelian-2-1_1" in ids  # the manifest entry joined the corpus
+    assert "v4" in ids  # the manifest entry joined the corpus
 
 
 @pytest.mark.parametrize("expect,message", [
@@ -97,11 +102,15 @@ def test_bad_manifest_values_exit_2_naming_the_line(tmp_path, capsys, expect, me
     ("file groups", "cannot read 'groups': Is a directory"),
     ("file", "file needs a path"),
     ("file   # no path, only a comment", "file needs a path"),
+    ("file d8.pc", "group id 'dihedral-8' is already in the corpus"),
+    ("file ./v4.pc", "group id 'v4' repeats line 1"),
 ])
 def test_bad_manifest_file_lines_exit_2_naming_the_line(tmp_path, capsys, line, message):
     (tmp_path / "groups").mkdir()
+    (tmp_path / "d8.pc").write_text(serialize_presentation(corpus.dihedral(8).presentation))
+    write_v4(tmp_path / "v4.pc")
     manifest = tmp_path / "m.txt"
-    manifest.write_text(f"# one more group\n{line}\nexpect order 4\n")
+    manifest.write_text(f"file v4.pc  # one more group\n{line}\nexpect order 4\n")
     assert main(["verify", "lemma-2.8", "--manifest", str(manifest)]) == 2
     assert capsys.readouterr().err == f"error: line 2: {message}\n"
 

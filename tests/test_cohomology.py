@@ -670,8 +670,15 @@ def test_slice_refuses_the_product_before_the_search():
 
 
 def test_slice_needs_a_normal_subgroup(d8):
+    """So do the module and the nonvanishing report, refused by `quotient`
+    before any cap is checked."""
+    S = subgroup_closure(d8, [d8.gen(0)])
     with pytest.raises(DomainError):
-        c_aut_slice(d8, subgroup_closure(d8, [d8.gen(0)]))
+        c_aut_slice(d8, S)
+    tight = DEFAULT_CAPS.with_override(1)
+    for build in (module_of, nonvanishing_report):
+        with pytest.raises(DomainError):
+            build(d8, S, tight)
 
 
 def test_condition_check_extraspecial(es27):

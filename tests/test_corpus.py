@@ -87,14 +87,12 @@ def test_family_guards():
         corpus.abelian(2, [])
     with pytest.raises(DomainError):
         corpus.heisenberg_like(2)
-    with pytest.raises(DomainError):
-        corpus.standard_families("bogus", 8)
 
 
 def test_standard_families_dispatch():
-    e = corpus.standard_families("dihedral", 8)
+    e = corpus.dihedral(8)
     assert e.id == "dihedral-8"
-    e = corpus.standard_families("abelian", 3, [2, 1])
+    e = corpus.abelian(3, [2, 1])
     assert e.presentation.order == 27
 
 

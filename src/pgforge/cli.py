@@ -16,18 +16,27 @@ import json
 import sys
 from pathlib import Path
 
-from pgforge import cohomology, structure
+from pgforge import cohomology, kernel, structure
 from pgforge.autos import fixed_set_by_name, search_order_p_automorphisms
 from pgforge.caps import DEFAULT_CAPS
 from pgforge.core import _parse_word, parse_presentation
 from pgforge.corpus import builtin_corpus, load_manifest
 from pgforge.errors import CapExceeded, ForgeError
 from pgforge.harness import CHECKS, exit_code, report_dict, run_all, run_check
-from pgforge.subgroups import subgroup_closure
+from pgforge.subgroups import is_normal, subgroup_closure
 
 
 def _load(path):
     return parse_presentation(Path(path).read_text())
+
+
+def _entries(args):
+    """The built-in corpus, extended by `--manifest` when given."""
+    entries = builtin_corpus()
+    if args.manifest:
+        entries = entries + load_manifest(args.manifest, args.caps,
+                                          taken=[e.id for e in entries])
+    return entries
 
 
 def cmd_inspect(args):
@@ -38,28 +47,20 @@ def cmd_inspect(args):
     else:
         doc = structure.profile(G, args.caps).to_dict()
         doc["consistent"] = True
-        doc["kernel_backend"] = __import__("pgforge.kernel", fromlist=["BACKEND"]).BACKEND
+        doc["kernel_backend"] = kernel.BACKEND
     print(json.dumps(doc, indent=2, sort_keys=True))
     return 0 if not violations else 1
 
 
 def cmd_verify(args):
-    entries = builtin_corpus()
-    if args.manifest:
-        entries = entries + load_manifest(args.manifest, args.caps,
-                                          taken=[e.id for e in entries])
-    results = run_check(args.check_id, entries, args.caps, group_id=args.group)
+    results = run_check(args.check_id, _entries(args), args.caps, group_id=args.group)
     doc = report_dict(results, args.caps)
     print(json.dumps(doc, indent=2, sort_keys=True))
     return exit_code(results)
 
 
 def cmd_verify_all(args):
-    entries = builtin_corpus()
-    if args.manifest:
-        entries = entries + load_manifest(args.manifest, args.caps,
-                                          taken=[e.id for e in entries])
-    results = run_all(entries, args.caps)
+    results = run_all(_entries(args), args.caps)
     doc = report_dict(results, args.caps)
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.json:
@@ -78,8 +79,6 @@ def cmd_cohomology(args):
     G = _load(args.file)
     G.require_consistent()
     gens = [G.collect(_parse_word(w, 0)) for w in args.normal.split(",")]
-    from pgforge.subgroups import is_normal
-
     N = subgroup_closure(G, gens)
     if not is_normal(N):
         raise ForgeError(

@@ -141,7 +141,11 @@ class GModule:
 def module_of(G: PcPresentation, N: Subgroup, caps=DEFAULT_CAPS) -> GModule:
     """The module of N, which must be normal: `quotient` refuses it
     otherwise, before the center sweep."""
-    Q = quotient(G, N)
+    return _module_over(G, N, quotient(G, N), caps)
+
+
+def _module_over(G, N, Q, caps):
+    """The module of N with the quotient Q = G/N already built."""
     A = structure.center_of_subgroup(G, N, caps)
     if Q.order * A.order > caps.cohomology:
         raise CapExceeded("cohomology table", Q.order * A.order, caps.cohomology)
@@ -769,24 +773,30 @@ def fixed_point_centralizer_report(M: GModule, caps=DEFAULT_CAPS):
     return {"status": "pass", "subgroups_verified": verified}
 
 
+def nonvanishing_hypothesis(G: PcPresentation, caps=DEFAULT_CAPS):
+    """Raise HypothesesUnmet unless G has class at most 2, or p is odd and
+    G/Z(G) has class at most 2 or is p-central: the hypotheses under which
+    H0 and H1 of the Z(N) module are nonzero for every nontrivial normal N
+    with noncyclic quotient."""
+    if structure.nilpotency_class(G) <= 2:
+        return
+    if G.prime > 2:
+        cq = structure.central_quotient(G, caps)
+        if structure.nilpotency_class(cq) <= 2 or structure.is_p_central(cq, caps):
+            return
+    raise HypothesesUnmet("neither hypothesis branch applies")
+
+
 def nonvanishing_report(G: PcPresentation, N: Subgroup, caps=DEFAULT_CAPS):
     """H0 and H1 of the Z(N) module both nonzero, for nontrivial normal N
-    with noncyclic quotient, under the class/p-central hypotheses."""
+    with noncyclic quotient, under `nonvanishing_hypothesis`."""
     if N.is_trivial():
         raise HypothesesUnmet("N is trivial")
     Q = quotient(G, N)
     if Q.is_cyclic():
         raise HypothesesUnmet("quotient is cyclic")
-    p = G.prime
-    cls = structure.nilpotency_class(G)
-    cond2 = cls <= 2
-    cond1 = False
-    if p > 2:
-        cq = structure.central_quotient(G, caps)
-        cond1 = structure.nilpotency_class(cq) <= 2 or structure.is_p_central(cq, caps)
-    if not (cond1 or cond2):
-        raise HypothesesUnmet("neither hypothesis branch applies")
-    M = module_of(G, N, caps)
+    nonvanishing_hypothesis(G, caps)
+    M = _module_over(G, N, Q, caps)
     i0 = h0(M)
     i1 = h1(M, caps)
     report = {

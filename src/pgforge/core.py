@@ -473,14 +473,15 @@ def parse_presentation(text: str) -> PcPresentation:
             name=name or "G",
         )
     except PresentationError as exc:
-        # attach the offending line when the relation data is to blame
+        # attach the offending line when the relation data is to blame;
+        # match the whole prefix, so that "pow 1" does not claim "pow 12: ..."
+        message = str(exc)
         for i, (w, lineno) in pows.items():
-            source = f"pow {i}"
-            if source in str(exc) or f"pow {i}" in str(exc):
-                raise PresentationError(str(exc), lineno) from None
+            if message.startswith(f"pow {i}:"):
+                raise PresentationError(message, lineno) from None
         for (j, i), (w, lineno) in conjs.items():
-            if f"conj {j} {i}" in str(exc):
-                raise PresentationError(str(exc), lineno) from None
+            if message.startswith(f"conj {j} {i}:"):
+                raise PresentationError(message, lineno) from None
         raise
 
 

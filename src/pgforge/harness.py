@@ -1,17 +1,21 @@
 """Theorem-check registry, runners, and JSON reporting.
 
 Each check id maps one verifiable claim to an executable test over a
-corpus entry.  Statuses: pass, fail (with a concrete counterexample
-payload), skip (named unmet hypothesis), refused (cap).  Results are
-canonically ordered so reports are stable across runs and schedules;
-timings are informational and excluded from stability comparisons.
+corpus entry.  A check returns ("pass", witness) or ("fail",
+counterexample), skips by raising HypothesesUnmet with the unmet
+hypothesis (its own cap pre-checks included), and lets the library's
+CapExceeded propagate.  `run_check` alone turns those outcomes into the
+statuses pass, fail, skip and refused.  Results are canonically ordered
+so reports are stable across runs and schedules; timings are
+informational and excluded from stability comparisons.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from pgforge import cohomology, structure
 from pgforge.autos import (
@@ -20,6 +24,8 @@ from pgforge.autos import (
     coset_commutator_images,
     coset_shift_scan,
     first_noninner,
+    generates,
+    inner_automorphism,
     liebeck_sigma,
     powerful_quotient_witness,
     search_order_p_automorphisms,
@@ -28,11 +34,7 @@ from pgforge.caps import DEFAULT_CAPS
 from pgforge.core import p_valuation
 from pgforge.corpus import builtin_corpus
 from pgforge.errors import CapExceeded, DomainError, HypothesesUnmet
-from pgforge.subgroups import (
-    enumerate_normal_subgroups,
-    quotient,
-    subgroup_closure,
-)
+from pgforge.subgroups import enumerate_normal_subgroups, subgroup_closure
 
 
 @dataclass
@@ -61,10 +63,6 @@ class CheckResult:
         return out
 
 
-def _witness_payload(w):
-    return w.to_dict()
-
-
 # -- individual checks ---------------------------------------------------------
 
 
@@ -76,25 +74,22 @@ def check_prop_1_3(entry, caps):
     vectors, without validating each again."""
     G = entry.presentation
     if G.order > caps.bijection:
-        return ("skip", f"order {G.order} above the bijection cap {caps.bijection}", None, None)
-    from pgforge.autos import inner_automorphism
-
+        raise HypothesesUnmet(f"order {G.order} above the bijection cap {caps.bijection}")
     pairs = 0
     for N in enumerate_normal_subgroups(G, caps):
         M = cohomology.module_of(G, N, caps)
         zs = cohomology.z1(M, caps)
         slice_ = cohomology.c_aut_slice(G, N, caps)
         if len(zs) != len(slice_):
-            return ("fail", "", None,
-                    {"N": N.key(), "z1": len(zs), "slice": len(slice_)})
+            return ("fail", {"N": N.key(), "z1": len(zs), "slice": len(slice_)})
         if set(cohomology.bridge_vecs(M, zs)) != {a.key() for a in slice_}:
-            return ("fail", "", None, {"N": N.key(), "mismatch": "bridge image"})
+            return ("fail", {"N": N.key(), "mismatch": "bridge image"})
         principal = set(cohomology.bridge_vecs(M, cohomology.b1(M)))
         conj = {inner_automorphism(G, a).key() for a in M.a_elements}
         if principal != conj:
-            return ("fail", "", None, {"N": N.key(), "mismatch": "principal image"})
+            return ("fail", {"N": N.key(), "mismatch": "principal image"})
         pairs += 1
-    return ("pass", "", {"pairs": pairs}, None)
+    return ("pass", {"pairs": pairs})
 
 
 def check_lemma_2_1(entry, caps):
@@ -103,21 +98,20 @@ def check_lemma_2_1(entry, caps):
     maximal M and g outside it; scan witnesses are cross-validated."""
     G = entry.presentation
     if structure.is_abelian(G):
-        return ("skip", "abelian", None, None)
+        raise HypothesesUnmet("abelian")
     if G.order > caps.auto_search:
-        return ("skip", f"order {G.order} above the search cap", None, None)
+        raise HypothesesUnmet(f"order {G.order} above the search cap")
     phi = structure.frattini(G, caps)
     noninner = first_noninner(G, phi, caps)
     scan = coset_shift_scan(G, caps)
     for (M, g, z, alpha) in scan:
         if alpha.order() != G.prime or not alpha.fixes_pointwise(phi):
-            return ("fail", "", None, {"scan witness failed validation": z.vec})
+            return ("fail", {"scan witness failed validation": z.vec})
     if noninner is not None:
-        return ("pass", "", {"noninner_exists": True,
-                             "scan_witnesses": len(scan)}, None)
+        return ("pass", {"noninner_exists": True, "scan_witnesses": len(scan)})
     # hypothesis holds: the inclusion must be exact everywhere
     if scan:
-        return ("fail", "", None,
+        return ("fail",
                 {"scan found a shift witness but the search found no noninner map": len(scan)})
     om = structure.omega1(structure.center(G, caps), caps).vectors()
     for M in structure.maximal_subgroups(G, caps):
@@ -127,9 +121,8 @@ def check_lemma_2_1(entry, caps):
         for g in G.elements():
             k = index(g.vec)
             if k and missing[k]:
-                return ("fail", "", None,
-                        {"M": M.key(), "g": g.vec, "outside": missing[k]})
-    return ("pass", "", {"noninner_exists": False, "inclusion": "verified"}, None)
+                return ("fail", {"M": M.key(), "g": g.vec, "outside": missing[k]})
+    return ("pass", {"noninner_exists": False, "inclusion": "verified"})
 
 
 def check_lemma_2_2(entry, caps):
@@ -142,9 +135,9 @@ def check_lemma_2_2(entry, caps):
     closed formula and a product-and-filter oracle in the test suite."""
     G = entry.presentation
     if G.order > caps.element_sweep:
-        return ("skip", "above the sweep cap", None, None)
+        raise HypothesesUnmet("above the sweep cap")
     members, homs = central_socle_automorphisms(G, caps)
-    return ("pass", "", {"size": len(members)}, None)
+    return ("pass", {"size": len(members)})
 
 
 def check_cor_2_3(entry, caps):
@@ -152,22 +145,22 @@ def check_cor_2_3(entry, caps):
     order-p automorphism fixing the Frattini subgroup pointwise."""
     G = entry.presentation
     if structure.is_abelian(G):
-        return ("skip", "abelian", None, None)
+        raise HypothesesUnmet("abelian")
     if G.order > caps.auto_search:
-        return ("skip", f"order {G.order} above the search cap", None, None)
+        raise HypothesesUnmet(f"order {G.order} above the search cap")
     ucs = structure.upper_central_series(G, caps)
     Z = ucs[1]
     Z2 = ucs[2] if len(ucs) > 2 else ucs[-1]
     lhs = len(structure.section_invariants(G, Z2, Z))
     rhs = structure.d_abelian(Z, caps) * structure.rank_d(G, caps)
     if lhs == rhs:
-        return ("pass", "", {"d_z2_mod_z": lhs, "product": rhs}, None)
+        return ("pass", {"d_z2_mod_z": lhs, "product": rhs})
     w = first_noninner(G, structure.frattini(G, caps), caps)
     if w is not None:
-        return ("pass", "", {"d_z2_mod_z": lhs, "product": rhs,
-                             "witness": _witness_payload(w)}, None)
-    return ("fail", "", None, {"d_z2_mod_z": lhs, "product": rhs,
-                               "witness": "none found"})
+        return ("pass", {"d_z2_mod_z": lhs, "product": rhs,
+                         "witness": w.to_dict()})
+    return ("fail", {"d_z2_mod_z": lhs, "product": rhs,
+                     "witness": "none found"})
 
 
 def check_cor_2_4(entry, caps):
@@ -175,18 +168,18 @@ def check_cor_2_4(entry, caps):
     Frattini subgroup pointwise; exhibit and validate one."""
     G = entry.presentation
     if structure.is_abelian(G):
-        return ("skip", "abelian", None, None)
+        raise HypothesesUnmet("abelian")
     n = p_valuation(G.order, G.prime)
     if n <= 2:
-        return ("skip", "order at most p^2", None, None)
+        raise HypothesesUnmet("order at most p^2")
     if structure.coclass(G) != 1:
-        return ("skip", "coclass is not 1", None, None)
+        raise HypothesesUnmet("coclass is not 1")
     if G.order > caps.auto_search:
-        return ("skip", f"order {G.order} above the search cap", None, None)
+        raise HypothesesUnmet(f"order {G.order} above the search cap")
     w = first_noninner(G, structure.frattini(G, caps), caps)
     if w is not None:
-        return ("pass", "", _witness_payload(w), None)
-    return ("fail", "", None, {"witness": "none found"})
+        return ("pass", w.to_dict())
+    return ("fail", {"witness": "none found"})
 
 
 def check_thm_2_5(entry, caps):
@@ -194,23 +187,23 @@ def check_thm_2_5(entry, caps):
     automorphism fixing the Frattini subgroup pointwise exists."""
     G = entry.presentation
     if structure.is_abelian(G):
-        return ("skip", "abelian", None, None)
+        raise HypothesesUnmet("abelian")
     n = p_valuation(G.order, G.prime)
     if n <= 2:
-        return ("skip", "order at most p^2", None, None)
+        raise HypothesesUnmet("order at most p^2")
     if G.order > caps.auto_search:
-        return ("skip", f"order {G.order} above the search cap", None, None)
+        raise HypothesesUnmet(f"order {G.order} above the search cap")
     ell = structure.d_abelian(structure.center(G, caps), caps)
     d = structure.rank_d(G, caps)
     c = structure.coclass(G)
     if ell * (d + 1) <= c + 1:
-        return ("pass", "", {"bound": f"{ell}*({d}+1) <= {c}+1"}, None)
+        return ("pass", {"bound": f"{ell}*({d}+1) <= {c}+1"})
     w = first_noninner(G, structure.frattini(G, caps), caps)
     if w is not None:
-        return ("pass", "", {"bound_failed": f"{ell}*({d}+1) > {c}+1",
-                             "witness": _witness_payload(w)}, None)
-    return ("fail", "", None, {"bound_failed": f"{ell}*({d}+1) > {c}+1",
-                               "witness": "none found"})
+        return ("pass", {"bound_failed": f"{ell}*({d}+1) > {c}+1",
+                         "witness": w.to_dict()})
+    return ("fail", {"bound_failed": f"{ell}*({d}+1) > {c}+1",
+                     "witness": "none found"})
 
 
 def check_thm_2_6(entry, caps):
@@ -219,20 +212,15 @@ def check_thm_2_6(entry, caps):
     or p = 2 with noncyclic center) or fixing omega1(Z(G)) pointwise
     (p = 2, cyclic center)."""
     G = entry.presentation
-    try:
-        w = powerful_quotient_witness(G, caps)
-    except HypothesesUnmet as e:
-        return ("skip", e.reason, None, None)
-    except CapExceeded as e:
-        return ("refused", str(e), None, None)
+    w = powerful_quotient_witness(G, caps)
     if not w.is_noninner or w.order != G.prime:
-        return ("fail", "", None, _witness_payload(w))
+        return ("fail", w.to_dict())
     ok_sets = {"frattini"}
     if G.prime == 2 and structure.d_abelian(structure.center(G, caps), caps) == 1:
         ok_sets.add("omega1-center")
     if w.fixed_set not in ok_sets:
-        return ("fail", "", None, _witness_payload(w))
-    return ("pass", "", _witness_payload(w), None)
+        return ("fail", w.to_dict())
+    return ("pass", w.to_dict())
 
 
 def check_lemma_2_8(entry, caps):
@@ -240,38 +228,35 @@ def check_lemma_2_8(entry, caps):
     and [a, b] with k the order of [a, b], and d(Z) <= 3."""
     G = entry.presentation
     if structure.is_abelian(G):
-        return ("skip", "abelian", None, None)
+        raise HypothesesUnmet("abelian")
     if structure.rank_d(G, caps) != 2:
-        return ("skip", "not 2-generated", None, None)
+        raise HypothesesUnmet("not 2-generated")
     if structure.nilpotency_class(G) > 2:
-        return ("skip", "class exceeds 2", None, None)
+        raise HypothesesUnmet("class exceeds 2")
     if G.order > caps.element_sweep:
-        return ("skip", "above the sweep cap", None, None)
+        raise HypothesesUnmet("above the sweep cap")
     # find a generating pair among elements (pc generators first)
     Z = structure.center(G, caps)
     pairs = []
     gens = G.gens()
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            if subgroup_closure(G, [gens[i], gens[j]]).order == G.order:
+            if generates(G, [gens[i], gens[j]]):
                 pairs.append((gens[i], gens[j]))
     if not pairs:
-        import itertools
-
         for a, b in itertools.product(G.elements(), repeat=2):
-            if subgroup_closure(G, [a, b]).order == G.order:
+            if generates(G, [a, b]):
                 pairs.append((a, b))
                 break
     for a, b in pairs[:4]:
         k = a.commutator(b).order()
         gen = subgroup_closure(G, [a ** k, b ** k, a.commutator(b)])
         if gen != Z:
-            return ("fail", "", None,
-                    {"a": a.vec, "b": b.vec, "k": k,
-                     "generated": gen.key(), "center": Z.key()})
+            return ("fail", {"a": a.vec, "b": b.vec, "k": k,
+                             "generated": gen.key(), "center": Z.key()})
     if structure.d_abelian(Z, caps) > 3:
-        return ("fail", "", None, {"d_center": structure.d_abelian(Z, caps)})
-    return ("pass", "", {"pairs_checked": min(len(pairs), 4)}, None)
+        return ("fail", {"d_center": structure.d_abelian(Z, caps)})
+    return ("pass", {"pairs_checked": min(len(pairs), 4)})
 
 
 def check_thm_2_9(entry, caps):
@@ -279,34 +264,31 @@ def check_thm_2_9(entry, caps):
     order-p automorphism fixing the Frattini subgroup pointwise exists."""
     G = entry.presentation
     if structure.is_abelian(G):
-        return ("skip", "abelian", None, None)
+        raise HypothesesUnmet("abelian")
     if structure.nilpotency_class(G) != 3:
-        return ("skip", "class is not 3", None, None)
+        raise HypothesesUnmet("class is not 3")
     cq = structure.central_quotient(G, caps)
     if structure.rank_d(cq, caps) != 2:
-        return ("skip", "central quotient not 2-generated", None, None)
+        raise HypothesesUnmet("central quotient not 2-generated")
     if structure.d_abelian(structure.center(G, caps), caps) == 1:
-        return ("skip", "center is cyclic", None, None)
+        raise HypothesesUnmet("center is cyclic")
     if G.order > caps.auto_search:
-        return ("skip", f"order {G.order} above the search cap", None, None)
+        raise HypothesesUnmet(f"order {G.order} above the search cap")
     w = first_noninner(G, structure.frattini(G, caps), caps)
     if w is not None:
-        return ("pass", "", _witness_payload(w), None)
-    return ("fail", "", None, {"witness": "none found"})
+        return ("pass", w.to_dict())
+    return ("fail", {"witness": "none found"})
 
 
 def _norm_check(case):
     def run(entry, caps):
         G = entry.presentation
         if G.order > caps.element_sweep or G.order > caps.subgroup_enum:
-            return ("skip", "above the sweep cap", None, None)
-        try:
-            rep = cohomology.norm_identity_report(G, case, caps)
-        except HypothesesUnmet as e:
-            return ("skip", e.reason, None, None)
+            raise HypothesesUnmet("above the sweep cap")
+        rep = cohomology.norm_identity_report(G, case, caps)
         if rep["status"] != "pass":
-            return ("fail", "", None, rep["counterexample"])
-        return ("pass", "", {"tuples_checked": rep["tuples_checked"]}, None)
+            return ("fail", rep["counterexample"])
+        return ("pass", {"tuples_checked": rep["tuples_checked"]})
 
     return run
 
@@ -316,7 +298,7 @@ def check_prop_3_5(entry, caps):
     fixed-point centralizers equal to the acting subgroup."""
     G = entry.presentation
     if G.order > caps.subgroup_enum:
-        return ("skip", "above the enumeration cap", None, None)
+        raise HypothesesUnmet("above the enumeration cap")
     verified = 0
     skipped = 0
     for N in enumerate_normal_subgroups(G, caps):
@@ -329,13 +311,13 @@ def check_prop_3_5(entry, caps):
             continue
         rep = cohomology.fixed_point_centralizer_report(M, caps)
         if rep["status"] == "fail":
-            return ("fail", "", None, {"N": N.key(), **rep["counterexample"]})
+            return ("fail", {"N": N.key(), **rep["counterexample"]})
         if rep["status"] == "skip":
             skipped += 1
         else:
             verified += 1
-    return ("pass", "", {"modules_verified": verified,
-                         "not_cohomologically_trivial": skipped}, None)
+    return ("pass", {"modules_verified": verified,
+                     "not_cohomologically_trivial": skipped})
 
 
 def check_thm_3_6(entry, caps):
@@ -343,63 +325,42 @@ def check_thm_3_6(entry, caps):
     H1 of the center module are nonzero, and vanishing in one degree
     matches vanishing in the other."""
     G = entry.presentation
-    p = G.prime
-    cls = structure.nilpotency_class(G)
-    applies = cls <= 2
-    if not applies and p > 2:
-        cq = structure.central_quotient(G, caps)
-        applies = structure.nilpotency_class(cq) <= 2 or structure.is_p_central(cq, caps)
-    if not applies:
-        return ("skip", "neither hypothesis branch applies", None, None)
+    cohomology.nonvanishing_hypothesis(G, caps)
     if G.order > caps.subgroup_enum:
-        return ("skip", "above the enumeration cap", None, None)
+        raise HypothesesUnmet("above the enumeration cap")
     modules = 0
     for N in enumerate_normal_subgroups(G, caps):
-        if N.is_trivial() or quotient(G, N).is_cyclic():
-            continue
         try:
             rep = cohomology.nonvanishing_report(G, N, caps)
-        except HypothesesUnmet:
-            continue
-        except CapExceeded:
+        except (HypothesesUnmet, CapExceeded):
             continue
         if rep["status"] != "pass" or not rep["degree_consistency"]:
-            return ("fail", "", None, {"N": N.key(), "h0": rep["h0"], "h1": rep["h1"]})
+            return ("fail", {"N": N.key(), "h0": rep["h0"], "h1": rep["h1"]})
         modules += 1
     if modules == 0:
-        return ("skip", "no admissible normal subgroup", None, None)
-    return ("pass", "", {"modules": modules}, None)
+        raise HypothesesUnmet("no admissible normal subgroup")
+    return ("pass", {"modules": modules})
 
 
 def check_lemma_3_7(entry, caps):
     G = entry.presentation
-    try:
-        rep = cohomology.cocycle_exponent_report(G, caps)
-    except HypothesesUnmet as e:
-        return ("skip", e.reason, None, None)
-    except CapExceeded as e:
-        return ("refused", str(e), None, None)
+    rep = cohomology.cocycle_exponent_report(G, caps)
     if rep["status"] != "pass":
-        return ("fail", "", None, rep["counterexample"])
-    return ("pass", "", {"z1_size": rep["z1_size"]}, None)
+        return ("fail", rep["counterexample"])
+    return ("pass", {"z1_size": rep["z1_size"]})
 
 
 def check_second_proof(entry, caps):
     """The cohomological route and the direct construction agree in
     existence; the route's witness is validated."""
     G = entry.presentation
-    try:
-        w = cohomological_witness(G, caps)
-    except HypothesesUnmet as e:
-        return ("skip", e.reason, None, None)
-    except CapExceeded as e:
-        return ("refused", str(e), None, None)
+    w = cohomological_witness(G, caps)
     if not w.is_noninner or w.order != G.prime:
-        return ("fail", "", None, _witness_payload(w))
+        return ("fail", w.to_dict())
     direct = powerful_quotient_witness(G, caps)
     if not direct.is_noninner:
-        return ("fail", "", None, {"direct construction disagreed": direct.path})
-    return ("pass", "", _witness_payload(w), None)
+        return ("fail", {"direct construction disagreed": direct.path})
+    return ("pass", w.to_dict())
 
 
 def check_liebeck(entry, caps):
@@ -408,17 +369,17 @@ def check_liebeck(entry, caps):
     inner."""
     G = entry.presentation
     if G.order != 128 or entry.id != "liebeck128":
-        return ("skip", "only the order-128 fixture", None, None)
+        raise HypothesesUnmet("only the order-128 fixture")
     phi = structure.frattini(G, caps)
     ws = search_order_p_automorphisms(G, phi, caps)
     sigmas = {liebeck_sigma(G, r, s).key()
               for (r, s) in ((0, 1), (1, 0), (1, 1))}
     found = {w.automorphism.key() for w in ws}
     if found != sigmas:
-        return ("fail", "", None, {"found": sorted(found), "expected": sorted(sigmas)})
+        return ("fail", {"found": sorted(found), "expected": sorted(sigmas)})
     if any(w.is_noninner for w in ws):
-        return ("fail", "", None, {"noninner sigma": True})
-    return ("pass", "", {"count": len(ws)}, None)
+        return ("fail", {"noninner sigma": True})
+    return ("pass", {"count": len(ws)})
 
 
 CHECKS = {
@@ -473,12 +434,18 @@ def run_check(check_id, entries=None, caps=DEFAULT_CAPS, group_id=None):
     results = []
     for entry in sorted(entries, key=lambda e: e.id):
         t0 = time.perf_counter()
+        reason, witness, counterexample = "", None, None
         try:
-            status, reason, witness, counterexample = fn(entry, caps)
+            status, payload = fn(entry, caps)
         except CapExceeded as e:
-            status, reason, witness, counterexample = "refused", str(e), None, None
+            status, reason = "refused", str(e)
         except HypothesesUnmet as e:
-            status, reason, witness, counterexample = "skip", e.reason, None, None
+            status, reason = "skip", e.reason
+        else:
+            if status == "pass":
+                witness = payload
+            else:
+                counterexample = payload
         ms = int((time.perf_counter() - t0) * 1000)
         results.append(
             CheckResult(check_id, entry.id, status, reason, witness,
@@ -506,13 +473,7 @@ def report_dict(results, caps=DEFAULT_CAPS):
     return {
         "schema": "forge-report/1",
         "kernel_backend": BACKEND,
-        "caps": {
-            "element_sweep": caps.element_sweep,
-            "subgroup_enum": caps.subgroup_enum,
-            "auto_search": caps.auto_search,
-            "cohomology": caps.cohomology,
-            "bijection": caps.bijection,
-        },
+        "caps": asdict(caps),
         "results": [r.to_dict() for r in results],
         "summary": summary,
         "exit_code": exit_code(results),

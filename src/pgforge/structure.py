@@ -22,7 +22,6 @@ from pgforge.subgroups import (
     _sift,
     coset_layers,
     full_subgroup,
-    is_normal,
     normal_closure,
     quotient,
     subgroup_closure,
@@ -435,22 +434,6 @@ def center_of_subgroup(G: PcPresentation, S: Subgroup, caps=DEFAULT_CAPS) -> Sub
     if not (S.pres is G or S.pres == G):
         raise MixedPresentationError("subgroup of another presentation")
     return subgroup_of_elements(G, _commuting(G._tables, S.vectors(), [u.vec for u in S.igs]))
-
-
-def commutator_image_subgroup(A: Subgroup, x: Element, caps=DEFAULT_CAPS) -> Subgroup:
-    """The set {[a, x] : a in A} for a normal abelian A; it is closed
-    under the group operations, which is re-verified here."""
-    if not A.is_abelian():
-        raise DomainError("commutator image needs an abelian subgroup")
-    if not is_normal(A):
-        raise DomainError("commutator image needs a normal subgroup")
-    if A.order > caps.element_sweep:
-        raise CapExceeded("commutator image sweep", A.order, caps.element_sweep)
-    image = {a.commutator(x) for a in A.elements()}
-    S = subgroup_closure(A.pres, image)
-    if S.order != len(image):
-        raise DomainError("commutator image failed to be a subgroup")
-    return S
 
 
 def maximal_subgroups(G: PcPresentation, caps=DEFAULT_CAPS):

@@ -149,10 +149,6 @@ class Subgroup:
         for e in igs:
             self._table[e.leading_index()] = e.vec
 
-    @property
-    def generators(self):
-        return list(self.igs)
-
     def membership(self, x: Element) -> bool:
         if not (x.pres is self.pres or x.pres == self.pres):
             raise MixedPresentationError("element belongs to another presentation")
@@ -364,9 +360,6 @@ class QuotientGroup:
             if q:
                 vec = kernel.mul(t, vec, kernel.power(t, e.vec, -q))
         return vec
-
-    def multiply(self, x: Element, y: Element) -> Element:
-        return self.canonical(x * y)
 
     def elements(self):
         for vec in itertools.product(*(range(l) for l in self._layers)):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -66,6 +67,12 @@ def write_v4(path):
     path.write_text(text.replace("group abelian-2-1_1\n", "group v4\n", 1))
 
 
+# sha256 of the verify-all report below, with every `timing_ms` set to 0
+# and `kernel_backend` set to "any": any change to a verdict, witness,
+# counterexample or reason over the whole corpus moves it
+REPORT_SHA256 = "c8084e5db9df597965663e3e849bb41be12a85fb3781b12ddc50f37cec562810"
+
+
 def test_verify_all_with_manifest_and_json(tmp_path, capsys):
     write_v4(tmp_path / "v4.pc")
     manifest = tmp_path / "manifest.txt"
@@ -79,6 +86,11 @@ def test_verify_all_with_manifest_and_json(tmp_path, capsys):
     assert doc["summary"]["fail"] == 0
     ids = {r["group_id"] for r in doc["results"]}
     assert "v4" in ids  # the manifest entry joined the corpus
+    for r in doc["results"]:
+        r["timing_ms"] = 0
+    doc["kernel_backend"] = "any"
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256
 
 
 @pytest.mark.parametrize("expect,message", [

@@ -180,12 +180,30 @@ def test_lemma_2_1_inclusion_loop_matches_the_element_loop(monkeypatch):
         G = entry.presentation
         if G.order > DEFAULT_CAPS.auto_search or is_abelian(G):
             continue
-        status, _, payload, counterexample = harness.check_lemma_2_1(entry, DEFAULT_CAPS)
+        outcome = harness.check_lemma_2_1(entry, DEFAULT_CAPS)
         want = element_inclusion_failure(G)
         if want is None:
-            assert (status, payload) == ("pass", {"noninner_exists": False,
-                                                  "inclusion": "verified"}), entry.id
+            assert outcome == ("pass", {"noninner_exists": False,
+                                        "inclusion": "verified"}), entry.id
         else:
-            assert (status, counterexample) == ("fail", want), entry.id
+            assert outcome == ("fail", want), entry.id
             failures += 1
     assert failures >= 3
+
+
+def test_thm_3_6_builds_one_quotient_test_per_normal_subgroup(monkeypatch):
+    """The check asks `nonvanishing_report` about every normal N, which
+    refuses the trivial one before building G/N and tests each other
+    quotient for cyclicity once: 361 tests over the built-in corpus."""
+    from pgforge.subgroups import QuotientGroup
+
+    calls = []
+    is_cyclic = QuotientGroup.is_cyclic
+
+    def counted(self):
+        calls.append(self)
+        return is_cyclic(self)
+
+    monkeypatch.setattr(QuotientGroup, "is_cyclic", counted)
+    run_check("thm-3.6", corpus.builtin_corpus())
+    assert len(calls) == 361

@@ -54,6 +54,21 @@ def test_parse_errors_carry_line_numbers():
         parse_presentation("group x\nprime 2\ngens 1\norder 1 5\n")
 
 
+@pytest.mark.parametrize("relations, message", [
+    (["pow 1 = x2", "pow 12 = x3"],
+     "pow 12: relation references lower-index generator x3"),
+    (["conj 12 1 = x12", "conj 12 10 = x2"],
+     "conj 12 10: relation references lower-index generator x2"),
+])
+def test_relation_errors_name_their_own_line_past_nine_generators(relations, message):
+    """`pow 1` and `conj 12 1` are prefixes of `pow 12` and `conj 12 10`;
+    the error names the line of the relation it is about, line 16."""
+    orders = "".join(f"order {i} 2\n" for i in range(1, 13))
+    text = "prime 2\ngens 12\n" + orders + "\n".join(relations) + "\n"
+    with pytest.raises(PresentationError, match=f"^line 16: {message}$"):
+        parse_presentation(text)
+
+
 @pytest.mark.parametrize("line", [
     "order a 2", "order 1 two", "pow a = x1", "conj b 1 = x2", "conj 2 x = x2",
 ])

@@ -15,7 +15,6 @@ from pgforge.structure import (
     centralizer,
     central_quotient,
     coclass,
-    commutator_image_subgroup,
     d_abelian,
     derived_subgroup,
     ds_condition,
@@ -230,21 +229,6 @@ def test_ds_condition(d8, c4xc2, l128_pres):
     assert not ds_condition(c4xc2)  # abelian: centralizer is everything
     assert not ds_condition(d8)
     assert ds_condition(l128_pres)
-
-
-def test_commutator_image_subgroup(d8, es27):
-    g1 = d8.gen(0)
-    z = center(d8)
-    # central x gives the trivial image
-    assert commutator_image_subgroup(full_subgroup(corpus.abelian(2, [2]).presentation),
-                                     corpus.abelian(2, [2]).presentation.gen(0)).order == 1
-    M = subgroup_closure(d8, [d8.gen(1)])  # cyclic maximal
-    img = commutator_image_subgroup(M, g1)
-    assert img == z
-    # extraspecial: [A, x] is the center for abelian maximal A, x outside
-    A = maximal_subgroups(es27)[0]
-    x = next(g for g in es27.elements() if not A.membership(g))
-    assert commutator_image_subgroup(A, x) == center(es27)
 
 
 def test_commutator_image_closure_sweep(small_corpus):

@@ -729,20 +729,21 @@ def powerful_quotient_witness(G: PcPresentation, caps=DEFAULT_CAPS) -> AutWitnes
             return w
         raise DomainError("no witness found with noncyclic center")
 
+    # a construction returns None where it has no explicit map and raises
+    # DomainError where it misfires on an unusual shape; the search is
+    # exact, so it stands in for both before giving up
+    failure = None
     try:
-        if p > 2:
-            return _odd_coset_witness(G, caps)
-        return _even_cyclic_center_witness(G, caps)
-    except DomainError:
-        # a constructive branch misfired on an unusual shape; the search
-        # is still exact, so stand in with it before giving up
+        w = (_odd_coset_witness if p > 2 else _even_cyclic_center_witness)(G, caps)
+    except DomainError as exc:
+        w, failure = None, exc
+    if w is None:
         w = _search_noninner(G, phi, "frattini", caps)
-        if w is None and p == 2:
-            om = structure.omega1(Z, caps)
-            w = _search_noninner(G, om, "omega1-center", caps)
-        if w is not None:
-            return w
-        raise
+    if w is None and p == 2:
+        w = _search_noninner(G, structure.omega1(Z, caps), "omega1-center", caps)
+    if w is None:
+        raise failure or DomainError("exhaustive fallback found no witness")
+    return w
 
 
 def _search_noninner(G, fixed, fixed_name, caps):
@@ -763,16 +764,14 @@ def _socle_pairing_subgroup(G, caps):
     return subgroup_closure(G, members)
 
 
-def _odd_coset_witness(G, caps) -> AutWitness:
+def _odd_coset_witness(G, caps):
     """p odd, cyclic center: locate an order-p element h of H outside the
-    center, then shift the transversal of its centralizer by h."""
+    center, then shift the transversal of its centralizer by h.  None when
+    G/Z(G) is not p-central."""
     p = G.prime
     Z = structure.center(G, caps)
     if not structure.is_p_central(structure.central_quotient(G, caps), caps):
-        w = _search_noninner(G, structure.frattini(G, caps), "frattini", caps)
-        if w is not None:
-            return w
-        raise DomainError("odd case: quotient not p-central and search found nothing")
+        return None
     H = _socle_pairing_subgroup(G, caps)
     h = None
     # the difference trick: for independent a, b with a^p = b^{ps} the
@@ -807,18 +806,20 @@ def _odd_coset_witness(G, caps) -> AutWitness:
                        path="odd-coset-shift", caps=caps)
 
 
-def _even_cyclic_center_witness(G, caps) -> AutWitness:
+def _even_cyclic_center_witness(G, caps):
+    """p = 2, cyclic center: shift by socle involutions, or on the
+    metacyclic shape by its two generators.  None where no explicit map
+    applies."""
     Z = structure.center(G, caps)
     phi = structure.frattini(G, caps)
     om = structure.omega1(Z, caps)
     cq = structure.central_quotient(G, caps)
     if not structure.is_p_central(cq, caps):
-        return _even_fallback(G, caps)
+        return None
     H = _socle_pairing_subgroup(G, caps)
     if not H.is_abelian():
-        # no explicit map for a non-abelian pairing subgroup; the
-        # exhaustive search stands in
-        return _even_fallback(G, caps)
+        # no explicit map for a non-abelian pairing subgroup
+        return None
     # decompose H: either C2^d x Z (case one) or C2^{d-1} x <h> with
     # h^2 generating Z (case two)
     d = structure.rank_d(G, caps)
@@ -868,19 +869,7 @@ def _even_cyclic_center_witness(G, caps) -> AutWitness:
             delta = make_automorphism(G, [a * h, b * h])
             return witness_for(G, delta, om, "omega1-center",
                                path="two-generator-shift-both", caps=caps)
-    return _even_fallback(G, caps)
-
-
-def _even_fallback(G, caps) -> AutWitness:
-    phi = structure.frattini(G, caps)
-    w = _search_noninner(G, phi, "frattini", caps)
-    if w is not None:
-        return w
-    om = structure.omega1(structure.center(G, caps), caps)
-    w = _search_noninner(G, om, "omega1-center", caps)
-    if w is not None:
-        return w
-    raise DomainError("even case: exhaustive fallback found no witness")
+    return None
 
 
 def _socle_decomposition(G, H, Z, d, case_two, caps):
@@ -938,24 +927,28 @@ def cohomological_witness(G: PcPresentation, caps=DEFAULT_CAPS) -> AutWitness:
     cq = structure.central_quotient(G, caps)
     if not structure.is_powerful(cq, caps):
         raise HypothesesUnmet("central quotient not powerful")
-    phi0 = structure.frattini(G, caps)
+    phi = structure.frattini(G, caps)
     if not structure.ds_condition(G, caps):
         # the reduction guarantees a witness exists in this regime but
         # gives no map; the exhaustive search stands in
-        w = _search_noninner(G, phi0, "frattini", caps)
+        w = _search_noninner(G, phi, "frattini", caps)
         if w is None:
             raise DomainError("reduction fallback found no witness")
         return AutWitness(w.automorphism, w.order, w.fixed_set, None, True,
                           "ds-fallback-search")
     if not (structure.nilpotency_class(cq) <= 2 or structure.is_p_central(cq, caps)):
         raise HypothesesUnmet("central quotient outside the cohomology hypotheses")
-    phi = structure.frattini(G, caps)
+    # under these hypotheses phi is nontrivial with a noncyclic quotient,
+    # so H0 and H1 of its module are nonzero (the thm-3.6 claim)
     M = cohomology.module_of(G, phi, caps)
-    rep = cohomology.nonvanishing_report(G, phi, caps)
-    if not (rep["h0_nonzero"] and rep["h1_nonzero"]):
+    i0 = cohomology.h0(M)
+    zs, bs, i1 = cohomology._z1_b1_h1(M, caps)
+    if i0 == () or i1 == ():
         raise DomainError("cohomology vanished against the hypotheses")
-    f = cohomology.order_p_nonprincipal_cocycle(M)
+    principal = {f.key() for f in bs}
+    f = next((f for f in zs if f.key() not in principal and f.power(p).is_trivial()),
+             None)
     if f is None:
         raise DomainError("no order-p cocycle outside the principal ones")
-    alpha = cohomology.cocycle_to_automorphism(M, f)
+    alpha = Automorphism._of_vecs(G, cohomology.bridge_vecs(M, [f])[0])
     return witness_for(G, alpha, phi, "frattini", path="cocycle-bridge", caps=caps)

@@ -84,16 +84,9 @@ class GModule:
             coords = grown
         self._coords = coords
 
-    @property
-    def invariants(self):
-        return self.basis_orders
-
     def act(self, a: Element, q: Element) -> Element:
         """a^q, conjugation by the canonical representative."""
         return a.conjugate(q)
-
-    def coords(self, a: Element):
-        return self._coords[a.vec]
 
     def action_matrix(self, q: Element):
         """Row i = coordinates of basis[i]^q, entries mod the column
@@ -104,28 +97,6 @@ class GModule:
             self._coords[kernel.mul(t, kernel.mul(t, qinv, b.vec), q.vec)]
             for b in self.basis
         )
-
-    def verify(self, rng=None, pairs=200):
-        """Action is a homomorphism and does not depend on coset
-        representatives."""
-        import random
-
-        rng = rng or random.Random(0)
-        qs = self.q_elements
-        for _ in range(pairs):
-            q, r = rng.choice(qs), rng.choice(qs)
-            qr = self.Q.canonical(q * r)
-            for b in self.basis:
-                if self.act(self.act(b, q), r) != self.act(b, qr):
-                    raise DomainError("action fails to be a homomorphism")
-        for _ in range(pairs):
-            q = rng.choice(qs)
-            nrep = self.N.random_element(rng)
-            alt = q * nrep
-            for b in self.basis:
-                if self.act(b, q) != b.conjugate(alt):
-                    raise DomainError("action depends on the representative")
-        return True
 
     def to_dict(self):
         return {
@@ -193,63 +164,14 @@ class CrossedHom:
     def __call__(self, q: Element) -> Element:
         return self.values[self.module.q_index[q.vec]]
 
-    def value_at(self, x: Element) -> Element:
-        """f at the coset of an arbitrary group element."""
-        return self(self.module.Q.canonical(x))
-
     def key(self):
         return tuple(v.vec for v in self.values)
-
-    def __eq__(self, other):
-        return isinstance(other, CrossedHom) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def mul(self, other: "CrossedHom") -> "CrossedHom":
-        return CrossedHom(
-            self.module, [a * b for a, b in zip(self.values, other.values)]
-        )
 
     def power(self, k: int) -> "CrossedHom":
         return CrossedHom(self.module, [v ** k for v in self.values])
 
     def is_trivial(self):
         return all(v.is_identity for v in self.values)
-
-    def order(self) -> int:
-        p = self.module.G.prime
-        o = 1
-        f = self
-        while not f.is_trivial():
-            f = f.power(p)
-            o *= p
-        return o
-
-    def satisfies_law(self) -> bool:
-        """Whether f(qr) = f(q)^r f(r) for all q, r in Q, checked on the
-        pairs (q, s) with s one of the generators M.gen_reps only.
-
-        These pairs suffice.  Every r is a word s_1 ... s_k in the
-        generators; induct on k.  For k = 0 the law reads f(q) = f(q) f(1),
-        that is f(1) = 1, which the pair (1, s) gives whenever there is a
-        generator: f(s) = f(1)^s f(s).  If the law holds for r, then
-        f(q r s) = f(qr)^s f(s) = f(q)^(rs) f(r)^s f(s) = f(q)^(rs) f(rs),
-        by the pairs (qr, s) and (r, s) and because Q acts by
-        automorphisms.  A trivial Q has no generator, and then f(1) = 1 is
-        checked directly.  The test suite keeps the check of all |Q|^2
-        pairs as its oracle."""
-        M = self.module
-        idx = M.q_index
-        values = self.values
-        if not M.gen_reps:
-            return all(v.is_identity for v in values)
-        for q, fq in zip(M.q_elements, values):
-            for s in M.gen_reps:
-                lhs = values[idx[M.Q.canonical(q * s).vec]]
-                if lhs != M.act(fq, s) * values[idx[s.vec]]:
-                    return False
-        return True
 
 
 def _xgcd(a, b):
@@ -476,23 +398,13 @@ def _z1_b1_h1(M: GModule, caps=DEFAULT_CAPS):
 # -- the automorphism bridge ---------------------------------------------------
 
 
-def cocycle_to_automorphism(M: GModule, f: CrossedHom):
-    """The automorphism g -> g (gN)^f; lands in the slice of automorphisms
-    fixing N pointwise and trivial on G/N.  The table is checked against
-    the cocycle law and the map validated, so any table may be passed."""
-    from pgforge.autos import make_automorphism
-
-    if not f.satisfies_law():
-        raise DomainError("table violates the cocycle law")
-    images = [g * f.value_at(g) for g in M.G.gens()]
-    return make_automorphism(M.G, images)
-
-
 def bridge_vecs(M: GModule, fs):
-    """The image vectors g_i f(g_i N) of `cocycle_to_automorphism` for each
-    table f in fs, formed on vectors, with neither the law check nor the
-    validation: for cocycles that `z1` or `b1` has solved, the caller
-    compares them with a slice validated on its own."""
+    """For each cocycle f in fs, the image vectors g_i f(g_i N) of the
+    automorphism g -> g f(gN), formed on vectors and not validated: for
+    cocycles that `z1` or `b1` has solved, the caller compares them with a
+    slice found on its own, or validates the map once.  The test suite
+    keeps the `Element` bridge, which checks the law and the relations of
+    any table, as its oracle."""
     t = M.G._tables
     gens = [g.vec for g in M.G.gens()]
     cols = [M.q_index[M.Q.canonical_vec(g)] for g in gens]
@@ -500,16 +412,6 @@ def bridge_vecs(M: GModule, fs):
         tuple(kernel.mul(t, g, f.values[c].vec) for g, c in zip(gens, cols))
         for f in fs
     ]
-
-
-def automorphism_to_cocycle(M: GModule, alpha) -> CrossedHom:
-    vals = []
-    for q in M.q_elements:
-        vals.append(q.inverse() * alpha.apply(q))
-    f = CrossedHom(M, vals)
-    if not f.satisfies_law():
-        raise DomainError("automorphism is not in the pointwise-fixing slice")
-    return f
 
 
 def c_aut_slice(G: PcPresentation, N: Subgroup, caps=DEFAULT_CAPS):
@@ -541,54 +443,7 @@ def c_aut_slice(G: PcPresentation, N: Subgroup, caps=DEFAULT_CAPS):
     return [Automorphism._of_vecs(G, leaf) for leaf in _fixing_leaves(G, N, pools)]
 
 
-def order_p_nonprincipal_cocycle(M: GModule, caps=DEFAULT_CAPS):
-    """A cocycle of order exactly p outside the principal subgroup, or
-    None.  Existence is the executable form of the escape condition on
-    omega1(Z1)."""
-    p = M.G.prime
-    bs = {f.key() for f in b1(M)}
-    for f in z1(M, caps):
-        if f.key() in bs:
-            continue
-        if f.power(p).is_trivial():
-            return f
-    return None
-
-
-def condition_check(G: PcPresentation, N: Subgroup, caps=DEFAULT_CAPS):
-    """True iff some order-p cocycle escapes the principal subgroup; when
-    the centralizer condition C_G(N) = Z(N) also holds, the bridge image
-    of that cocycle is a validated noninner automorphism of order p fixing
-    N pointwise, returned alongside."""
-    from pgforge.autos import is_inner
-
-    M = module_of(G, N, caps)
-    f = order_p_nonprincipal_cocycle(M, caps)
-    if f is None:
-        return False, None
-    witness = None
-    ZN = structure.center_of_subgroup(G, N, caps)
-    if structure.centralizer(G, N, caps) == ZN:
-        alpha = cocycle_to_automorphism(M, f)
-        if alpha.order() != G.prime:
-            raise DomainError("bridge image has the wrong order")
-        if not alpha.fixes_pointwise(N):
-            raise DomainError("bridge image moved the fixed subgroup")
-        if is_inner(G, alpha, caps) is not None:
-            raise DomainError("bridge image is inner against the criterion")
-        witness = alpha
-    return True, witness
-
-
-# -- norm elements and the identity sweeps --------------------------------------
-
-
-def norm_element(a: Element, g: Element, n: int) -> Element:
-    """a^{g^{n-1}} ... a^{g} a, evaluated left to right."""
-    acc = a.pres.identity()
-    for i in range(n - 1, -1, -1):
-        acc = acc * a.conjugate(g ** i)
-    return acc
+# -- the norm identity sweeps -------------------------------------------------
 
 
 NORM_CASES = ("pcentral-odd", "class3-odd", "class3-even", "class2")

@@ -185,17 +185,6 @@ class Subgroup:
         for vec in self.vectors():
             yield Element(pres, vec)
 
-    def random_element(self, rng):
-        pres = self.pres
-        t = pres._tables
-        vec = t.identity
-        for e in self.igs:
-            i = e.leading_index()
-            q = rng.randrange(pres.rel_orders[i] // e.vec[i])
-            if q:
-                vec = kernel.mul(t, vec, kernel.power(t, e.vec, q))
-        return Element(pres, vec)
-
     def is_trivial(self):
         return self.order == 1
 
@@ -515,6 +504,3 @@ def _lattice(G: PcPresentation):
 def enumerate_normal_subgroups(G: PcPresentation, caps=DEFAULT_CAPS):
     return [S for S in enumerate_subgroups(G, caps) if is_normal(S)]
 
-
-def membership(S: Subgroup, x: Element) -> bool:
-    return S.membership(x)

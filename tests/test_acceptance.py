@@ -18,9 +18,9 @@ from pgforge.autos import (
 from pgforge.caps import DEFAULT_CAPS
 from pgforge.cohomology import (
     b1,
+    bridge_vecs,
     c_aut_slice,
     cocycle_exponent_report,
-    cocycle_to_automorphism,
     h0,
     h1,
     module_of,
@@ -199,7 +199,7 @@ def test_criterion_6_bijection(entries):
             slice_ = c_aut_slice(G, N)
             if len(zs) != len(slice_):
                 ok = False
-            principal = {cocycle_to_automorphism(M, f).key() for f in b1(M)}
+            principal = set(bridge_vecs(M, b1(M)))
             zn = center_of_subgroup(G, N)
             conj = {inner_automorphism(G, z).key() for z in zn.elements()}
             if principal != conj:

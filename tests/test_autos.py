@@ -488,13 +488,55 @@ def test_witness_rejects_nonpowerful_quotient():
         (lambda: corpus.metacyclic(3, 3, 2), "two-generator-shift-both"),
         (lambda: corpus.metacyclic(4, 3, 2), "two-generator-shift-a"),
         (lambda: corpus.g243(), "odd-coset-shift"),
+        # noncyclic center: the socle member, reached by no corpus group
+        (lambda: corpus.CorpusEntry("d8xc2-involutions",
+                                    parse_presentation(D8XC2_INVOLUTIONS), "test"),
+         "socle-search"),
     ],
 )
 def test_witness_construction_paths(entry_fn, expected_path):
-    entry = entry_fn()
-    w = powerful_quotient_witness(entry.presentation)
+    G = entry_fn().presentation
+    w = powerful_quotient_witness(G)
     assert w.path == expected_path
-    assert w.is_noninner and w.order == entry.presentation.prime
+    assert w.is_noninner and w.order == G.prime
+    assert w.automorphism.fixes_pointwise(fixed_set_by_name(G, w.fixed_set))
+    assert naive_is_inner(G, w.automorphism) is None
+
+
+def misfire(G, caps):
+    raise DomainError("construction misfired")
+
+
+@pytest.mark.parametrize("entry_fn,construction,searched,message", [
+    (corpus.g64, None, ["frattini", "omega1-center"], "exhaustive fallback"),
+    (lambda: corpus.metacyclic(2, 2, 2), None, ["frattini", "omega1-center"],
+     "exhaustive fallback"),
+    (lambda: corpus.extraspecial(3, "p"), lambda G, caps: None, ["frattini"],
+     "exhaustive fallback"),
+    (lambda: corpus.extraspecial(3, "p"), misfire, ["frattini"], "construction misfired"),
+])
+def test_witness_falls_back_to_each_search_once(monkeypatch, entry_fn, construction,
+                                                searched, message):
+    """With the search stubbed to find nothing, a group whose construction
+    has no map searches each fixed set once, Frattini first and Ω1(Z(G))
+    for p = 2 only, then raises the construction's own error if it had
+    one.  No odd corpus group reaches the fallback, so the odd cases stub
+    the construction."""
+    from pgforge import autos
+
+    G = entry_fn().presentation
+    calls = []
+
+    def nothing(G, fixed, caps):
+        calls.append(autos._fixed_name(G, fixed))
+        return None
+
+    monkeypatch.setattr(autos, "first_noninner", nothing)
+    if construction is not None:
+        monkeypatch.setattr(autos, "_odd_coset_witness", construction)
+    with pytest.raises(DomainError, match=message):
+        powerful_quotient_witness(G)
+    assert calls == searched
 
 
 def test_witness_search_fallback_validated(l128_pres):

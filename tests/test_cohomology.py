@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from pgforge.autos import identity_automorphism, inner_automorphism, is_inner
+from pgforge.autos import identity_automorphism, inner_automorphism, make_automorphism
 from pgforge.cohomology import (
     NORM_CASES,
     CrossedHom,
@@ -15,18 +15,13 @@ from pgforge.cohomology import (
     bridge_vecs,
     c_aut_slice,
     cocycle_exponent_report,
-    cocycle_to_automorphism,
-    automorphism_to_cocycle,
-    condition_check,
     fixed_point_centralizer_report,
     fixed_points,
     h0,
     h1,
     module_of,
     nonvanishing_report,
-    norm_element,
     norm_identity_report,
-    order_p_nonprincipal_cocycle,
     trace_image,
     z1,
 )
@@ -131,6 +126,59 @@ def law_on_all_pairs(f):
     return True
 
 
+def law_on_generator_pairs(f):
+    """The cocycle law checked on the pairs (q, s) with s one of the
+    generators M.gen_reps only.
+
+    These pairs suffice.  Every r is a word s_1 ... s_k in the generators;
+    induct on k.  For k = 0 the law reads f(q) = f(q) f(1), that is
+    f(1) = 1, which the pair (1, s) gives whenever there is a generator:
+    f(s) = f(1)^s f(s).  If the law holds for r, then
+    f(q r s) = f(qr)^s f(s) = f(q)^(rs) f(r)^s f(s) = f(q)^(rs) f(rs), by
+    the pairs (qr, s) and (r, s) and because Q acts by automorphisms.  A
+    trivial Q has no generator, and then f(1) = 1 is checked directly."""
+    M = f.module
+    values = f.values
+    if not M.gen_reps:
+        return all(v.is_identity for v in values)
+    for q, fq in zip(M.q_elements, values):
+        for s in M.gen_reps:
+            if f(M.Q.canonical(q * s)) != M.act(fq, s) * f(s):
+                return False
+    return True
+
+
+def table_product(f, g):
+    """The pointwise product of two tables on the same module."""
+    return CrossedHom(f.module, [a * b for a, b in zip(f.values, g.values)])
+
+
+def cocycle_to_automorphism(M, f):
+    """The bridge g -> g f(gN) with Element arithmetic: the table is
+    checked against the cocycle law and the map validated, so any table
+    may be passed; the oracle of `bridge_vecs`."""
+    if not law_on_generator_pairs(f):
+        raise DomainError("table violates the cocycle law")
+    return make_automorphism(M.G, [g * f(M.Q.canonical(g)) for g in M.G.gens()])
+
+
+def verify_action(M, rng, pairs=200):
+    """The action is a homomorphism and does not depend on coset
+    representatives, on random pairs of Q and random elements of N."""
+    qs = M.q_elements
+    ns = list(M.N.elements())
+    for _ in range(pairs):
+        q, r = rng.choice(qs), rng.choice(qs)
+        qr = M.Q.canonical(q * r)
+        for b in M.basis:
+            assert M.act(M.act(b, q), r) == M.act(b, qr)
+    for _ in range(pairs):
+        q = rng.choice(qs)
+        alt = q * rng.choice(ns)
+        for b in M.basis:
+            assert M.act(b, q) == b.conjugate(alt)
+
+
 def oracle_h1(M, zs):
     """Invariant factors of Z1/B1 from the orders of the cosets."""
     bs = {f.key() for f in oracle_b1(M)}
@@ -182,10 +230,10 @@ def test_module_d8_frattini(d8):
     phi = frattini(d8)
     M = module_of(d8, phi)
     assert M.A.order == 2 and M.Q.order == 4
-    M.verify()
+    verify_action(M, random.Random(0))
     # trivial action: every action matrix is the identity
     for q in M.q_elements:
-        assert M.action_matrix(q) == ((1,),) if M.invariants == (2,) else True
+        assert M.action_matrix(q) == ((1,),) if M.basis_orders == (2,) else True
     assert h0(M) == (2,)
 
 
@@ -207,7 +255,7 @@ def test_module_action_well_defined(small_corpus):
             if N.is_trivial():
                 continue
             M = module_of(G, N)
-            M.verify(rng, pairs=60)
+            verify_action(M, rng, pairs=60)
 
 
 def test_module_action_thousand_pair_verification(d8, es27):
@@ -218,7 +266,7 @@ def test_module_action_thousand_pair_verification(d8, es27):
             enumerate_normal_subgroups(G), key=lambda s: s.order if s.order < G.order else 0
         )
         M = module_of(G, maximal_n)
-        M.verify(rng, pairs=1000)
+        verify_action(M, rng, pairs=1000)
 
 
 def test_trace_lands_in_fixed_points(small_corpus):
@@ -239,7 +287,7 @@ def test_inversion_module(d8):
     order 2, trivial trace, so H0 is C2."""
     N = subgroup_closure(d8, [d8.gen(1)])
     M = module_of(d8, N)
-    assert M.invariants == (4,)
+    assert M.basis_orders == (4,)
     assert fixed_points(M).order == 2
     assert trace_image(M).order == 1
     assert h0(M) == (2,)
@@ -322,7 +370,7 @@ def test_z1_answers_where_the_assignment_walk_refused():
     assert M.A.order ** len(M.Q.generator_reps()) * M.Q.order > 50_000_000
     zs = z1(M)
     assert len(zs) == 4 ** 4
-    assert all(f.satisfies_law() for f in zs[::37])
+    assert all(law_on_generator_pairs(f) for f in zs[::37])
     assert h1(M) == (2,) * 8
 
 
@@ -354,10 +402,10 @@ def test_z1_group_closure_and_law(d8):
     zs = z1(M)
     keys = {f.key() for f in zs}
     for f in zs:
-        assert f.satisfies_law()
-        assert f.value_at(d8.identity()).is_identity
+        assert law_on_generator_pairs(f)
+        assert f(M.Q.canonical(d8.identity())).is_identity
         for g in zs:
-            assert f.mul(g).key() in keys
+            assert table_product(f, g).key() in keys
 
 
 def test_b1_matches_the_conjugation_oracle_on_every_corpus_module(corpus_modules):
@@ -417,7 +465,7 @@ def test_module_vectors_match_the_element_oracles(corpus_modules):
         assert list(M._coords.items()) == list(oracle_coords(M).items()), gid
         for q in M.q_elements:
             assert M.action_matrix(q) == tuple(
-                M.coords(M.act(b, q)) for b in M.basis), gid
+                M._coords[M.act(b, q).vec] for b in M.basis), gid
         assert fixed_points(M) == oracle_fixed_points(M), gid
         rep = fixed_point_centralizer_report(M)
         assert rep == oracle_fixed_point_centralizer_report(M), gid
@@ -474,7 +522,7 @@ def test_module_picks_and_basis_match_the_closure_oracles(corpus_modules):
 
 
 def test_law_on_generator_pairs_matches_all_pairs(corpus_modules):
-    """satisfies_law on the pairs (q, s), s a generator of Q, against the
+    """The law on the pairs (q, s), s a generator of Q, against the
     check of all |Q|^2 pairs: for solved cocycles, which satisfy both, and
     for each of them with one value replaced at random, which mostly do
     not.  The modules with a trivial Q are included."""
@@ -490,7 +538,7 @@ def test_law_on_generator_pairs_matches_all_pairs(corpus_modules):
             vals[rng.randrange(len(vals))] = rng.choice(M.a_elements)
             for g in (f, CrossedHom(M, vals)):
                 law = law_on_all_pairs(g)
-                assert g.satisfies_law() == law, gid
+                assert law_on_generator_pairs(g) == law, gid
                 tables += 1
                 broken += not law
     assert trivial_q > 0 and broken > 500 and tables > 2000
@@ -512,7 +560,7 @@ def test_law_on_generator_pairs_matches_all_pairs_on_every_small_table(
     for gid, M in modules.items():
         for vals in itertools.product(M.a_elements, repeat=len(M.q_elements)):
             f = CrossedHom(M, vals)
-            assert f.satisfies_law() == law_on_all_pairs(f), gid
+            assert law_on_generator_pairs(f) == law_on_all_pairs(f), gid
 
 
 def test_crossed_hom_reads_its_value_at_each_element(d8):
@@ -573,14 +621,11 @@ def test_bridge_bijection_with_slice(d8, q8):
         # multiplicative: the bridge of a product is the composition
         for f in zs[:3]:
             for g in zs[:3]:
-                lhs = cocycle_to_automorphism(M, f.mul(g))
+                lhs = cocycle_to_automorphism(M, table_product(f, g))
                 rhs = cocycle_to_automorphism(M, f).compose(
                     cocycle_to_automorphism(M, g)
                 )
                 assert lhs == rhs
-        # and the inverse direction recovers the cocycle
-        for f in zs:
-            assert automorphism_to_cocycle(M, cocycle_to_automorphism(M, f)) == f
 
 
 def test_slice_of_whole_group(d8):
@@ -594,7 +639,7 @@ def test_bridge_rejects_bad_table(d8):
     vals = [d8.identity()] * len(M.q_elements)
     vals[1] = frattini(d8).igs[0]
     f = CrossedHom(M, vals)
-    if not f.satisfies_law():
+    if not law_on_generator_pairs(f):
         with pytest.raises(DomainError):
             cocycle_to_automorphism(M, f)
 
@@ -681,32 +726,16 @@ def test_slice_needs_a_normal_subgroup(d8):
             build(d8, S, tight)
 
 
-def test_condition_check_extraspecial(es27):
-    """An order-3 cocycle escapes the principal subgroup; the centralizer
-    condition fails here (the Frattini subgroup is the center), so no
-    noninner witness is promised through this route."""
-    escaped, witness = condition_check(es27, frattini(es27))
-    assert escaped
-    assert witness is None
-
-
-def test_condition_check_produces_witness_when_centralizer_matches():
-    entry = corpus.g243()
-    G = entry.presentation
-    phi = frattini(G)
-    escaped, witness = condition_check(G, phi)
-    assert escaped and witness is not None
-    assert witness.order() == 3
-    assert is_inner(G, witness) is None
-    assert all(witness.apply(u) == u for u in phi.igs)
-
-
-def test_condition_check_trivial_quotient(d8):
-    escaped, witness = condition_check(d8, full_subgroup(d8))
-    assert not escaped
-
-
 # -- norm elements -----------------------------------------------------------------
+
+
+def norm_element(a, g, n):
+    """a^{g^{n-1}} ... a^{g} a, evaluated left to right: the Element norm
+    of the element sweep below."""
+    acc = a.pres.identity()
+    for i in range(n - 1, -1, -1):
+        acc = acc * a.conjugate(g ** i)
+    return acc
 
 
 def test_norm_element_examples(es27):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -207,3 +208,42 @@ def test_thm_3_6_builds_one_quotient_test_per_normal_subgroup(monkeypatch):
     monkeypatch.setattr(QuotientGroup, "is_cyclic", counted)
     run_check("thm-3.6", corpus.builtin_corpus())
     assert len(calls) == 361
+
+
+def test_second_proof_builds_one_module(monkeypatch):
+    """The cohomological route builds the Frattini module of its one
+    group on that path (g243) once, and reads H0, Z1, B1 and H1 from it."""
+    from pgforge.cohomology import GModule
+
+    calls = []
+    init = GModule.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GModule, "__init__", counted)
+    rs = run_check("second-proof", corpus.builtin_corpus())
+    bridged = [r.group_id for r in rs
+               if r.witness and r.witness["path"] == "cocycle-bridge"]
+    assert bridged == ["g243"]
+    assert len(calls) == 1
+
+
+# sha256 of the verify-all report with every group-order cap lowered to
+# 8 and to 16, `timing_ms` set to 0 and `kernel_backend` set to "any", as
+# in tests/test_cli.py: these pin the refusals (70 and 57) with their
+# reasons, and the verdicts left within the lowered caps
+@pytest.mark.parametrize("cap,refused,digest", [
+    (8, 70, "6b1fb1c6d9111cd1807132be2c5926ef5fa2cd72319c949de9ab540071793fd7"),
+    (16, 57, "d5e60c2c574972548551ae8870c44b2fb0d1ddec0fd9490b7ebc6b7ddcc4e5b9"),
+], ids=["cap-8", "cap-16"])
+def test_lowered_cap_reports_are_pinned(cap, refused, digest):
+    caps = DEFAULT_CAPS.with_override(cap)
+    doc = report_dict(run_all(caps=caps), caps)
+    assert doc["summary"]["refused"] == refused
+    for r in doc["results"]:
+        r["timing_ms"] = 0
+    doc["kernel_backend"] = "any"
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -28,11 +28,10 @@ class Automorphism:
 
     __slots__ = ("pres", "_vecs")
 
-    def __init__(self, pres, images, _validated=False):
-        if not _validated:
-            err = validation_error(pres, images)
-            if err:
-                raise DomainError(err)
+    def __init__(self, pres, images):
+        err = validation_error(pres, images)
+        if err:
+            raise DomainError(err)
         self.pres = pres
         self._vecs = tuple(x.vec for x in images)
 
@@ -293,7 +292,6 @@ class AutWitness:
     order: int
     fixed_set: str
     inner: object  # conjugating Element or None
-    exhaustive_inner_test: bool
     path: str = "search"
 
     @property
@@ -307,7 +305,7 @@ class AutWitness:
             "fixed_set": self.fixed_set,
             "noninner": self.is_noninner,
             "inner": list(self.inner.vec) if self.inner is not None else None,
-            "exhaustive_inner_test": self.exhaustive_inner_test,
+            "exhaustive_inner_test": True,  # `is_inner` reads every inner map
             "path": self.path,
         }
 
@@ -325,7 +323,6 @@ def witness_for(G, alpha, fixed: Subgroup, fixed_name: str, path="construction",
         order=alpha.order(),
         fixed_set=fixed_name,
         inner=is_inner(G, alpha, caps),
-        exhaustive_inner_test=True,
         path=path,
     )
 
@@ -381,7 +378,6 @@ def _classified(G, fixed, leaves, order, caps):
             order=order,
             fixed_set=name,
             inner=is_inner(G, alpha, caps),
-            exhaustive_inner_test=True,
             path="search",
         )
 
@@ -628,7 +624,7 @@ def central_socle_automorphisms(G: PcPresentation, caps=DEFAULT_CAPS):
         err = validation_error(G, images)
         if err:
             raise DomainError(f"central socle map is not an automorphism: {err}")
-        alpha = Automorphism(G, images, _validated=True)
+        alpha = Automorphism._of_vecs(G, [x.vec for x in images])
         for fixed, name in ((om, "omega1(Z(G))"), (phi, "the Frattini subgroup")):
             if not alpha.fixes_pointwise(fixed):
                 raise DomainError(f"central socle member moved {name}")
@@ -865,7 +861,7 @@ def _even_cyclic_center_witness(G, caps):
                                 path="two-generator-shift-a", caps=caps)
                 # the cyclic part contains omega1(Z); report against it
                 return AutWitness(w.automorphism, w.order, "omega1-center",
-                                  w.inner, True, "two-generator-shift-a")
+                                  w.inner, "two-generator-shift-a")
             delta = make_automorphism(G, [a * h, b * h])
             return witness_for(G, delta, om, "omega1-center",
                                path="two-generator-shift-both", caps=caps)
@@ -934,7 +930,7 @@ def cohomological_witness(G: PcPresentation, caps=DEFAULT_CAPS) -> AutWitness:
         w = _search_noninner(G, phi, "frattini", caps)
         if w is None:
             raise DomainError("reduction fallback found no witness")
-        return AutWitness(w.automorphism, w.order, w.fixed_set, None, True,
+        return AutWitness(w.automorphism, w.order, w.fixed_set, None,
                           "ds-fallback-search")
     if not (structure.nilpotency_class(cq) <= 2 or structure.is_p_central(cq, caps)):
         raise HypothesesUnmet("central quotient outside the cohomology hypotheses")
@@ -942,7 +938,7 @@ def cohomological_witness(G: PcPresentation, caps=DEFAULT_CAPS) -> AutWitness:
     # so H0 and H1 of its module are nonzero (the thm-3.6 claim)
     M = cohomology.module_of(G, phi, caps)
     i0 = cohomology.h0(M)
-    zs, bs, i1 = cohomology._z1_b1_h1(M, caps)
+    zs, bs, i1 = cohomology.z1_b1_h1(M, caps)
     if i0 == () or i1 == ():
         raise DomainError("cohomology vanished against the hypotheses")
     principal = {f.key() for f in bs}

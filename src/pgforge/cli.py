@@ -20,14 +20,14 @@ from pgforge import cohomology, kernel, structure
 from pgforge.autos import fixed_set_by_name, search_order_p_automorphisms
 from pgforge.caps import DEFAULT_CAPS
 from pgforge.core import _parse_word, parse_presentation
-from pgforge.corpus import builtin_corpus, load_manifest
+from pgforge.corpus import builtin_corpus, load_manifest, read_source
 from pgforge.errors import CapExceeded, ForgeError
 from pgforge.harness import CHECKS, exit_code, report_dict, run_all, run_check
 from pgforge.subgroups import is_normal, subgroup_closure
 
 
 def _load(path):
-    return parse_presentation(Path(path).read_text())
+    return parse_presentation(read_source(path))
 
 
 def _entries(args):
@@ -86,7 +86,7 @@ def cmd_cohomology(args):
             "use its normal closure or different generators"
         )
     M = cohomology.module_of(G, N, args.caps)
-    zs, bs, i1 = cohomology._z1_b1_h1(M, args.caps)
+    zs, bs, i1 = cohomology.z1_b1_h1(M, args.caps)
     doc = {
         "group": G.name,
         "normal_order": N.order,

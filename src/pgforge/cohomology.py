@@ -14,7 +14,9 @@ basis.  `z1` builds those forms in one walk of Q, solves the conditions
 by Hermite reduction and enumerates the solutions; nothing is filtered.
 
 For p-groups, vanishing of H0 or H1 in one degree forces vanishing in the
-other; the nonvanishing checks assert both sides and that equivalence.
+other.  Theorem 3.6's check asserts both degrees nonzero, and the test
+`test_degree_consistency_on_all_modules` checks the equivalence on every
+module.
 """
 
 from __future__ import annotations
@@ -161,9 +163,6 @@ class CrossedHom:
         self.module = module
         self.values = tuple(values)
 
-    def __call__(self, q: Element) -> Element:
-        return self.values[self.module.q_index[q.vec]]
-
     def key(self):
         return tuple(v.vec for v in self.values)
 
@@ -232,7 +231,8 @@ def _cocycle_forms(M: GModule):
     zero = (0,) * (m * len(picks))
     # the columns of each action matrix
     mat_cols = [tuple(zip(*M.action_matrix(s))) for s in picks]
-    start = idx[M.Q.canonical(M.G.identity()).vec]
+    t = M.G._tables
+    start = idx[M.Q.canonical_vec(t.identity)]
     forms = [None] * len(qs)
     forms[start] = (zero,) * m
     conditions = {}
@@ -240,10 +240,10 @@ def _cocycle_forms(M: GModule):
     while frontier:
         nxt = []
         for qi in frontier:
-            q = qs[qi]
+            q = qs[qi].vec
             by_x = list(zip(*forms[qi]))
             for j, (s, cols) in enumerate(zip(picks, mat_cols)):
-                ni = idx[M.Q.canonical(q * s).vec]
+                ni = idx[M.Q.canonical_vec(kernel.mul(t, q, s.vec))]
                 form = []
                 for c, (o, weights) in enumerate(zip(orders, cols)):
                     col = [sum(w * e for w, e in zip(weights, es)) for es in by_x]
@@ -369,13 +369,9 @@ def b1(M: GModule):
     return _crossed_homs(M, dict.fromkeys(_span(steps, orders * len(rows))))
 
 
-def h1(M: GModule, caps=DEFAULT_CAPS):
-    """Invariant factors of Z1/B1 under pointwise product."""
-    return _z1_b1_h1(M, caps)[2]
-
-
-def _z1_b1_h1(M: GModule, caps=DEFAULT_CAPS):
-    """Z1, B1 and the invariant factors of Z1/B1, each computed once."""
+def z1_b1_h1(M: GModule, caps=DEFAULT_CAPS):
+    """Z1, B1 and the invariant factors of Z1/B1 under pointwise product,
+    each computed once."""
     zs = z1(M, caps)
     bs = b1(M)
     if len(zs) % len(bs):
@@ -449,7 +445,7 @@ def c_aut_slice(G: PcPresentation, N: Subgroup, caps=DEFAULT_CAPS):
 NORM_CASES = ("pcentral-odd", "class3-odd", "class3-even", "class2")
 
 
-def norm_identity_report(G: PcPresentation, case: str, caps=DEFAULT_CAPS):
+def norm_counterexample(G: PcPresentation, case: str, caps=DEFAULT_CAPS):
     """Exhaustive sweep of the norm identity in its case-exact form.
 
     pcentral-odd: p odd and G/Z(G) p-central; for p > 3 the norm equals
@@ -458,8 +454,8 @@ def norm_identity_report(G: PcPresentation, case: str, caps=DEFAULT_CAPS):
     class3-even: p = 2, class <= 3; a^{xy} a^y a^x a = a^4 z, z central.
     class2: class <= 2; a^{g^{n-1}+...+1} = a^n z for a range of n.
 
-    Returns a report dict; raises HypothesesUnmet when the case does not
-    apply to G.
+    Returns (the first counterexample or None, tuples checked); raises
+    HypothesesUnmet when the case does not apply to G.
     """
     if case not in NORM_CASES:
         raise DomainError(f"unknown norm case {case!r}")
@@ -497,7 +493,7 @@ def _conjugation_table(t, vecs, g):
 
 
 def _norm_sweep(G: PcPresentation, case: str, caps=DEFAULT_CAPS):
-    """The sweep of `norm_identity_report` without its hypothesis checks,
+    """The sweep of `norm_counterexample` without its hypothesis checks,
     over (A, a, g, n) in that order, stopping at the first counterexample.
 
     Every conjugation is made once per conjugator: for each A and each
@@ -541,16 +537,8 @@ def _norm_sweep(G: PcPresentation, case: str, caps=DEFAULT_CAPS):
                         val = mul(t, mul(t, mul(t, ty[ax], ty[a]), ax), a)
                         defect = mul(t, val, a4inv)
                         if _sift(t, Z._table, defect) != ident:
-                            return {
-                                "status": "fail",
-                                "counterexample": {
-                                    "A": A.key(),
-                                    "a": a,
-                                    "x": x,
-                                    "y": xs[k],
-                                    "defect": defect,
-                                },
-                            }
+                            return {"A": A.key(), "a": a, "x": x, "y": xs[k],
+                                    "defect": defect}, checked
                         checked += 1
         else:
             gs = [g for g in reps if in_cent(power(t, g, p))]
@@ -573,35 +561,27 @@ def _norm_sweep(G: PcPresentation, case: str, caps=DEFAULT_CAPS):
                             else _sift(t, Z._table, defect) != ident
                         )
                         if bad:
-                            return {
-                                "status": "fail",
-                                "counterexample": {
-                                    "A": A.key(),
-                                    "a": a,
-                                    "g": g,
-                                    "n": n,
-                                    "defect": defect,
-                                },
-                            }
+                            return {"A": A.key(), "a": a, "g": g, "n": n,
+                                    "defect": defect}, checked
                         checked += 1
-    return {"status": "pass", "tuples_checked": checked,
-            "abelian_normal_count": len(abelian_normals)}
+    return None, checked
 
 
 # -- fixed-point centralizers and nonvanishing ----------------------------------
 
 
-def fixed_point_centralizer_report(M: GModule, caps=DEFAULT_CAPS):
+def fixed_point_centralizer_mismatch(M: GModule, caps=DEFAULT_CAPS):
     """When H0 vanishes the module is cohomologically trivial, and then
     for every subgroup H of Q the centralizer of the H-fixed points is H
-    itself.  Modules with H0 nonzero are recorded and skipped.
+    itself.  Returns (the first H with another centralizer or None,
+    subgroups checked); a module with H0 nonzero raises HypothesesUnmet.
 
     Fix(q), the a in A with a^q = a, is found once per q in Q, on vectors.
     Then the H-fixed points are the intersection of Fix(h) over h in H,
     and their centralizer is {q : fixed points inside Fix(q)}: the same
     sets, with no conjugation per subgroup."""
     if h0(M) != ():
-        return {"status": "skip", "reason": "not cohomologically trivial"}
+        raise HypothesesUnmet("not cohomologically trivial")
     G = M.G
     t = G._tables
     subs_over_n = [
@@ -613,19 +593,13 @@ def fixed_point_centralizer_report(M: GModule, caps=DEFAULT_CAPS):
         q.vec: frozenset(structure._commuting(t, a_vecs, [q.vec]))
         for q in M.q_elements
     }
-    verified = 0
-    for S in subs_over_n:
+    for checked, S in enumerate(subs_over_n):
         h_reps = sorted({M.Q.canonical_vec(x) for x in S.vectors()})
-        h_set = set(h_reps)
         fixed = a_vecs.intersection(*(fix[h] for h in h_reps))
         centralizer_reps = {q for q, fq in fix.items() if fixed <= fq}
-        if centralizer_reps != h_set:
-            return {
-                "status": "fail",
-                "counterexample": {"H": h_reps, "centralizer": sorted(centralizer_reps)},
-            }
-        verified += 1
-    return {"status": "pass", "subgroups_verified": verified}
+        if centralizer_reps != set(h_reps):
+            return {"H": h_reps, "centralizer": sorted(centralizer_reps)}, checked
+    return None, len(subs_over_n)
 
 
 def nonvanishing_hypothesis(G: PcPresentation, caps=DEFAULT_CAPS):
@@ -642,9 +616,10 @@ def nonvanishing_hypothesis(G: PcPresentation, caps=DEFAULT_CAPS):
     raise HypothesesUnmet("neither hypothesis branch applies")
 
 
-def nonvanishing_report(G: PcPresentation, N: Subgroup, caps=DEFAULT_CAPS):
-    """H0 and H1 of the Z(N) module both nonzero, for nontrivial normal N
-    with noncyclic quotient, under `nonvanishing_hypothesis`."""
+def h0_h1(G: PcPresentation, N: Subgroup, caps=DEFAULT_CAPS):
+    """The invariant factors of H0 and H1 of the Z(N) module, for
+    nontrivial normal N with noncyclic quotient, under
+    `nonvanishing_hypothesis`; otherwise HypothesesUnmet."""
     if N.is_trivial():
         raise HypothesesUnmet("N is trivial")
     Q = quotient(G, N)
@@ -652,35 +627,4 @@ def nonvanishing_report(G: PcPresentation, N: Subgroup, caps=DEFAULT_CAPS):
         raise HypothesesUnmet("quotient is cyclic")
     nonvanishing_hypothesis(G, caps)
     M = _module_over(G, N, Q, caps)
-    i0 = h0(M)
-    i1 = h1(M, caps)
-    report = {
-        "group_order": G.order,
-        "quotient_order": Q.order,
-        "h0": list(i0),
-        "h1": list(i1),
-        "h0_nonzero": i0 != (),
-        "h1_nonzero": i1 != (),
-        "status": "pass" if (i0 != () and i1 != ()) else "fail",
-    }
-    # one-degree vanishing forces the other; record the cross check
-    report["degree_consistency"] = (i0 == ()) == (i1 == ())
-    return report
-
-
-def cocycle_exponent_report(G: PcPresentation, caps=DEFAULT_CAPS):
-    """For odd p with G/Z(G) p-central, every crossed homomorphism of
-    G/frattini into Z(frattini) has order dividing p."""
-    p = G.prime
-    if p == 2:
-        raise HypothesesUnmet("odd p required")
-    if not structure.is_p_central(structure.central_quotient(G, caps), caps):
-        raise HypothesesUnmet("central quotient not p-central")
-    phi = structure.frattini(G, caps)
-    M = module_of(G, phi, caps)
-    zs = z1(M, caps)
-    for f in zs:
-        if not f.power(p).is_trivial():
-            return {"status": "fail", "z1_size": len(zs),
-                    "counterexample": {"values": [list(v.vec) for v in f.values]}}
-    return {"status": "pass", "z1_size": len(zs)}
+    return h0(M), z1_b1_h1(M, caps)[2]

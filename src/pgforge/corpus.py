@@ -514,6 +514,25 @@ def _parse_fact_value(name, raw, lineno):
         raise PresentationError(f"fact {name}: expected {kind}, got {raw!r}", lineno) from None
 
 
+def read_source(path, line=None, name=None):
+    """The text of a presentation or manifest file, which must be UTF-8.
+
+    A path holding a NUL byte, or a file that is missing, a directory,
+    otherwise unreadable or not UTF-8, raises PresentationError naming
+    the file as `name` (by default the path) and the manifest line `line`
+    that points at it, when there is one."""
+    name = str(path) if name is None else name
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        why = exc.strerror or str(exc)
+    except UnicodeDecodeError as exc:
+        why = f"byte {exc.object[exc.start]:#04x} at offset {exc.start} is not UTF-8"
+    except ValueError as exc:  # a NUL byte in the path
+        why = str(exc)
+    raise PresentationError(f"cannot read {name!r}: {why}", line)
+
+
 def load_manifest(path, caps=DEFAULT_CAPS, taken=()):
     """Manifest format, one block per group:
 
@@ -524,13 +543,13 @@ def load_manifest(path, caps=DEFAULT_CAPS, taken=()):
     Fact names: order, class, coclass, d, center_invariants (comma list),
     exponent, powerful, p_central.  Every entry is consistency-checked and
     fact-validated; any failure rejects that entry with a diagnostic.  A
-    `file` line with no path, or whose file is missing, a directory or
-    otherwise unreadable, raises PresentationError naming that line, and
-    so does one whose group name repeats an id in `taken` (the corpus the
-    manifest extends) or an earlier block's.
+    `file` line with no path, or whose file `read_source` cannot read,
+    raises PresentationError naming that line, and so does one whose group
+    name repeats an id in `taken` (the corpus the manifest extends) or an
+    earlier block's.
     """
     path = Path(path)
-    text = path.read_text()
+    text = read_source(path)
     blocks = []
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -562,13 +581,7 @@ def load_manifest(path, caps=DEFAULT_CAPS, taken=()):
         fpath = Path(block["file"])
         if not fpath.is_absolute():
             fpath = path.parent / fpath
-        try:
-            text = fpath.read_text()
-        except OSError as exc:
-            raise PresentationError(
-                f"cannot read {block['file']!r}: {exc.strerror or exc}", block["line"]
-            ) from exc
-        pres = parse_presentation(text)
+        pres = parse_presentation(read_source(fpath, block["line"], block["file"]))
         if pres.name in seen:
             first = seen[pres.name]
             clash = "is already in the corpus" if first is None else f"repeats line {first}"

@@ -280,17 +280,18 @@ def _norm_check(case):
         G = entry.presentation
         if G.order > caps.element_sweep or G.order > caps.subgroup_enum:
             raise HypothesesUnmet("above the sweep cap")
-        rep = cohomology.norm_identity_report(G, case, caps)
-        if rep["status"] != "pass":
-            return ("fail", rep["counterexample"])
-        return ("pass", {"tuples_checked": rep["tuples_checked"]})
+        counterexample, checked = cohomology.norm_counterexample(G, case, caps)
+        if counterexample is not None:
+            return ("fail", counterexample)
+        return ("pass", {"tuples_checked": checked})
 
     return run
 
 
 def check_prop_3_5(entry, caps):
     """Every center module with vanishing degree-zero cohomology has
-    fixed-point centralizers equal to the acting subgroup."""
+    fixed-point centralizers equal to the acting subgroup; a module above
+    the cohomology cap or with H0 nonzero is counted and passed over."""
     G = entry.presentation
     if G.order > caps.subgroup_enum:
         raise HypothesesUnmet("above the enumeration cap")
@@ -301,24 +302,20 @@ def check_prop_3_5(entry, caps):
             continue
         try:
             M = cohomology.module_of(G, N, caps)
-        except CapExceeded:
+            mismatch, _ = cohomology.fixed_point_centralizer_mismatch(M, caps)
+        except (HypothesesUnmet, CapExceeded):
             skipped += 1
             continue
-        rep = cohomology.fixed_point_centralizer_report(M, caps)
-        if rep["status"] == "fail":
-            return ("fail", {"N": N.key(), **rep["counterexample"]})
-        if rep["status"] == "skip":
-            skipped += 1
-        else:
-            verified += 1
+        if mismatch is not None:
+            return ("fail", {"N": N.key(), **mismatch})
+        verified += 1
     return ("pass", {"modules_verified": verified,
                      "not_cohomologically_trivial": skipped})
 
 
 def check_thm_3_6(entry, caps):
     """For every nontrivial normal N with noncyclic quotient, both H0 and
-    H1 of the center module are nonzero, and vanishing in one degree
-    matches vanishing in the other."""
+    H1 of the center module are nonzero."""
     G = entry.presentation
     cohomology.nonvanishing_hypothesis(G, caps)
     if G.order > caps.subgroup_enum:
@@ -326,11 +323,11 @@ def check_thm_3_6(entry, caps):
     modules = 0
     for N in enumerate_normal_subgroups(G, caps):
         try:
-            rep = cohomology.nonvanishing_report(G, N, caps)
+            i0, i1 = cohomology.h0_h1(G, N, caps)
         except (HypothesesUnmet, CapExceeded):
             continue
-        if rep["status"] != "pass" or not rep["degree_consistency"]:
-            return ("fail", {"N": N.key(), "h0": rep["h0"], "h1": rep["h1"]})
+        if i0 == () or i1 == ():
+            return ("fail", {"N": N.key(), "h0": list(i0), "h1": list(i1)})
         modules += 1
     if modules == 0:
         raise HypothesesUnmet("no admissible normal subgroup")
@@ -338,11 +335,20 @@ def check_thm_3_6(entry, caps):
 
 
 def check_lemma_3_7(entry, caps):
+    """For odd p with G/Z(G) p-central, every crossed homomorphism of
+    G/frattini into Z(frattini) has order dividing p."""
     G = entry.presentation
-    rep = cohomology.cocycle_exponent_report(G, caps)
-    if rep["status"] != "pass":
-        return ("fail", rep["counterexample"])
-    return ("pass", {"z1_size": rep["z1_size"]})
+    p = G.prime
+    if p == 2:
+        raise HypothesesUnmet("odd p required")
+    if not structure.is_p_central(structure.central_quotient(G, caps), caps):
+        raise HypothesesUnmet("central quotient not p-central")
+    M = cohomology.module_of(G, structure.frattini(G, caps), caps)
+    zs = cohomology.z1(M, caps)
+    for f in zs:
+        if not f.power(p).is_trivial():
+            return ("fail", {"values": [list(v.vec) for v in f.values]})
+    return ("pass", {"z1_size": len(zs)})
 
 
 def check_second_proof(entry, caps):

@@ -340,7 +340,7 @@ def d_abelian(A: Subgroup, caps=DEFAULT_CAPS) -> int:
 def section_invariants(G: PcPresentation, big: Subgroup, small: Subgroup):
     """Invariant factors of big/small for an abelian section big >= small."""
     Q = quotient(G, small)
-    reps = {Q.canonical(x).vec for x in big.elements()}
+    reps = {Q.canonical_vec(v) for v in big.vectors()}
     orders = Counter(Q.rep_order(Element(G, vec)) for vec in reps)
     return tuple(_invariant_factors(G.prime, orders))
 

@@ -413,7 +413,7 @@ def _quotient_presentation(Q: QuotientGroup):
     pos = {i: k for k, i in enumerate(keep)}
 
     def project_vec(vec):
-        rep = Q.canonical(Element(parent, vec)).vec
+        rep = Q.canonical_vec(vec)
         return tuple(rep[i] for i in keep)
 
     def word_of(vec):

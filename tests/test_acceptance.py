@@ -20,12 +20,11 @@ from pgforge.cohomology import (
     b1,
     bridge_vecs,
     c_aut_slice,
-    cocycle_exponent_report,
     h0,
-    h1,
     module_of,
-    norm_identity_report,
+    norm_counterexample,
     z1,
+    z1_b1_h1,
 )
 from pgforge.core import Element, kernel
 from pgforge.errors import HypothesesUnmet
@@ -171,7 +170,7 @@ def test_criterion_5_nonvanishing_exhaustive(entries):
             if N.is_trivial() or quotient(G, N).is_cyclic():
                 continue
             M = module_of(G, N)
-            i0, i1 = h0(M), h1(M)
+            i0, i1 = h0(M), z1_b1_h1(M)[2]
             consistency_pairs.append((i0 == (), i1 == ()))
             if i0 == () or i1 == ():
                 ok = False
@@ -220,10 +219,10 @@ def test_criterion_7_norm_identity_sweeps(entries):
             continue
         for case in ("pcentral-odd", "class3-odd", "class3-even", "class2"):
             try:
-                rep = norm_identity_report(G, case)
+                counterexample, _ = norm_counterexample(G, case)
             except HypothesesUnmet:
                 continue
-            if rep["status"] != "pass":
+            if counterexample is not None:
                 ok = False
             ran += 1
     elapsed = time.time() - t0
@@ -239,11 +238,10 @@ def test_criterion_8_cocycle_exponent(entries):
         G = entry.presentation
         if G.prime != 3:
             continue
-        try:
-            rep = cocycle_exponent_report(G)
-        except HypothesesUnmet:
+        (r,) = run_check("lemma-3.7", [entry])
+        if r.status == "skip":
             continue
-        if rep["status"] != "pass":
+        if r.status != "pass":
             ok = False
         ran += 1
     elapsed = time.time() - t0

@@ -319,7 +319,7 @@ def filter_central_socle_automorphisms(G):
         images = [g * s for g, s in zip(gens, shifts)]
         if validation_error(G, images):
             continue
-        alpha = Automorphism(G, images, _validated=True)
+        alpha = Automorphism._of_vecs(G, [x.vec for x in images])
         if alpha.fixes_pointwise(om):
             kept.append((alpha, tuple(s.vec for s in shifts)))
     kept.sort(key=lambda mh: mh[0].key())
@@ -389,7 +389,7 @@ def test_search_complete_against_defect_enumeration(q8):
     for imgs in itertools.product(els, repeat=2):
         if validation_error(q8, list(imgs)):
             continue
-        alpha = Automorphism(q8, list(imgs), _validated=True)
+        alpha = Automorphism._of_vecs(q8, [x.vec for x in imgs])
         if alpha.order() == 2 and alpha.fixes_pointwise(phi):
             expected.add(alpha.key())
     found = {w.automorphism.key() for w in search_order_p_automorphisms(q8, phi)}
@@ -805,11 +805,11 @@ def oracle_search(G, fixed, caps=DEFAULT_CAPS, order=None):
             continue
         if not all(element_apply(imgs, u) == u for u in fixed.igs):
             continue
-        alpha = Automorphism(G, imgs, _validated=True)
+        alpha = Automorphism._of_vecs(G, [x.vec for x in imgs])
         if oracle_order(alpha) != order:
             continue
         witnesses.append(AutWitness(alpha, order, _fixed_name(G, fixed),
-                                    oracle_is_inner(G, alpha, caps), True, "search"))
+                                    oracle_is_inner(G, alpha, caps), "search"))
     witnesses.sort(key=lambda w: w.automorphism.key())
     return witnesses
 
@@ -903,7 +903,7 @@ def random_automorphisms(G, rng, count, tries=4000):
     for _ in range(tries):
         images = [rng.choice(elements) for _ in range(G.n_gens)]
         if validation_error(G, images) is None:
-            out.append(Automorphism(G, images, _validated=True))
+            out.append(Automorphism._of_vecs(G, [x.vec for x in images]))
             if len(out) == count:
                 break
     return out

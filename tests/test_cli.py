@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from pgforge.cli import main
 from pgforge.core import parse_presentation, serialize_presentation
-from pgforge.errors import PresentationError
+from pgforge.corpus import load_manifest
+from pgforge.errors import ForgeError, PresentationError
 from pgforge import corpus
 
 
@@ -116,15 +117,35 @@ def test_bad_manifest_values_exit_2_naming_the_line(tmp_path, capsys, expect, me
     ("file   # no path, only a comment", "file needs a path"),
     ("file d8.pc", "group id 'dihedral-8' is already in the corpus"),
     ("file ./v4.pc", "group id 'v4' repeats line 1"),
+    ("file bad.pc", "cannot read 'bad.pc': byte 0xff at offset 7 is not UTF-8"),
+    ("file a\x00b.pc", "cannot read 'a\\x00b.pc': embedded null byte"),
 ])
 def test_bad_manifest_file_lines_exit_2_naming_the_line(tmp_path, capsys, line, message):
     (tmp_path / "groups").mkdir()
+    (tmp_path / "bad.pc").write_bytes(b"group g\xff\nprime 2\ngens 1\norder 1 2\n")
     (tmp_path / "d8.pc").write_text(serialize_presentation(corpus.dihedral(8).presentation))
     write_v4(tmp_path / "v4.pc")
     manifest = tmp_path / "m.txt"
     manifest.write_text(f"file v4.pc  # one more group\n{line}\nexpect order 4\n")
     assert main(["verify", "lemma-2.8", "--manifest", str(manifest)]) == 2
     assert capsys.readouterr().err == f"error: line 2: {message}\n"
+
+
+def test_inspect_non_utf8_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.pc"
+    bad.write_bytes(b"group g\xff\nprime 2\ngens 1\norder 1 2\n")
+    assert main(["inspect", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read {str(bad)!r}: byte 0xff at offset 7 is not UTF-8\n")
+
+
+def test_non_utf8_manifest_exits_2(tmp_path, capsys):
+    write_v4(tmp_path / "v4.pc")
+    manifest = tmp_path / "m.txt"
+    manifest.write_bytes(b"file v4.pc\nexpect order 4\xff\n")
+    assert main(["verify", "lemma-2.8", "--manifest", str(manifest)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read {str(manifest)!r}: byte 0xff at offset 25 is not UTF-8\n")
 
 
 def test_cohomology_command(d8_file, capsys):
@@ -267,4 +288,95 @@ def test_mutated_presentations_end_in_an_exit_code(scratch_file, text):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if not parsed:
+        assert code == 2 and err.getvalue().startswith("error: ")
+
+
+# -- robustness on mutated manifests --------------------------------------------
+
+# groups up to order 16 under names outside the built-in corpus, each with
+# its presentation text and the manifest block that expects its facts
+BUILTIN_IDS = [e.id for e in corpus.builtin_corpus(validate=False)]
+SMALL_ENTRIES = [e for e in corpus.builtin_corpus(validate=False)
+                 if e.presentation.order <= 16]
+
+
+def _fact_text(value):
+    if isinstance(value, tuple):
+        return ",".join(map(str, value)) or "-"
+    return str(value).lower()
+
+
+def _block(entry):
+    return [f"file {entry.id}.pc"] + [
+        f"expect {name} {_fact_text(value)}" for name, value in entry.expected_facts
+    ]
+
+
+@pytest.fixture(scope="module")
+def manifest_dir(tmp_path_factory):
+    """The small groups' files, renamed m-<id>, and one that is not UTF-8."""
+    folder = tmp_path_factory.mktemp("manifests")
+    for e in SMALL_ENTRIES:
+        text = serialize_presentation(e.presentation)
+        (folder / f"{e.id}.pc").write_text(
+            text.replace(f"group {e.id}\n", f"group m-{e.id}\n", 1))
+    (folder / "bad.pc").write_bytes(b"group m-bad\xff\nprime 2\ngens 1\norder 1 2\n")
+    return folder
+
+
+@st.composite
+def mutated_manifests(draw):
+    """(manifest bytes, the first group's id): the blocks of one to three
+    small groups with one line dropped, two lines swapped, a path, fact
+    name or value replaced by junk, a block repeated, a path pointed at a
+    file that is not UTF-8, or a byte that is not UTF-8 written into the
+    manifest."""
+    entries = draw(st.lists(st.sampled_from(SMALL_ENTRIES), min_size=1, max_size=3,
+                            unique_by=lambda e: e.id))
+    blocks = [_block(e) for e in entries]
+    lines = [line for block in blocks for line in block]
+    kind = draw(st.sampled_from(["drop", "swap", "junk", "repeat", "bad-file",
+                                 "bad-byte"]))
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "swap":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "junk":
+        tokens = lines[i].split()
+        tokens[draw(st.integers(1, len(tokens) - 1))] = draw(REPLACEMENTS)
+        lines[i] = " ".join(tokens)
+    elif kind == "repeat":
+        lines += draw(st.sampled_from(blocks))
+    elif kind == "bad-file":
+        lines[0] = "file bad.pc"
+    data = ("\n".join(lines) + "\n").encode()
+    if kind == "bad-byte":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data, f"m-{entries[0].id}"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=mutated_manifests(),
+       check=st.sampled_from(["lemma-2.8", "cor-2.4", "thm-3.6", "lemma-3.4"]))
+def test_mutated_manifests_end_in_an_exit_code(manifest_dir, case, check):
+    """Only ForgeError escapes `load_manifest`, and `forge verify` with
+    the manifest answers 0, 1 or 2 without a traceback; a manifest that
+    does not load is exit 2."""
+    data, group = case
+    manifest = manifest_dir / "m.txt"
+    manifest.write_bytes(data)
+    try:
+        load_manifest(manifest, taken=BUILTIN_IDS)
+        loaded = True
+    except ForgeError:
+        loaded = False
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", check, "--group", group, "--manifest", str(manifest)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if not loaded:
         assert code == 2 and err.getvalue().startswith("error: ")

@@ -14,20 +14,20 @@ from pgforge.cohomology import (
     b1,
     bridge_vecs,
     c_aut_slice,
-    cocycle_exponent_report,
-    fixed_point_centralizer_report,
+    fixed_point_centralizer_mismatch,
     fixed_points,
     h0,
-    h1,
+    h0_h1,
     module_of,
-    nonvanishing_report,
-    norm_identity_report,
+    norm_counterexample,
     trace_image,
     z1,
+    z1_b1_h1,
 )
 from pgforge.caps import DEFAULT_CAPS
 from pgforge.core import Element
 from pgforge.errors import CapExceeded, DomainError, HypothesesUnmet
+from pgforge.harness import check_lemma_3_7
 from pgforge.structure import (
     _invariant_factors,
     center,
@@ -143,7 +143,8 @@ def law_on_generator_pairs(f):
         return all(v.is_identity for v in values)
     for q, fq in zip(M.q_elements, values):
         for s in M.gen_reps:
-            if f(M.Q.canonical(q * s)) != M.act(fq, s) * f(s):
+            qs = values[M.q_index[M.Q.canonical(q * s).vec]]
+            if qs != M.act(fq, s) * values[M.q_index[s.vec]]:
                 return False
     return True
 
@@ -159,7 +160,9 @@ def cocycle_to_automorphism(M, f):
     may be passed; the oracle of `bridge_vecs`."""
     if not law_on_generator_pairs(f):
         raise DomainError("table violates the cocycle law")
-    return make_automorphism(M.G, [g * f(M.Q.canonical(g)) for g in M.G.gens()])
+    return make_automorphism(
+        M.G, [g * f.values[M.q_index[M.Q.canonical(g).vec]] for g in M.G.gens()]
+    )
 
 
 def verify_action(M, rng, pairs=200):
@@ -242,7 +245,7 @@ def test_module_extraspecial_center(es27):
     M = module_of(es27, Z)
     assert M.A.order == 3 and M.Q.order == 9
     assert h0(M) == (3,)
-    assert h1(M) != ()
+    assert z1_b1_h1(M)[2] != ()
 
 
 def test_module_action_well_defined(small_corpus):
@@ -329,7 +332,7 @@ def test_z1_and_h1_match_the_assignment_oracle_on_every_corpus_module(
     for gid, M in corpus_modules:
         expected = oracle_z1(M)
         assert [f.key() for f in z1(M)] == [f.key() for f in expected], gid
-        assert h1(M) == oracle_h1(M, expected), gid
+        assert z1_b1_h1(M)[2] == oracle_h1(M, expected), gid
 
 
 def test_kernel_basis_is_triangular_and_counts_z1(corpus_modules):
@@ -371,7 +374,7 @@ def test_z1_answers_where_the_assignment_walk_refused():
     zs = z1(M)
     assert len(zs) == 4 ** 4
     assert all(law_on_generator_pairs(f) for f in zs[::37])
-    assert h1(M) == (2,) * 8
+    assert z1_b1_h1(M)[2] == (2,) * 8
 
 
 def test_h1_inversion_module(d8):
@@ -381,7 +384,7 @@ def test_h1_inversion_module(d8):
     M = module_of(d8, N)
     assert len(z1(M)) == 4
     assert len(b1(M)) == 2
-    assert h1(M) == (2,)
+    assert z1_b1_h1(M)[2] == (2,)
 
 
 def test_z1_hom_shape_for_trivial_action():
@@ -394,7 +397,7 @@ def test_z1_hom_shape_for_trivial_action():
         zs = z1(M)
         assert len(zs) == p
         assert len(b1(M)) == 1
-        assert h1(M) == (p,)
+        assert z1_b1_h1(M)[2] == (p,)
 
 
 def test_z1_group_closure_and_law(d8):
@@ -403,7 +406,7 @@ def test_z1_group_closure_and_law(d8):
     keys = {f.key() for f in zs}
     for f in zs:
         assert law_on_generator_pairs(f)
-        assert f(M.Q.canonical(d8.identity())).is_identity
+        assert f.values[M.q_index[M.Q.canonical(d8.identity()).vec]].is_identity
         for g in zs:
             assert table_product(f, g).key() in keys
 
@@ -435,10 +438,11 @@ def oracle_fixed_points(M):
 
 
 def oracle_fixed_point_centralizer_report(M, caps=DEFAULT_CAPS):
-    """The report with the fixed points and their centralizer found by
-    Element conjugation, per subgroup over N."""
+    """The mismatch and count of `fixed_point_centralizer_mismatch`, with
+    the fixed points and their centralizer found by Element conjugation,
+    per subgroup over N."""
     if h0(M) != ():
-        return {"status": "skip", "reason": "not cohomologically trivial"}
+        raise HypothesesUnmet("not cohomologically trivial")
     G = M.G
     verified = 0
     for S in enumerate_subgroups(G, caps):
@@ -450,10 +454,17 @@ def oracle_fixed_point_centralizer_report(M, caps=DEFAULT_CAPS):
         centralizer_reps = {q.vec for q in M.q_elements
                             if all(M.act(a, q) == a for a in fixed)}
         if centralizer_reps != set(h_reps):
-            return {"status": "fail", "counterexample": {
-                "H": h_reps, "centralizer": sorted(centralizer_reps)}}
+            return {"H": h_reps, "centralizer": sorted(centralizer_reps)}, verified
         verified += 1
-    return {"status": "pass", "subgroups_verified": verified}
+    return None, verified
+
+
+def skip_reason_or(fn, M):
+    """fn(M), or the reason of the HypothesesUnmet it raises."""
+    try:
+        return fn(M)
+    except HypothesesUnmet as exc:
+        return exc.reason
 
 
 def test_module_vectors_match_the_element_oracles(corpus_modules):
@@ -467,9 +478,12 @@ def test_module_vectors_match_the_element_oracles(corpus_modules):
             assert M.action_matrix(q) == tuple(
                 M._coords[M.act(b, q).vec] for b in M.basis), gid
         assert fixed_points(M) == oracle_fixed_points(M), gid
-        rep = fixed_point_centralizer_report(M)
-        assert rep == oracle_fixed_point_centralizer_report(M), gid
-        statuses[rep["status"]] += 1
+        got = skip_reason_or(fixed_point_centralizer_mismatch, M)
+        assert got == skip_reason_or(oracle_fixed_point_centralizer_report, M), gid
+        if isinstance(got, str):
+            statuses["skip"] += 1
+        else:
+            statuses["pass" if got[0] is None else "fail"] += 1
     assert statuses["pass"] > 10 and statuses["skip"] > 10
 
 
@@ -563,12 +577,6 @@ def test_law_on_generator_pairs_matches_all_pairs_on_every_small_table(
             assert law_on_generator_pairs(f) == law_on_all_pairs(f), gid
 
 
-def test_crossed_hom_reads_its_value_at_each_element(d8):
-    M = module_of(d8, frattini(d8))
-    for f in z1(M):
-        assert [f(q) for q in M.q_elements] == list(f.values)
-
-
 def test_b1_size_is_a_over_fixed_points(small_corpus):
     for entry in small_corpus:
         G = entry.presentation
@@ -586,7 +594,7 @@ def test_z1_b1_h1_sizes_consistent(d8, q8):
     for G, N in [(d8, frattini(d8)), (q8, subgroup_closure(q8, [q8.gen(1) ** 2]))]:
         M = module_of(G, N)
         zs, bs = z1(M), b1(M)
-        inv = h1(M)
+        inv = z1_b1_h1(M)[2]
         size = 1
         for f in inv:
             size *= f
@@ -663,7 +671,7 @@ def filter_slice(G, N):
             images[i] = gens[i] * t
         if validation_error(G, images):
             continue
-        alpha = Automorphism(G, images, _validated=True)
+        alpha = Automorphism._of_vecs(G, [x.vec for x in images])
         if alpha.fixes_pointwise(N):
             out.append(alpha)
     out.sort(key=lambda a: a.key())
@@ -721,7 +729,7 @@ def test_slice_needs_a_normal_subgroup(d8):
     with pytest.raises(DomainError):
         c_aut_slice(d8, S)
     tight = DEFAULT_CAPS.with_override(1)
-    for build in (module_of, nonvanishing_report):
+    for build in (module_of, h0_h1):
         with pytest.raises(DomainError):
             build(d8, S, tight)
 
@@ -768,14 +776,15 @@ def test_norm_element_class2_defect_central(es27):
     ],
 )
 def test_norm_identity_sweeps_pass(case, entry_fn):
-    rep = norm_identity_report(entry_fn().presentation, case)
-    assert rep["status"] == "pass"
-    assert rep["tuples_checked"] > 0
+    counterexample, checked = norm_counterexample(entry_fn().presentation, case)
+    assert counterexample is None
+    assert checked > 0
 
 
 def element_norm_sweep(G, case, caps=DEFAULT_CAPS):
     """The norm sweep with Element arithmetic and one norm_element per
-    (A, a, g, n), which the conjugation tables replaced."""
+    (A, a, g, n), which the conjugation tables replaced: the first
+    counterexample or None, and the tuples checked."""
     p = G.prime
     Z = center(G, caps)
     abelian_normals = [
@@ -797,9 +806,8 @@ def element_norm_sweep(G, case, caps=DEFAULT_CAPS):
                             continue
                         defect = ax.conjugate(y) * a.conjugate(y) * ax * a * a4inv
                         if not Z.membership(defect):
-                            return {"status": "fail", "counterexample": {
-                                "A": A.key(), "a": a.vec, "x": x.vec, "y": y.vec,
-                                "defect": defect.vec}}
+                            return {"A": A.key(), "a": a.vec, "x": x.vec, "y": y.vec,
+                                    "defect": defect.vec}, checked
                         checked += 1
         else:
             gs = [g for g in reps if cent.membership(g ** p)]
@@ -810,12 +818,10 @@ def element_norm_sweep(G, case, caps=DEFAULT_CAPS):
                         defect = norm_element(a, g, n) * (a ** n).inverse()
                         exact = case == "pcentral-odd" and p > 3 and n == p
                         if (not defect.is_identity) if exact else not Z.membership(defect):
-                            return {"status": "fail", "counterexample": {
-                                "A": A.key(), "a": a.vec, "g": g.vec, "n": n,
-                                "defect": defect.vec}}
+                            return {"A": A.key(), "a": a.vec, "g": g.vec, "n": n,
+                                    "defect": defect.vec}, checked
                         checked += 1
-    return {"status": "pass", "tuples_checked": checked,
-            "abelian_normal_count": len(abelian_normals)}
+    return None, checked
 
 
 @pytest.fixture(scope="module")
@@ -835,7 +841,7 @@ def test_norm_sweeps_match_the_element_sweep_on_the_corpus(case, shared_corpus):
         G = entry.presentation
         try:
             try:
-                rep = norm_identity_report(G, case)
+                rep = norm_counterexample(G, case)
                 holds = True
             except HypothesesUnmet:
                 rep = _norm_sweep(G, case)
@@ -843,7 +849,7 @@ def test_norm_sweeps_match_the_element_sweep_on_the_corpus(case, shared_corpus):
         except CapExceeded:
             continue
         assert rep == element_norm_sweep(G, case), (entry.id, case)
-        outcomes[holds, rep["status"]] += 1
+        outcomes[holds, "pass" if rep[0] is None else "fail"] += 1
     assert outcomes[True, "fail"] == 0
     assert outcomes[True, "pass"] >= 9
     if case != "class3-even":
@@ -881,7 +887,7 @@ def ut42():
 def test_norm_sweep_matches_the_element_sweep_on_a_dihedral_action(case, ut42):
     G = ut42
     try:
-        rep = norm_identity_report(G, case)
+        rep = norm_counterexample(G, case)
     except HypothesesUnmet:
         rep = _norm_sweep(G, case)
     assert rep == element_norm_sweep(G, case)
@@ -889,20 +895,21 @@ def test_norm_sweep_matches_the_element_sweep_on_a_dihedral_action(case, ut42):
 
 def test_norm_identity_hypotheses():
     with pytest.raises(HypothesesUnmet):
-        norm_identity_report(corpus.dihedral(8).presentation, "pcentral-odd")
+        norm_counterexample(corpus.dihedral(8).presentation, "pcentral-odd")
     with pytest.raises(HypothesesUnmet):
-        norm_identity_report(corpus.extraspecial(3, "p").presentation, "class3-even")
+        norm_counterexample(corpus.extraspecial(3, "p").presentation, "class3-even")
     with pytest.raises(HypothesesUnmet):
-        norm_identity_report(corpus.dihedral(16).presentation, "class2")
+        norm_counterexample(corpus.dihedral(16).presentation, "class2")
     with pytest.raises(DomainError):
-        norm_identity_report(corpus.dihedral(8).presentation, "bogus")
+        norm_counterexample(corpus.dihedral(8).presentation, "bogus")
 
 
 def test_norm_identity_abelian_defect_trivial():
     """For abelian groups the norm is exactly the power, so the class-2
     sweep passes with every defect trivial."""
-    rep = norm_identity_report(corpus.abelian(3, [1, 1]).presentation, "class2")
-    assert rep["status"] == "pass"
+    counterexample, _ = norm_counterexample(corpus.abelian(3, [1, 1]).presentation,
+                                            "class2")
+    assert counterexample is None
 
 
 # -- fixed-point centralizers --------------------------------------------------------
@@ -918,46 +925,42 @@ def test_prop35_free_module_shape(d8):
     ]
     assert klein
     M = module_of(d8, klein[0])
-    assert h0(M) == () and h1(M) == ()
-    rep = fixed_point_centralizer_report(M)
-    assert rep["status"] == "pass"
-    assert rep["subgroups_verified"] == 2
+    assert h0(M) == () and z1_b1_h1(M)[2] == ()
+    assert fixed_point_centralizer_mismatch(M) == (None, 2)
 
 
 def test_prop35_skips_nontrivial_cohomology(d8):
     M = module_of(d8, frattini(d8))
-    rep = fixed_point_centralizer_report(M)
-    assert rep["status"] == "skip"
-    assert rep["reason"] == "not cohomologically trivial"
+    with pytest.raises(HypothesesUnmet) as exc:
+        fixed_point_centralizer_mismatch(M)
+    assert exc.value.reason == "not cohomologically trivial"
 
 
 # -- nonvanishing ---------------------------------------------------------------------
 
 
 def test_nonvanishing_extraspecial(es27):
-    rep = nonvanishing_report(es27, center(es27))
-    assert rep["status"] == "pass"
-    assert rep["h0"] == [3] and rep["h1"] != []
+    i0, i1 = h0_h1(es27, center(es27))
+    assert i0 == (3,) and i1 != ()
 
 
 def test_nonvanishing_d8(d8):
-    rep = nonvanishing_report(d8, frattini(d8))
-    assert rep["status"] == "pass"
-    assert rep["h0"] == [2]
+    i0, i1 = h0_h1(d8, frattini(d8))
+    assert i0 == (2,) and i1 != ()
 
 
 def test_nonvanishing_skips_cyclic_quotient(g64_pres):
     b = g64_pres.gen(1)
     N = subgroup_closure(g64_pres, [b])  # G/<b> is cyclic
     with pytest.raises(HypothesesUnmet, match="cyclic"):
-        nonvanishing_report(g64_pres, N)
+        h0_h1(g64_pres, N)
 
 
 def test_nonvanishing_skips_trivial_n(d8):
     from pgforge.subgroups import trivial_subgroup
 
     with pytest.raises(HypothesesUnmet):
-        nonvanishing_report(d8, trivial_subgroup(d8))
+        h0_h1(d8, trivial_subgroup(d8))
 
 
 def test_degree_consistency_on_all_modules(small_corpus):
@@ -971,19 +974,17 @@ def test_degree_consistency_on_all_modules(small_corpus):
             if N.is_trivial():
                 continue
             M = module_of(G, N)
-            assert (h0(M) == ()) == (h1(M) == ())
+            assert (h0(M) == ()) == (z1_b1_h1(M)[2] == ())
 
 
 # -- cocycle exponent -------------------------------------------------------------------
 
 
-def test_cocycle_exponent_extraspecial(es27, m27):
-    for G in (es27, m27):
-        rep = cocycle_exponent_report(G)
-        assert rep["status"] == "pass"
-        assert rep["z1_size"] == 9
+def test_cocycle_exponent_extraspecial():
+    for entry in (corpus.extraspecial(3, "p"), corpus.extraspecial(3, "p2")):
+        assert check_lemma_3_7(entry, DEFAULT_CAPS) == ("pass", {"z1_size": 9})
 
 
-def test_cocycle_exponent_skips_p2(d8):
-    with pytest.raises(HypothesesUnmet):
-        cocycle_exponent_report(d8)
+def test_cocycle_exponent_skips_p2():
+    with pytest.raises(HypothesesUnmet, match="odd p required"):
+        check_lemma_3_7(corpus.dihedral(8), DEFAULT_CAPS)

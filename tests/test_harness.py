@@ -193,7 +193,7 @@ def test_lemma_2_1_inclusion_loop_matches_the_element_loop(monkeypatch):
 
 
 def test_thm_3_6_builds_one_quotient_test_per_normal_subgroup(monkeypatch):
-    """The check asks `nonvanishing_report` about every normal N, which
+    """The check asks `h0_h1` about every normal N, which
     refuses the trivial one before building G/N and tests each other
     quotient for cyclicity once: 361 tests over the built-in corpus."""
     from pgforge.subgroups import QuotientGroup
@@ -247,3 +247,91 @@ def test_lowered_cap_reports_are_pinned(cap, refused, digest):
     doc["kernel_backend"] = "any"
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# -- the cohomology checks' fail paths ----------------------------------------
+#
+# No corpus group fails these checks, so each test stubs one library call
+# and pins the status and payload that the check reports.
+
+
+def test_norm_checks_report_the_first_counterexample(monkeypatch):
+    """With the center stubbed trivial, only a trivial defect passes:
+    class2 then fails on the extraspecial group and Q8, and class3-even
+    on dihedral-16, at the sweep's first (A, a, g, n) or (A, a, x, y)."""
+    from pgforge import structure
+    from pgforge.subgroups import trivial_subgroup
+
+    monkeypatch.setattr(structure, "center",
+                        lambda G, caps=DEFAULT_CAPS: trivial_subgroup(G))
+    es27, d16, q8 = corpus.extraspecial(3, "p"), corpus.dihedral(16), corpus.quaternion(8)
+    by_id = {r.group_id: r for r in run_check("lemma-3.4", [es27, d16, q8])}
+    assert by_id["dihedral-16"].reason == "class exceeds 2"
+    assert by_id["extraspecial-3-exp3"].status == "fail"
+    assert by_id["extraspecial-3-exp3"].counterexample == {
+        "A": ((0, 1, 0), (0, 0, 1)), "a": (0, 1, 0), "g": (1, 0, 0), "n": 2,
+        "defect": (0, 0, 1)}
+    assert by_id["quaternion-8"].status == "fail"
+    assert by_id["quaternion-8"].counterexample == {
+        "A": ((0, 1),), "a": (0, 1), "g": (1, 0), "n": 2, "defect": (0, 2)}
+    (r,) = run_check("lemma-3.3", [d16])
+    assert r.status == "fail"
+    assert r.counterexample == {
+        "A": ((0, 1),), "a": (0, 1), "x": (0, 0), "y": (1, 0), "defect": (0, 4)}
+
+
+def test_prop_3_5_reports_the_first_centralizer_mismatch(monkeypatch):
+    """With H0 stubbed to vanish, the Frattini module of D8 and the
+    center module of the extraspecial group count as cohomologically
+    trivial, and the trivial H has all of Q as its centralizer."""
+    from pgforge import cohomology
+
+    monkeypatch.setattr(cohomology, "h0", lambda M: ())
+    rs = run_check("prop-3.5", [corpus.dihedral(8), corpus.extraspecial(3, "p")])
+    assert [(r.group_id, r.status) for r in rs] == [
+        ("dihedral-8", "fail"), ("extraspecial-3-exp3", "fail")]
+    assert rs[0].counterexample == {
+        "N": ((0, 2),), "H": [(0, 0)],
+        "centralizer": [(0, 0), (0, 1), (1, 0), (1, 1)]}
+    assert rs[1].counterexample == {
+        "N": ((0, 0, 1),), "H": [(0, 0, 0)],
+        "centralizer": [(a, b, 0) for a in range(3) for b in range(3)]}
+
+
+@pytest.mark.parametrize("stub,h0,h1", [
+    ("h0", ([], []), ([2, 2], [3, 3])),
+    ("h1", ([2], [3]), ([], [])),
+])
+def test_thm_3_6_fails_when_either_degree_vanishes(monkeypatch, stub, h0, h1):
+    """With H0 or H1 stubbed to vanish, the check fails at the first
+    admissible N with both invariant-factor lists."""
+    from pgforge import cohomology
+
+    if stub == "h0":
+        monkeypatch.setattr(cohomology, "h0", lambda M: ())
+    else:
+        monkeypatch.setattr(cohomology, "z1_b1_h1",
+                            lambda M, caps=DEFAULT_CAPS: ([], [], ()))
+    rs = run_check("thm-3.6", [corpus.dihedral(8), corpus.extraspecial(3, "p")])
+    assert [r.status for r in rs] == ["fail", "fail"]
+    assert [r.counterexample for r in rs] == [
+        {"N": ((0, 2),), "h0": h0[0], "h1": h1[0]},
+        {"N": ((0, 0, 1),), "h0": h0[1], "h1": h1[1]},
+    ]
+
+
+def test_lemma_3_7_reports_a_cocycle_of_order_p_squared(monkeypatch):
+    """A table with every value an element of order 9 appended to Z1 of
+    the exponent-9 extraspecial group's Frattini module."""
+    from pgforge import cohomology
+
+    solve = cohomology.z1
+
+    def with_order_9(M, caps=DEFAULT_CAPS):
+        x = next(g for g in M.G.gens() if g.order() == 9)
+        return solve(M, caps) + [cohomology.CrossedHom(M, [x] * len(M.q_elements))]
+
+    monkeypatch.setattr(cohomology, "z1", with_order_9)
+    (r,) = run_check("lemma-3.7", [corpus.extraspecial(3, "p2")])
+    assert r.status == "fail"
+    assert r.counterexample == {"values": [[0, 1]] * 9}

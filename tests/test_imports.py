@@ -1,4 +1,6 @@
-"""Every top-level import in the package is used: dead imports fail here."""
+"""Every top-level import in the package is used, and every private
+module-level helper is read by some module of the package: dead imports
+and orphaned helpers fail here."""
 
 import ast
 from pathlib import Path
@@ -57,3 +59,56 @@ def test_no_unused_top_level_imports():
         for f in files
     }
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def _references(node):
+    """The names a syntax tree reads: names, attributes and imported
+    names."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name.split(".")[-1]
+
+
+def orphaned_private_helpers(sources):
+    """(module, name, line) for each module-level function or class whose
+    name starts with one underscore and which no module in `sources`
+    ({module: text}) reads outside its own definition."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    read_by = {}  # name -> the top-level statements that read it
+    for mod, tree in trees.items():
+        for stmt in tree.body:
+            for name in _references(stmt):
+                read_by.setdefault(name, set()).add(id(stmt))
+    return [
+        (mod, stmt.name, stmt.lineno)
+        for mod, tree in trees.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_") and not stmt.name.startswith("__")
+        and not read_by.get(stmt.name, set()) - {id(stmt)}
+    ]
+
+
+def test_detector_flags_orphaned_private_helper():
+    sources = {
+        "a.py": (
+            "def _used():\n    pass\n"
+            "def _recursive(n):\n    return _recursive(n - 1)\n"
+            "def _orphan():\n    pass\n"
+            "class _Held:\n    pass\n"
+            "def __getattr__(name):\n    pass\n"
+            "def public():\n    return _Held()\n"
+        ),
+        "b.py": "from a import _used\nimport a\n_used()\n",
+    }
+    assert orphaned_private_helpers(sources) == [
+        ("a.py", "_recursive", 3), ("a.py", "_orphan", 5)]
+
+
+def test_no_orphaned_private_helpers():
+    files = sorted(PACKAGE.glob("*.py"))
+    assert orphaned_private_helpers({f.name: f.read_text() for f in files}) == []

@@ -109,7 +109,11 @@ def validation_error(pres: PcPresentation, images):
     relation (conjugating generator outer), else failed generation."""
     if len(images) != pres.n_gens:
         return "one image per generator required"
-    vecs = _vecs_in(pres, images)
+    return _vecs_validation_error(pres, _vecs_in(pres, images))
+
+
+def _vecs_validation_error(pres: PcPresentation, vecs):
+    """`validation_error` of one image vector per generator of pres."""
     t = pres._tables
     err = None
     for i, (h, m) in enumerate(zip(vecs, pres.rel_orders)):
@@ -119,7 +123,7 @@ def validation_error(pres: PcPresentation, images):
             return f"power relation of x{i + 1} violated"
         if j is not None and err is None:
             err = f"conjugation relation of x{j + 1} by x{i + 1} violated"
-    if err is None and not generates(pres, images):
+    if err is None and not _vecs_generate(pres, vecs):
         err = "images do not generate the group"
     return err
 
@@ -155,9 +159,13 @@ def generates(G: PcPresentation, elements) -> bool:
     """Whether the elements generate G, by Burnside's basis theorem: they
     do exactly when their images span G/frattini(G), an F_p-space whose
     coordinates are the exponents of the quotient presentation."""
+    return _vecs_generate(G, [x.vec for x in elements])
+
+
+def _vecs_generate(G: PcPresentation, vecs) -> bool:
+    """`generates` on exponent vectors of G."""
     Qp, project = structure.frattini_quotient(G)
-    rows = [list(project(x.vec)) for x in elements]
-    return _rank_mod_p(rows, G.prime) == Qp.n_gens
+    return _rank_mod_p([list(project(v)) for v in vecs], G.prime) == Qp.n_gens
 
 
 def _rank_mod_p(rows, p):
@@ -620,11 +628,11 @@ def central_socle_automorphisms(G: PcPresentation, caps=DEFAULT_CAPS):
     members = []
     for values in itertools.product(socle, repeat=Qp.n_gens):
         shifts = tuple(_image(t, values, enumerate(c)) for c in coords)
-        images = [Element(G, kernel.mul(t, g, s)) for g, s in zip(gens, shifts)]
-        err = validation_error(G, images)
+        images = [kernel.mul(t, g, s) for g, s in zip(gens, shifts)]
+        err = _vecs_validation_error(G, images)
         if err:
             raise DomainError(f"central socle map is not an automorphism: {err}")
-        alpha = Automorphism._of_vecs(G, [x.vec for x in images])
+        alpha = Automorphism._of_vecs(G, images)
         for fixed, name in ((om, "omega1(Z(G))"), (phi, "the Frattini subgroup")):
             if not alpha.fixes_pointwise(fixed):
                 raise DomainError(f"central socle member moved {name}")
@@ -688,15 +696,16 @@ def _metacyclic_shape(G: PcPresentation):
     return (r, s, t)
 
 
-def powerful_quotient_witness(G: PcPresentation, caps=DEFAULT_CAPS) -> AutWitness:
+def powerful_quotient_witness(G: PcPresentation, caps=DEFAULT_CAPS):
     """A validated noninner automorphism of order p for a nonabelian G
-    whose central quotient is powerful.
+    whose central quotient is powerful, or None if there is none.
 
     For odd p, or for p = 2 with noncyclic center, the witness fixes the
     Frattini subgroup pointwise; for p = 2 with cyclic center it fixes
     either the Frattini subgroup or omega1(Z(G)) pointwise.  Branches with
-    no explicit map fall back to the exhaustive search; every returned
-    witness is re-validated independently of its construction."""
+    no explicit map fall back to the exhaustive search of those sets, so
+    None contradicts the theorem.  Every returned witness is re-validated
+    independently of its construction."""
     if structure.is_abelian(G):
         raise HypothesesUnmet("abelian")
     cq = structure.central_quotient(G, caps)
@@ -720,25 +729,19 @@ def powerful_quotient_witness(G: PcPresentation, caps=DEFAULT_CAPS) -> AutWitnes
                                        path="socle-search", caps=caps)
         except CapExceeded:
             pass
-        w = _search_noninner(G, phi, "frattini", caps)
-        if w is not None:
-            return w
-        raise DomainError("no witness found with noncyclic center")
+        return _search_noninner(G, phi, "frattini", caps)
 
     # a construction returns None where it has no explicit map and raises
     # DomainError where it misfires on an unusual shape; the search is
-    # exact, so it stands in for both before giving up
-    failure = None
+    # exact, so it stands in for both
     try:
         w = (_odd_coset_witness if p > 2 else _even_cyclic_center_witness)(G, caps)
-    except DomainError as exc:
-        w, failure = None, exc
+    except DomainError:
+        w = None
     if w is None:
         w = _search_noninner(G, phi, "frattini", caps)
     if w is None and p == 2:
         w = _search_noninner(G, structure.omega1(Z, caps), "omega1-center", caps)
-    if w is None:
-        raise failure or DomainError("exhaustive fallback found no witness")
     return w
 
 
@@ -908,11 +911,13 @@ def liebeck_sigma(G: PcPresentation, r: int, s: int,
 # -- the cohomological route ----------------------------------------------------
 
 
-def cohomological_witness(G: PcPresentation, caps=DEFAULT_CAPS) -> AutWitness:
+def cohomological_witness(G: PcPresentation, caps=DEFAULT_CAPS):
     """Noninner order-p automorphism fixing the Frattini subgroup
     pointwise, produced through the cocycle bridge: nonvanishing of the
     degree-one cohomology of the Frattini module plus an order-p cocycle
-    outside the principal ones."""
+    outside the principal ones.  Where it finds none, against the theorems
+    it rests on, it returns a dict of what it found: the fixed set its
+    fallback searched, or H0 and H1 of the Frattini module."""
     from pgforge import cohomology
 
     p = G.prime
@@ -929,7 +934,7 @@ def cohomological_witness(G: PcPresentation, caps=DEFAULT_CAPS) -> AutWitness:
         # gives no map; the exhaustive search stands in
         w = _search_noninner(G, phi, "frattini", caps)
         if w is None:
-            raise DomainError("reduction fallback found no witness")
+            return {"witness": "none found", "fixed_sets": ["frattini"]}
         return AutWitness(w.automorphism, w.order, w.fixed_set, None,
                           "ds-fallback-search")
     if not (structure.nilpotency_class(cq) <= 2 or structure.is_p_central(cq, caps)):
@@ -937,14 +942,14 @@ def cohomological_witness(G: PcPresentation, caps=DEFAULT_CAPS) -> AutWitness:
     # under these hypotheses phi is nontrivial with a noncyclic quotient,
     # so H0 and H1 of its module are nonzero (the thm-3.6 claim)
     M = cohomology.module_of(G, phi, caps)
-    i0 = cohomology.h0(M)
-    zs, bs, i1 = cohomology.z1_b1_h1(M, caps)
-    if i0 == () or i1 == ():
-        raise DomainError("cohomology vanished against the hypotheses")
-    principal = {f.key() for f in bs}
-    f = next((f for f in zs if f.key() not in principal and f.power(p).is_trivial()),
-             None)
+    found = {"N": phi.key(), "h0": list(cohomology.h0(M)),
+             "h1": list(cohomology.h1(M)[2])}
+    if not (found["h0"] and found["h1"]):
+        return found
+    principal = {f.key() for f in cohomology.b1(M)}
+    f = next((f for f in cohomology.z1(M, caps)
+              if f.key() not in principal and f.power(p).is_trivial()), None)
     if f is None:
-        raise DomainError("no order-p cocycle outside the principal ones")
+        return {**found, "order_p_cocycles_outside_b1": 0}
     alpha = Automorphism._of_vecs(G, cohomology.bridge_vecs(M, [f])[0])
     return witness_for(G, alpha, phi, "frattini", path="cocycle-bridge", caps=caps)

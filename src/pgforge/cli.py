@@ -86,14 +86,14 @@ def cmd_cohomology(args):
             "use its normal closure or different generators"
         )
     M = cohomology.module_of(G, N, args.caps)
-    zs, bs, i1 = cohomology.z1_b1_h1(M, args.caps)
+    z1_size, b1_size, i1 = cohomology.h1(M)
     doc = {
         "group": G.name,
         "normal_order": N.order,
         "module": M.to_dict(),
         "h0": list(cohomology.h0(M)),
-        "z1_size": len(zs),
-        "b1_size": len(bs),
+        "z1_size": z1_size,
+        "b1_size": b1_size,
         "h1": list(i1),
     }
     print(json.dumps(doc, indent=2, sort_keys=True))

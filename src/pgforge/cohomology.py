@@ -1,8 +1,8 @@
 """Degree-zero and degree-one cohomology of center modules.
 
 For a normal subgroup N of G, the quotient Q = G/N acts on A = Z(N) by
-conjugation.  This module computes the fixed points A_Q, the trace image
-A^tau, H0 = A_Q / A^tau, the group Z1 of crossed homomorphisms, the
+conjugation.  This module computes H0 = A_Q / A^tau (the fixed points
+modulo the trace image), the group Z1 of crossed homomorphisms, the
 principal subgroup B1, H1 = Z1/B1, and the bridge sending a cocycle f to
 the automorphism g -> g (gN)^f.
 
@@ -10,8 +10,8 @@ A crossed homomorphism is a total table on Q obeying the cocycle law
 f(qr) = f(q)^r f(r).  It is fixed by its values on generators of Q, and
 in coordinates of A every other value is an integer-linear form in them,
 so Z1 is the solution space of linear conditions modulo the orders of A's
-basis.  `z1` builds those forms in one walk of Q, solves the conditions
-by Hermite reduction and enumerates the solutions; nothing is filtered.
+basis.  `h0` and `h1` read H0, |Z1|, |B1| and H1 from span sizes, with no
+enumeration; `z1` and `b1` list the cocycles for the checks that need them.
 
 For p-groups, vanishing of H0 or H1 in one degree forces vanishing in the
 other.  Theorem 3.6's check asserts both degrees nonzero, and the test
@@ -22,12 +22,11 @@ module.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from math import prod
 
 from pgforge import kernel
 from pgforge.caps import DEFAULT_CAPS
-from pgforge.core import Element, PcPresentation
+from pgforge.core import Element, PcPresentation, p_valuation
 from pgforge.errors import CapExceeded, DomainError, HypothesesUnmet
 from pgforge import structure
 from pgforge.subgroups import (
@@ -37,8 +36,6 @@ from pgforge.subgroups import (
     enumerate_subgroups,
     is_normal,
     quotient,
-    subgroup_closure,
-    subgroup_of_elements,
 )
 
 
@@ -86,10 +83,6 @@ class GModule:
             coords = grown
         self._coords = coords
 
-    def act(self, a: Element, q: Element) -> Element:
-        """a^q, conjugation by the canonical representative."""
-        return a.conjugate(q)
-
     def action_matrix(self, q: Element):
         """Row i = coordinates of basis[i]^q, entries mod the column
         orders."""
@@ -123,35 +116,6 @@ def _module_over(G, N, Q, caps):
     if Q.order * A.order > caps.cohomology:
         raise CapExceeded("cohomology table", Q.order * A.order, caps.cohomology)
     return GModule(G, N, A, Q, caps)
-
-
-def trace_image(M: GModule) -> Subgroup:
-    """Image of a -> prod over Q of a^x; lands inside the fixed points."""
-    imgs = []
-    for b in M.basis:
-        acc = M.G.identity()
-        for q in M.q_elements:
-            acc = acc * M.act(b, q)
-        imgs.append(acc)
-    return subgroup_closure(M.G, imgs)
-
-
-def fixed_points(M: GModule) -> Subgroup:
-    """The a in A with a^q = a, that is aq = qa, for every generator q of
-    Q; the swept list is the whole subgroup."""
-    members = structure._commuting(
-        M.G._tables, [a.vec for a in M.a_elements], [q.vec for q in M.gen_reps]
-    )
-    return subgroup_of_elements(M.G, members)
-
-
-def h0(M: GModule):
-    """Invariant factors of fixed points modulo the trace image."""
-    fp = fixed_points(M)
-    tr = trace_image(M)
-    if not all(fp.membership(x) for x in tr.igs):
-        raise DomainError("trace image escaped the fixed points")
-    return structure.section_invariants(M.G, fp, tr)
 
 
 class CrossedHom:
@@ -264,25 +228,95 @@ def _cocycle_forms(M: GModule):
 
 
 def _kernel_basis(conditions, x_orders):
-    """A triangular basis of {x in X : x . d = 0 mod o for each (o, d)}.
-
-    First the Hermite reduction of the rows [D | I] with the relation rows
-    o e_c, one condition column at a time: the rows left zero in every
-    condition column generate the kernel.  Then the reduction of those
-    rows with the relations o_i e_i, one coordinate at a time.  Returns one
-    (d_i, h_i) per coordinate i: h_i is zero before i, its entry at i is
-    d_i modulo o_i, and d_i divides o_i, so the kernel has prod o_i / d_i
-    elements, the sums of t_i h_i with 0 <= t_i < o_i / d_i."""
+    """The `_echelon` basis of {x in X : x . d = 0 mod o for each (o, d)},
+    generated by the rows of [D | I] left zero in every condition column
+    by the Hermite reduction with the relation rows o e_c."""
     width = len(x_orders)
     rows = [tuple(int(r == i) for i in range(width)) for r in range(width)]
     for o, d in conditions:
         values = [sum(a * b for a, b in zip(r, d)) % o for r in rows]
         _, rows = _fold(o, rows, values, x_orders)
+    return _echelon(rows, x_orders)
+
+
+def _echelon(rows, orders):
+    """The reduction of `rows` in X = Z/o_1 + ... + Z/o_r (o = `orders`)
+    with the relations o_i e_i, one coordinate at a time: one (d_i, h_i)
+    per i, h_i zero before i with d_i | o_i at i, so the span has
+    prod o_i / d_i elements, the sums of t_i h_i with 0 <= t_i < o_i / d_i."""
     basis = []
-    for i, o in enumerate(x_orders):
-        pivot, rows = _fold(o, rows, [r[i] for r in rows], x_orders)
+    for i, o in enumerate(orders):
+        pivot, rows = _fold(o, rows, [r[i] for r in rows], orders)
         basis.append(pivot)
     return basis
+
+
+def _quotient(p, big, small, orders, escaped):
+    """(log_p |<big>|, log_p |<small>|, the invariant factors of
+    B = <big>/<small>) for rows of X; DomainError(escaped) unless <small>
+    lies in <big>.  p^k B is <p^k big, small>/<small>, and
+    |B[p^k]| = |B| / |p^k B|, so the levels log_p |B[p^k]| come from one
+    span size per k."""
+    def log_size(rows):
+        return sum(p_valuation(o // d, p) for o, (d, _) in zip(orders, _echelon(rows, orders)))
+
+    top, base = log_size(big), log_size(small)
+    sizes = [log_size(big + small) - base]  # log_p |p^k B|
+    if sizes[0] != top - base:
+        raise DomainError(escaped)
+    while sizes[-1]:
+        big = [tuple(p * x % o for x, o in zip(r, orders)) for r in big]
+        sizes.append(log_size(big + small) - base)
+    return top, base, tuple(structure._invariant_factors(p, [sizes[0] - s for s in sizes]))
+
+
+def _principal_rows(M: GModule, qs):
+    """Row j is the table (b_j^q b_j^-1)_q over qs, from the action
+    matrices: a -> (a^q a^-1)_q is linear, with kernel the fixed points
+    and image B1 (over Q's generators, in X = A^k)."""
+    orders = M.basis_orders
+    mats = [M.action_matrix(q) for q in qs]
+    return [
+        tuple((mat[j][c] - (c == j)) % o for mat in mats for c, o in enumerate(orders))
+        for j in range(len(orders))
+    ]
+
+
+def h0(M: GModule):
+    """Invariant factors of H0, the fixed points A_Q (the kernel of
+    `_principal_rows`) modulo the trace image, in the coordinates of
+    M.basis.  Q's canonical representatives are g_1^e_1 ... g_n^e_n with
+    0 <= e_i < l_i, l the coset layers of N, so the norm a -> prod_q a^q is
+    the composite of the maps a -> a a^g ... a^(g^(l - 1)) for g = g_i in
+    turn, with no loop over Q (K. S. Brown, Cohomology of Groups, VI)."""
+    orders = M.basis_orders
+    m = len(orders)
+    conditions = list(zip(orders * len(M.gen_reps), zip(*_principal_rows(M, M.gen_reps))))
+    trace = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+    layers = coset_layers(M.N)
+    for mat, layer in [(M.action_matrix(g), l) for g, l in zip(M.G.gens(), layers) if l > 1]:
+        for i, v in enumerate(trace):
+            acc = v  # v + v M + ... + v M^(layer - 1), by Horner's rule
+            for _ in range(layer - 1):
+                acc = tuple((sum(x * row[c] for x, row in zip(acc, mat)) + v[c]) % o
+                            for c, o in enumerate(orders))
+            trace[i] = acc
+    fixed = [h for _, h in _kernel_basis(conditions, orders)]
+    return _quotient(M.G.prime, fixed, trace, orders,
+                     "trace image escaped the fixed points")[2]
+
+
+def h1(M: GModule):
+    """(|Z1|, |B1|, the invariant factors of H1 = Z1/B1), with nothing
+    enumerated.  A cocycle is written as its values (f(s_1), ..., f(s_k))
+    on the greedy generators of Q, in X = A^k: Z1 is the kernel of the
+    conditions of `_cocycle_forms`, and B1 is spanned by `_principal_rows`."""
+    _, conditions, x_orders = _cocycle_forms(M)
+    p = M.G.prime
+    cocycles = [h for _, h in _kernel_basis(conditions, x_orders)]
+    z, b, invariants = _quotient(p, cocycles, _principal_rows(M, M.gen_reps), x_orders,
+                                 "principal cocycles escaped the cocycle group")
+    return p ** z, p ** b, invariants
 
 
 def z1(M: GModule, caps=DEFAULT_CAPS):
@@ -349,46 +383,13 @@ def _crossed_homs(M: GModule, tables):
 
 
 def b1(M: GModule):
-    """Principal crossed homomorphisms q -> a^{-1} a^q, sorted by key.
-
-    In the coordinates of M.basis, a -> (a^{-1} a^q)_q is linear, so B1 is
-    spanned by the tables of the basis elements b_j, (b_j^q - b_j)_q, read
-    from the action matrices: only the m basis elements are conjugated.
-    Their span is enumerated as in `z1`, with duplicates dropped.  The test
-    suite keeps the table of every a in A as its oracle."""
+    """Principal crossed homomorphisms q -> a^{-1} a^q, sorted by key: the
+    span of `_principal_rows` over all of Q, enumerated as in `z1` with
+    duplicates dropped, so only the m basis elements are conjugated.  The
+    test suite keeps the table of every a in A as its oracle."""
     orders = M.basis_orders
-    rows = [M.action_matrix(q) for q in M.q_elements]
-    steps = [
-        (o, tuple(
-            (mat[j][c] - (c == j)) % oc
-            for mat in rows
-            for c, oc in enumerate(orders)
-        ))
-        for j, o in enumerate(orders)
-    ]
-    return _crossed_homs(M, dict.fromkeys(_span(steps, orders * len(rows))))
-
-
-def z1_b1_h1(M: GModule, caps=DEFAULT_CAPS):
-    """Z1, B1 and the invariant factors of Z1/B1 under pointwise product,
-    each computed once."""
-    zs = z1(M, caps)
-    bs = b1(M)
-    if len(zs) % len(bs):
-        raise DomainError("principal subgroup does not divide the cocycle group")
-    principal = {f.key() for f in bs}
-    p = M.G.prime
-    orders = Counter()
-    for f in zs:
-        o = 1
-        g = f
-        while g.key() not in principal:
-            g = g.power(p)
-            o *= p
-        orders[o] += 1
-    # each coset of B1 holds |B1| cocycles of one order
-    quotient_orders = Counter({o: c // len(bs) for o, c in orders.items()})
-    return zs, bs, tuple(structure._invariant_factors(p, quotient_orders))
+    steps = list(zip(orders, _principal_rows(M, M.q_elements)))
+    return _crossed_homs(M, dict.fromkeys(_span(steps, orders * len(M.q_elements))))
 
 
 # -- the automorphism bridge ---------------------------------------------------
@@ -571,15 +572,18 @@ def _norm_sweep(G: PcPresentation, case: str, caps=DEFAULT_CAPS):
 
 
 def fixed_point_centralizer_mismatch(M: GModule, caps=DEFAULT_CAPS):
-    """When H0 vanishes the module is cohomologically trivial, and then
-    for every subgroup H of Q the centralizer of the H-fixed points is H
-    itself.  Returns (the first H with another centralizer or None,
-    subgroups checked); a module with H0 nonzero raises HypothesesUnmet.
+    """When H0 vanishes a nonzero module is cohomologically trivial, and
+    then for every subgroup H of Q the centralizer of the H-fixed points is
+    H itself.  Returns (the first H with another centralizer or None,
+    subgroups checked); the zero module and one with H0 nonzero raise
+    HypothesesUnmet.
 
     Fix(q), the a in A with a^q = a, is found once per q in Q, on vectors.
     Then the H-fixed points are the intersection of Fix(h) over h in H,
     and their centralizer is {q : fixed points inside Fix(q)}: the same
     sets, with no conjugation per subgroup."""
+    if M.A.is_trivial():
+        raise HypothesesUnmet("trivial module")
     if h0(M) != ():
         raise HypothesesUnmet("not cohomologically trivial")
     G = M.G
@@ -627,4 +631,4 @@ def h0_h1(G: PcPresentation, N: Subgroup, caps=DEFAULT_CAPS):
         raise HypothesesUnmet("quotient is cyclic")
     nonvanishing_hypothesis(G, caps)
     M = _module_over(G, N, Q, caps)
-    return h0(M), z1_b1_h1(M, caps)[2]
+    return h0(M), h1(M)[2]

@@ -150,7 +150,9 @@ def check_cor_2_3(entry, caps):
     ucs = structure.upper_central_series(G, caps)
     Z = ucs[1]
     Z2 = ucs[2] if len(ucs) > 2 else ucs[-1]
-    lhs = len(structure.section_invariants(G, Z2, Z))
+    # Z2/Z is abelian: its p-th powers are those of Z2's generators' images
+    powers = subgroup_closure(G, list(Z.igs) + [u ** G.prime for u in Z2.igs])
+    lhs = p_valuation(Z2.order // powers.order, G.prime)
     rhs = structure.d_abelian(Z, caps) * structure.rank_d(G, caps)
     if lhs == rhs:
         return ("pass", {"d_z2_mod_z": lhs, "product": rhs})
@@ -212,12 +214,12 @@ def check_thm_2_6(entry, caps):
     (p = 2, cyclic center)."""
     G = entry.presentation
     w = powerful_quotient_witness(G, caps)
-    if not w.is_noninner or w.order != G.prime:
-        return ("fail", w.to_dict())
     ok_sets = {"frattini"}
     if G.prime == 2 and structure.d_abelian(structure.center(G, caps), caps) == 1:
         ok_sets.add("omega1-center")
-    if w.fixed_set not in ok_sets:
+    if w is None:  # the route searched exactly these sets
+        return ("fail", {"witness": "none found", "fixed_sets": sorted(ok_sets)})
+    if not w.is_noninner or w.order != G.prime or w.fixed_set not in ok_sets:
         return ("fail", w.to_dict())
     return ("pass", w.to_dict())
 
@@ -356,11 +358,14 @@ def check_second_proof(entry, caps):
     existence; the route's witness is validated."""
     G = entry.presentation
     w = cohomological_witness(G, caps)
+    if isinstance(w, dict):
+        return ("fail", w)
     if not w.is_noninner or w.order != G.prime:
         return ("fail", w.to_dict())
     direct = powerful_quotient_witness(G, caps)
-    if not direct.is_noninner:
-        return ("fail", {"direct construction disagreed": direct.path})
+    if direct is None or not direct.is_noninner:
+        return ("fail", {"direct construction disagreed":
+                         direct.path if direct else "none found"})
     return ("pass", w.to_dict())
 
 

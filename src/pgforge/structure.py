@@ -8,7 +8,6 @@ results are memoized per presentation.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 from pgforge import kernel
@@ -294,24 +293,16 @@ def rank_d(G: PcPresentation, caps=DEFAULT_CAPS) -> int:
     return p_valuation(idx, G.prime)
 
 
-def _invariant_factors(p, counts):
-    """Invariant factors, largest first, of a finite abelian p-group given
-    as a Counter from element order to number of elements of that order.
+def _invariant_factors(p, levels):
+    """Invariant factors, largest first, of a finite abelian p-group B
+    given by levels[k] = log_p |B[p^k]|, the elements of order dividing
+    p^k, for k = 0, 1, ... up to the exponent of B at least.
 
-    The elements of order dividing p^k number p^(l_k), and l_k - l_(k-1)
-    factors have order >= p^k.
+    l_k - l_(k-1) factors have order >= p^k.
     """
-    kmax = p_valuation(max(counts), p)
-    levels = [
-        p_valuation(sum(c for o, c in counts.items() if o <= p ** k), p)
-        for k in range(kmax + 2)
-    ]
-    factors = []
-    for k in range(kmax, 0, -1):
-        at_least = levels[k] - levels[k - 1]
-        above = levels[k + 1] - levels[k]
-        factors.extend([p ** k] * (at_least - above))
-    return factors
+    levels = list(levels) + [levels[-1]]
+    return [p ** k for k in range(len(levels) - 2, 0, -1)
+            for _ in range(2 * levels[k] - levels[k - 1] - levels[k + 1])]
 
 
 def abelian_invariants(A: Subgroup, caps=DEFAULT_CAPS):
@@ -320,7 +311,9 @@ def abelian_invariants(A: Subgroup, caps=DEFAULT_CAPS):
         raise DomainError("abelian_invariants requires an abelian subgroup")
     if A.order > caps.element_sweep:
         raise CapExceeded("abelian invariants sweep", A.order, caps.element_sweep)
-    return _invariant_factors(A.pres.prime, Counter(_orders_in(A)[1]))
+    p, orders = A.pres.prime, _orders_in(A)[1]
+    return _invariant_factors(p, [p_valuation(sum(o <= p ** k for o in orders), p)
+                                  for k in range(p_valuation(max(orders), p) + 1)])
 
 
 def _orders_in(A: Subgroup):
@@ -335,14 +328,6 @@ def _orders_in(A: Subgroup):
 
 def d_abelian(A: Subgroup, caps=DEFAULT_CAPS) -> int:
     return len(abelian_invariants(A, caps))
-
-
-def section_invariants(G: PcPresentation, big: Subgroup, small: Subgroup):
-    """Invariant factors of big/small for an abelian section big >= small."""
-    Q = quotient(G, small)
-    reps = {Q.canonical_vec(v) for v in big.vectors()}
-    orders = Counter(Q.rep_order(Element(G, vec)) for vec in reps)
-    return tuple(_invariant_factors(G.prime, orders))
 
 
 def abelian_basis(A: Subgroup, caps=DEFAULT_CAPS):

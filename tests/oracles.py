@@ -1,0 +1,59 @@
+"""Brute-force oracles shared by the test modules: H0's fixed points and
+trace image by Element sweeps over A and Q, and the invariant factors of
+a section from the orders of its coset representatives."""
+
+from collections import Counter
+
+from pgforge.core import Element, p_valuation
+from pgforge.structure import _invariant_factors
+from pgforge.subgroups import quotient, subgroup_closure
+
+
+def act(a, q):
+    """a^q, conjugation by the canonical representative q."""
+    return a.conjugate(q)
+
+
+def fixed_points(M):
+    """The a in A with a^q = a for every generator q of Q, by a sweep of
+    A."""
+    return subgroup_closure(M.G, [
+        a for a in M.a_elements if all(act(a, q) == a for q in M.gen_reps)
+    ])
+
+
+def trace_image(M):
+    """The image of a -> prod over Q of a^q, from a product over all of Q
+    for each basis element of A."""
+    imgs = []
+    for b in M.basis:
+        acc = M.G.identity()
+        for q in M.q_elements:
+            acc = acc * act(b, q)
+        imgs.append(acc)
+    return subgroup_closure(M.G, imgs)
+
+
+def invariants_of_orders(p, orders):
+    """Invariant factors of a finite abelian p-group given the order of
+    each of its elements: the elements of order dividing p^k number
+    p^(l_k)."""
+    counts = Counter(orders)
+    levels = [
+        p_valuation(sum(c for o, c in counts.items() if o <= p ** k), p)
+        for k in range(p_valuation(max(counts), p) + 1)
+    ]
+    return tuple(_invariant_factors(p, levels))
+
+
+def section_invariants(G, big, small):
+    """Invariant factors of big/small for an abelian section big >= small,
+    from the orders of the canonical coset representatives of small."""
+    Q = quotient(G, small)
+    reps = {Q.canonical_vec(v) for v in big.vectors()}
+    return invariants_of_orders(G.prime, [Q.rep_order(Element(G, vec)) for vec in reps])
+
+
+def h0(M):
+    """H0 as the fixed points over the trace image, both swept."""
+    return section_invariants(M.G, fixed_points(M), trace_image(M))

@@ -21,10 +21,10 @@ from pgforge.cohomology import (
     bridge_vecs,
     c_aut_slice,
     h0,
+    h1,
     module_of,
     norm_counterexample,
     z1,
-    z1_b1_h1,
 )
 from pgforge.core import Element, kernel
 from pgforge.errors import HypothesesUnmet
@@ -170,7 +170,7 @@ def test_criterion_5_nonvanishing_exhaustive(entries):
             if N.is_trivial() or quotient(G, N).is_cyclic():
                 continue
             M = module_of(G, N)
-            i0, i1 = h0(M), z1_b1_h1(M)[2]
+            i0, i1 = h0(M), h1(M)[2]
             consistency_pairs.append((i0 == (), i1 == ()))
             if i0 == () or i1 == ():
                 ok = False

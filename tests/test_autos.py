@@ -507,7 +507,7 @@ def misfire(G, caps):
     raise DomainError("construction misfired")
 
 
-@pytest.mark.parametrize("entry_fn,construction,searched,message", [
+@pytest.mark.parametrize("entry_fn,construction,searched,case", [
     (corpus.g64, None, ["frattini", "omega1-center"], "exhaustive fallback"),
     (lambda: corpus.metacyclic(2, 2, 2), None, ["frattini", "omega1-center"],
      "exhaustive fallback"),
@@ -516,12 +516,12 @@ def misfire(G, caps):
     (lambda: corpus.extraspecial(3, "p"), misfire, ["frattini"], "construction misfired"),
 ])
 def test_witness_falls_back_to_each_search_once(monkeypatch, entry_fn, construction,
-                                                searched, message):
+                                                searched, case):
     """With the search stubbed to find nothing, a group whose construction
-    has no map searches each fixed set once, Frattini first and Ω1(Z(G))
-    for p = 2 only, then raises the construction's own error if it had
-    one.  No odd corpus group reaches the fallback, so the odd cases stub
-    the construction."""
+    has no map, or misfires, searches each fixed set once, Frattini first
+    and Ω1(Z(G)) for p = 2 only, and then returns None: the exhaustive
+    search found no witness.  No odd corpus group reaches the fallback, so
+    the odd cases stub the construction."""
     from pgforge import autos
 
     G = entry_fn().presentation
@@ -534,9 +534,34 @@ def test_witness_falls_back_to_each_search_once(monkeypatch, entry_fn, construct
     monkeypatch.setattr(autos, "first_noninner", nothing)
     if construction is not None:
         monkeypatch.setattr(autos, "_odd_coset_witness", construction)
-    with pytest.raises(DomainError, match=message):
-        powerful_quotient_witness(G)
+    assert powerful_quotient_witness(G) is None, case
     assert calls == searched
+
+
+def test_thm_2_6_fails_naming_the_fixed_sets_searched(monkeypatch):
+    """With every search stubbed to find nothing, and the odd construction
+    and the socle members stubbed away, the check fails on each branch of
+    the route, naming the fixed sets that it searched, and the run exits
+    1 instead of aborting."""
+    from pgforge import autos
+    from pgforge.harness import exit_code, run_check
+
+    monkeypatch.setattr(autos, "first_noninner", lambda G, fixed, caps: None)
+    monkeypatch.setattr(autos, "_odd_coset_witness", lambda G, caps: None)
+    monkeypatch.setattr(autos, "central_socle_automorphisms",
+                        lambda G, caps: ([], []))
+    d8xc2 = corpus.CorpusEntry("d8xc2-involutions",
+                               parse_presentation(D8XC2_INVOLUTIONS), "test")
+    rs = run_check("thm-2.6", [corpus.dihedral(8), corpus.extraspecial(3, "p"), d8xc2])
+    assert [(r.group_id, r.status, r.counterexample) for r in rs] == [
+        ("d8xc2-involutions", "fail",
+         {"witness": "none found", "fixed_sets": ["frattini"]}),
+        ("dihedral-8", "fail",
+         {"witness": "none found", "fixed_sets": ["frattini", "omega1-center"]}),
+        ("extraspecial-3-exp3", "fail",
+         {"witness": "none found", "fixed_sets": ["frattini"]}),
+    ]
+    assert exit_code(rs) == 1
 
 
 def test_witness_search_fallback_validated(l128_pres):

@@ -15,21 +15,18 @@ from pgforge.cohomology import (
     bridge_vecs,
     c_aut_slice,
     fixed_point_centralizer_mismatch,
-    fixed_points,
     h0,
     h0_h1,
+    h1,
     module_of,
     norm_counterexample,
-    trace_image,
     z1,
-    z1_b1_h1,
 )
 from pgforge.caps import DEFAULT_CAPS
 from pgforge.core import Element
 from pgforge.errors import CapExceeded, DomainError, HypothesesUnmet
 from pgforge.harness import check_lemma_3_7
 from pgforge.structure import (
-    _invariant_factors,
     center,
     center_of_subgroup,
     centralizer,
@@ -45,6 +42,9 @@ from pgforge.subgroups import (
     trivial_subgroup,
 )
 from pgforge import corpus
+
+import oracles
+from oracles import act, fixed_points, invariants_of_orders, trace_image
 
 
 def oracle_z1(M):
@@ -81,7 +81,7 @@ def oracle_z1(M):
                 for s, a in zip(picks, assignment):
                     qs_next = M.Q.canonical(q * s)
                     ni = idx[qs_next.vec]
-                    val = M.act(fq, s) * a
+                    val = act(fq, s) * a
                     if table[ni] is None:
                         table[ni] = val
                         if ni not in seen:
@@ -109,7 +109,7 @@ def oracle_b1(M):
     seen = {}
     for a in M.a_elements:
         ai = a.inverse()
-        f = CrossedHom(M, [ai * M.act(a, q) for q in M.q_elements])
+        f = CrossedHom(M, [ai * act(a, q) for q in M.q_elements])
         seen[f.key()] = f
     return sorted(seen.values(), key=lambda f: f.key())
 
@@ -121,7 +121,7 @@ def law_on_all_pairs(f):
     for q, fq in zip(M.q_elements, f.values):
         for r, fr in zip(M.q_elements, f.values):
             qr = M.Q.canonical(q * r)
-            if f.values[idx[qr.vec]] != M.act(fq, r) * fr:
+            if f.values[idx[qr.vec]] != act(fq, r) * fr:
                 return False
     return True
 
@@ -144,7 +144,7 @@ def law_on_generator_pairs(f):
     for q, fq in zip(M.q_elements, values):
         for s in M.gen_reps:
             qs = values[M.q_index[M.Q.canonical(q * s).vec]]
-            if qs != M.act(fq, s) * values[M.q_index[s.vec]]:
+            if qs != act(fq, s) * values[M.q_index[s.vec]]:
                 return False
     return True
 
@@ -174,25 +174,27 @@ def verify_action(M, rng, pairs=200):
         q, r = rng.choice(qs), rng.choice(qs)
         qr = M.Q.canonical(q * r)
         for b in M.basis:
-            assert M.act(M.act(b, q), r) == M.act(b, qr)
+            assert act(act(b, q), r) == act(b, qr)
     for _ in range(pairs):
         q = rng.choice(qs)
         alt = q * rng.choice(ns)
         for b in M.basis:
-            assert M.act(b, q) == b.conjugate(alt)
+            assert act(b, q) == b.conjugate(alt)
 
 
 def oracle_h1(M, zs):
     """Invariant factors of Z1/B1 from the orders of the cosets."""
     bs = {f.key() for f in oracle_b1(M)}
     p = M.G.prime
-    orders = Counter()
+    counts = Counter()
     for f in zs:
         o, g = 1, f
         while g.key() not in bs:
             g, o = g.power(p), o * p
-        orders[o] += 1
-    return tuple(_invariant_factors(p, {o: c // len(bs) for o, c in orders.items()}))
+        counts[o] += 1
+    # each coset of B1 holds |B1| cocycles of one order
+    return invariants_of_orders(
+        p, [o for o, c in counts.items() for _ in range(c // len(bs))])
 
 
 @pytest.fixture(scope="module")
@@ -245,7 +247,7 @@ def test_module_extraspecial_center(es27):
     M = module_of(es27, Z)
     assert M.A.order == 3 and M.Q.order == 9
     assert h0(M) == (3,)
-    assert z1_b1_h1(M)[2] != ()
+    assert h1(M)[2] != ()
 
 
 def test_module_action_well_defined(small_corpus):
@@ -327,12 +329,25 @@ def test_z1_and_h1_match_the_assignment_oracle_on_every_corpus_module(
     corpus_modules,
 ):
     """The kernel solver against the assignment-by-assignment walk, and
-    h1 against the coset orders of the walk's cocycles."""
+    h1's |Z1|, |B1| and invariant factors against the walk's cocycles,
+    the conjugation tables and the coset orders of the cocycles."""
     assert len(corpus_modules) > 400
     for gid, M in corpus_modules:
         expected = oracle_z1(M)
         assert [f.key() for f in z1(M)] == [f.key() for f in expected], gid
-        assert z1_b1_h1(M)[2] == oracle_h1(M, expected), gid
+        assert h1(M) == (len(expected), len(oracle_b1(M)), oracle_h1(M, expected)), gid
+
+
+def test_h0_matches_the_sweep_oracle_on_every_corpus_module(corpus_modules):
+    """h0 against the swept fixed points over the trace image from a
+    product over Q, read through the orders of coset representatives."""
+    assert len(corpus_modules) == 491
+    nonzero = 0
+    for gid, M in corpus_modules:
+        got = h0(M)
+        assert got == oracles.h0(M), gid
+        nonzero += got != ()
+    assert nonzero > 100
 
 
 def test_kernel_basis_is_triangular_and_counts_z1(corpus_modules):
@@ -353,7 +368,9 @@ def test_kernel_basis_is_triangular_and_counts_z1(corpus_modules):
 
 def test_z1_refuses_on_the_enumerated_size():
     """The refusal reads |Z1| |Q| from the kernel's diagonal.  Q = C2^6
-    acts trivially on A = C2^6, so Z1 = Hom(Q, A) has 2^36 elements."""
+    acts trivially on A = C2^6, so Z1 = Hom(Q, A) has 2^36 elements; `h0`
+    and `h1`, which list nothing, still answer, with B1 trivial and
+    H1 = Z1."""
     G = corpus.abelian(2, [1] * 12).presentation
     N = subgroup_closure(G, G.gens()[6:])
     M = module_of(G, N)
@@ -361,6 +378,8 @@ def test_z1_refuses_on_the_enumerated_size():
         z1(M)
     assert exc.value.what == "cocycle solver"
     assert exc.value.needed == 2 ** 36 * 2 ** 6
+    assert h1(M) == (2 ** 36, 1, (2,) * 36)
+    assert h0(M) == (2,) * 6
 
 
 def test_z1_answers_where_the_assignment_walk_refused():
@@ -374,7 +393,7 @@ def test_z1_answers_where_the_assignment_walk_refused():
     zs = z1(M)
     assert len(zs) == 4 ** 4
     assert all(law_on_generator_pairs(f) for f in zs[::37])
-    assert z1_b1_h1(M)[2] == (2,) * 8
+    assert h1(M)[2] == (2,) * 8
 
 
 def test_h1_inversion_module(d8):
@@ -384,7 +403,7 @@ def test_h1_inversion_module(d8):
     M = module_of(d8, N)
     assert len(z1(M)) == 4
     assert len(b1(M)) == 2
-    assert z1_b1_h1(M)[2] == (2,)
+    assert h1(M)[2] == (2,)
 
 
 def test_z1_hom_shape_for_trivial_action():
@@ -397,7 +416,7 @@ def test_z1_hom_shape_for_trivial_action():
         zs = z1(M)
         assert len(zs) == p
         assert len(b1(M)) == 1
-        assert z1_b1_h1(M)[2] == (p,)
+        assert h1(M)[2] == (p,)
 
 
 def test_z1_group_closure_and_law(d8):
@@ -431,16 +450,12 @@ def oracle_coords(M):
     return coords
 
 
-def oracle_fixed_points(M):
-    return subgroup_closure(M.G, [
-        a for a in M.a_elements if all(M.act(a, q) == a for q in M.gen_reps)
-    ])
-
-
 def oracle_fixed_point_centralizer_report(M, caps=DEFAULT_CAPS):
     """The mismatch and count of `fixed_point_centralizer_mismatch`, with
     the fixed points and their centralizer found by Element conjugation,
     per subgroup over N."""
+    if M.A.is_trivial():
+        raise HypothesesUnmet("trivial module")
     if h0(M) != ():
         raise HypothesesUnmet("not cohomologically trivial")
     G = M.G
@@ -450,9 +465,9 @@ def oracle_fixed_point_centralizer_report(M, caps=DEFAULT_CAPS):
             continue
         h_reps = sorted({M.Q.canonical(x).vec for x in S.elements()})
         fixed = [a for a in M.a_elements
-                 if all(M.act(a, Element(G, h)) == a for h in h_reps)]
+                 if all(act(a, Element(G, h)) == a for h in h_reps)]
         centralizer_reps = {q.vec for q in M.q_elements
-                            if all(M.act(a, q) == a for a in fixed)}
+                            if all(act(a, q) == a for a in fixed)}
         if centralizer_reps != set(h_reps):
             return {"H": h_reps, "centralizer": sorted(centralizer_reps)}, verified
         verified += 1
@@ -468,16 +483,14 @@ def skip_reason_or(fn, M):
 
 
 def test_module_vectors_match_the_element_oracles(corpus_modules):
-    """The coordinates (with their order), the action matrices, the fixed
-    points and the fixed-point centralizer report, on every corpus
-    module."""
+    """The coordinates (with their order), the action matrices and the
+    fixed-point centralizer report, on every corpus module."""
     statuses = Counter()
     for gid, M in corpus_modules:
         assert list(M._coords.items()) == list(oracle_coords(M).items()), gid
         for q in M.q_elements:
             assert M.action_matrix(q) == tuple(
-                M._coords[M.act(b, q).vec] for b in M.basis), gid
-        assert fixed_points(M) == oracle_fixed_points(M), gid
+                M._coords[act(b, q).vec] for b in M.basis), gid
         got = skip_reason_or(fixed_point_centralizer_mismatch, M)
         assert got == skip_reason_or(oracle_fixed_point_centralizer_report, M), gid
         if isinstance(got, str):
@@ -591,14 +604,15 @@ def test_b1_size_is_a_over_fixed_points(small_corpus):
 
 
 def test_z1_b1_h1_sizes_consistent(d8, q8):
+    """|Z1| = |B1| |H1|, with the sizes of `h1` those of the lists."""
     for G, N in [(d8, frattini(d8)), (q8, subgroup_closure(q8, [q8.gen(1) ** 2]))]:
         M = module_of(G, N)
-        zs, bs = z1(M), b1(M)
-        inv = z1_b1_h1(M)[2]
+        z1_size, b1_size, inv = h1(M)
+        assert (z1_size, b1_size) == (len(z1(M)), len(b1(M)))
         size = 1
         for f in inv:
             size *= f
-        assert len(zs) == len(bs) * size
+        assert z1_size == b1_size * size
 
 
 # -- the bridge -----------------------------------------------------------------
@@ -614,7 +628,7 @@ def test_principal_cocycle_gives_conjugation(q8, es27):
     for G, N in [(q8, subgroup_closure(q8, [q8.gen(1) ** 2])), (es27, center(es27))]:
         M = module_of(G, N)
         for a in M.a_elements:
-            f = CrossedHom(M, [a.inverse() * M.act(a, q) for q in M.q_elements])
+            f = CrossedHom(M, [a.inverse() * act(a, q) for q in M.q_elements])
             assert cocycle_to_automorphism(M, f) == inner_automorphism(G, a)
 
 
@@ -925,7 +939,7 @@ def test_prop35_free_module_shape(d8):
     ]
     assert klein
     M = module_of(d8, klein[0])
-    assert h0(M) == () and z1_b1_h1(M)[2] == ()
+    assert h0(M) == () and h1(M)[2] == ()
     assert fixed_point_centralizer_mismatch(M) == (None, 2)
 
 
@@ -934,6 +948,18 @@ def test_prop35_skips_nontrivial_cohomology(d8):
     with pytest.raises(HypothesesUnmet) as exc:
         fixed_point_centralizer_mismatch(M)
     assert exc.value.reason == "not cohomologically trivial"
+
+
+def test_prop35_skips_the_zero_module(corpus_modules):
+    """A = 1 has H0 = 0, but its fixed points are centralized by all of Q:
+    every N = 1 module is refused as trivial, not reported as a
+    mismatch."""
+    zero = [(gid, M) for gid, M in corpus_modules if M.N.is_trivial()]
+    assert len(zero) == 38
+    for gid, M in zero:
+        with pytest.raises(HypothesesUnmet) as exc:
+            fixed_point_centralizer_mismatch(M)
+        assert exc.value.reason == "trivial module", gid
 
 
 # -- nonvanishing ---------------------------------------------------------------------
@@ -974,7 +1000,7 @@ def test_degree_consistency_on_all_modules(small_corpus):
             if N.is_trivial():
                 continue
             M = module_of(G, N)
-            assert (h0(M) == ()) == (z1_b1_h1(M)[2] == ())
+            assert (h0(M) == ()) == (h1(M)[2] == ())
 
 
 # -- cocycle exponent -------------------------------------------------------------------

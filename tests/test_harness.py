@@ -231,13 +231,15 @@ def test_second_proof_builds_one_module(monkeypatch):
 
 
 # sha256 of the verify-all report with every group-order cap lowered to
-# 8 and to 16, `timing_ms` set to 0 and `kernel_backend` set to "any", as
-# in tests/test_cli.py: these pin the refusals (70 and 57) with their
-# reasons, and the verdicts left within the lowered caps
+# 8, 16 and 64, `timing_ms` set to 0 and `kernel_backend` set to "any", as
+# in tests/test_cli.py: these pin the refusals (70, 57 and 27, all of the
+# element sweep) with their reasons, and the verdicts left within the
+# lowered caps
 @pytest.mark.parametrize("cap,refused,digest", [
     (8, 70, "6b1fb1c6d9111cd1807132be2c5926ef5fa2cd72319c949de9ab540071793fd7"),
     (16, 57, "d5e60c2c574972548551ae8870c44b2fb0d1ddec0fd9490b7ebc6b7ddcc4e5b9"),
-], ids=["cap-8", "cap-16"])
+    (64, 27, "329df9dc3febf8c3ee49406998581edda1fc577140725449ea2934995d474e50"),
+], ids=["cap-8", "cap-16", "cap-64"])
 def test_lowered_cap_reports_are_pinned(cap, refused, digest):
     caps = DEFAULT_CAPS.with_override(cap)
     doc = report_dict(run_all(caps=caps), caps)
@@ -310,8 +312,7 @@ def test_thm_3_6_fails_when_either_degree_vanishes(monkeypatch, stub, h0, h1):
     if stub == "h0":
         monkeypatch.setattr(cohomology, "h0", lambda M: ())
     else:
-        monkeypatch.setattr(cohomology, "z1_b1_h1",
-                            lambda M, caps=DEFAULT_CAPS: ([], [], ()))
+        monkeypatch.setattr(cohomology, "h1", lambda M: (1, 1, ()))
     rs = run_check("thm-3.6", [corpus.dihedral(8), corpus.extraspecial(3, "p")])
     assert [r.status for r in rs] == ["fail", "fail"]
     assert [r.counterexample for r in rs] == [
@@ -335,3 +336,37 @@ def test_lemma_3_7_reports_a_cocycle_of_order_p_squared(monkeypatch):
     (r,) = run_check("lemma-3.7", [corpus.extraspecial(3, "p2")])
     assert r.status == "fail"
     assert r.counterexample == {"values": [[0, 1]] * 9}
+
+
+# the frattini module of g243, the one corpus group whose second-proof
+# witness comes through the cocycle bridge
+G243_PHI = ((3, 0), (0, 3))
+
+
+@pytest.mark.parametrize("stub,counterexample", [
+    ("search", {"witness": "none found", "fixed_sets": ["frattini"]}),
+    ("h1", {"N": G243_PHI, "h0": [3], "h1": []}),
+    ("z1", {"N": G243_PHI, "h0": [3], "h1": [3], "order_p_cocycles_outside_b1": 0}),
+    ("direct", {"direct construction disagreed": "none found"}),
+])
+def test_second_proof_fails_with_what_the_route_found(monkeypatch, stub, counterexample):
+    """Each way the cohomological route, or the direct construction it is
+    compared with, can come up empty, stubbed: the reduction's fallback
+    search on the extraspecial group, a vanishing H1, a cocycle group
+    equal to B1, and a direct route with no witness, on g243.  The check
+    fails with the route's facts, and the run exits 1."""
+    from pgforge import autos, cohomology, harness
+
+    entry = corpus.extraspecial(3, "p") if stub == "search" else corpus.g243()
+    if stub == "search":
+        monkeypatch.setattr(autos, "first_noninner", lambda G, fixed, caps: None)
+    elif stub == "h1":
+        monkeypatch.setattr(cohomology, "h1", lambda M: (1, 1, ()))
+    elif stub == "z1":
+        monkeypatch.setattr(cohomology, "z1", lambda M, caps=DEFAULT_CAPS: cohomology.b1(M))
+    else:
+        monkeypatch.setattr(harness, "powerful_quotient_witness",
+                            lambda G, caps=DEFAULT_CAPS: None)
+    rs = run_check("second-proof", [entry])
+    assert [(r.status, r.counterexample) for r in rs] == [("fail", counterexample)]
+    assert exit_code(rs) == 1

@@ -31,7 +31,6 @@ from pgforge.structure import (
     omega1_general,
     profile,
     rank_d,
-    section_invariants,
     upper_central_series,
 )
 from pgforge.subgroups import (
@@ -42,6 +41,8 @@ from pgforge.subgroups import (
     trivial_subgroup,
 )
 from pgforge import corpus
+
+from oracles import invariants_of_orders, section_invariants
 
 
 def sweep_center(P):
@@ -185,7 +186,7 @@ def test_rank_examples(d8):
 def test_abelian_invariants(c4xc2):
     assert abelian_invariants(full_subgroup(c4xc2)) == [4, 2]
     assert abelian_invariants(full_subgroup(corpus.abelian(3, [2, 1, 1]).presentation)) == [9, 3, 3]
-    # section_invariants counts the same jumps through quotient orders
+    # the section oracle counts the same jumps through quotient orders
     for entry in corpus.builtin_corpus(validate=False):
         G = entry.presentation
         if not is_abelian(G):
@@ -194,6 +195,28 @@ def test_abelian_invariants(c4xc2):
         assert section_invariants(G, full, trivial_subgroup(G)) == tuple(
             abelian_invariants(full)
         ), entry.id
+
+
+def test_cor_2_3_rank_matches_the_section_oracle(monkeypatch):
+    """cor-2.3 reads d(Z2/Z) as the index of the p-th powers of Z2's
+    generators over Z; the oracle counts the invariant factors of Z2/Z
+    from coset orders.  Every nonabelian corpus group is reached at cap
+    1024, with the witness search stubbed out so that the check stops at
+    the rank."""
+    from pgforge import harness
+
+    monkeypatch.setattr(harness, "first_noninner", lambda G, fixed, caps: None)
+    caps = DEFAULT_CAPS.with_override(1024)
+    checked = 0
+    for entry in corpus.builtin_corpus(validate=False):
+        G = entry.presentation
+        if is_abelian(G):
+            continue
+        _, payload = harness.check_cor_2_3(entry, caps)
+        Z, Z2 = upper_central_series(G, caps)[1:3]
+        assert payload["d_z2_mod_z"] == len(section_invariants(G, Z2, Z)), entry.id
+        checked += 1
+    assert checked == 23
 
 
 def test_d_equals_d_of_omega1_for_abelian_sections(small_corpus):
@@ -442,10 +465,7 @@ def sweep_center_of_subgroup(G, S):
 
 
 def sweep_abelian_invariants(A):
-    from collections import Counter
-    from pgforge.structure import _invariant_factors
-
-    return _invariant_factors(A.pres.prime, Counter(x.order() for x in A.elements()))
+    return list(invariants_of_orders(A.pres.prime, [x.order() for x in A.elements()]))
 
 
 def sweep_groups():

@@ -613,8 +613,11 @@ def central_socle_automorphisms(G: PcPresentation, caps=DEFAULT_CAPS):
     is built from its values on a basis of that quotient, one member per
     choice, so there are |omega1(Z(G))| ** d' of them, d' the rank of the
     quotient.  Every member is validated against the relations and checked
-    to fix omega1(Z(G)) and the Frattini subgroup pointwise; a failure
-    raises DomainError."""
+    to fix omega1(Z(G)) and the Frattini subgroup pointwise.
+
+    Returns (members, homomorphisms, broken).  broken is None when every
+    member passes; otherwise it names the first member that does not, by
+    its generator images, with what it broke, and both lists are empty."""
     if G.order > caps.element_sweep:
         raise CapExceeded("central socle sweep", G.order, caps.element_sweep)
     om = structure.omega1(structure.center(G, caps), caps)
@@ -631,14 +634,14 @@ def central_socle_automorphisms(G: PcPresentation, caps=DEFAULT_CAPS):
         images = [kernel.mul(t, g, s) for g, s in zip(gens, shifts)]
         err = _vecs_validation_error(G, images)
         if err:
-            raise DomainError(f"central socle map is not an automorphism: {err}")
+            return [], [], {"images": images, "broken": err}
         alpha = Automorphism._of_vecs(G, images)
         for fixed, name in ((om, "omega1(Z(G))"), (phi, "the Frattini subgroup")):
             if not alpha.fixes_pointwise(fixed):
-                raise DomainError(f"central socle member moved {name}")
+                return [], [], {"images": images, "broken": f"moved {name}"}
         members.append((alpha, shifts))
     members.sort(key=lambda mh: mh[0].key())
-    return [m for m, _ in members], [h for _, h in members]
+    return [m for m, _ in members], [h for _, h in members], None
 
 
 # -- theorem constructions ------------------------------------------------------
@@ -718,9 +721,10 @@ def powerful_quotient_witness(G: PcPresentation, caps=DEFAULT_CAPS):
 
     if not z_cyclic:
         # noncyclic center: a rank count forces a noninner member among the
-        # central automorphisms with socle defects; find it directly
+        # central automorphisms with socle defects; find it directly (a
+        # broken member yields no members, and the search stands in)
         try:
-            members, _ = central_socle_automorphisms(G, caps)
+            members, _, _ = central_socle_automorphisms(G, caps)
             for alpha in members:
                 if alpha.order() != p:
                     continue

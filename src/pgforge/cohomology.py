@@ -496,6 +496,8 @@ def _conjugation_table(t, vecs, g):
 def _norm_sweep(G: PcPresentation, case: str, caps=DEFAULT_CAPS):
     """The sweep of `norm_counterexample` without its hypothesis checks,
     over (A, a, g, n) in that order, stopping at the first counterexample.
+    The A are the nontrivial abelian members of the normal-subgroup family
+    (`enumerate_subgroups(..., normal=True)`), in its order.
 
     Every conjugation is made once per conjugator: for each A and each
     admissible coset representative g a table a -> a^g over A, so a^(g^k)
@@ -509,8 +511,8 @@ def _norm_sweep(G: PcPresentation, case: str, caps=DEFAULT_CAPS):
     ident = t.identity
     Z = structure.center(G, caps)
     abelian_normals = [
-        S for S in enumerate_subgroups(G, caps)
-        if not S.is_trivial() and S.is_abelian() and is_normal(S)
+        S for S in enumerate_subgroups(G, caps, normal=True)
+        if not S.is_trivial() and S.is_abelian()
     ]
     checked = 0
     for A in abelian_normals:
@@ -578,6 +580,8 @@ def fixed_point_centralizer_mismatch(M: GModule, caps=DEFAULT_CAPS):
     subgroups checked); the zero module and one with H0 nonzero raise
     HypothesesUnmet.
 
+    The subgroups H of Q are taken as the subgroups of G above N, built
+    from N up (`enumerate_subgroups(..., over=N)`), smallest first.
     Fix(q), the a in A with a^q = a, is found once per q in Q, on vectors.
     Then the H-fixed points are the intersection of Fix(h) over h in H,
     and their centralizer is {q : fixed points inside Fix(q)}: the same
@@ -588,10 +592,7 @@ def fixed_point_centralizer_mismatch(M: GModule, caps=DEFAULT_CAPS):
         raise HypothesesUnmet("not cohomologically trivial")
     G = M.G
     t = G._tables
-    subs_over_n = [
-        S for S in enumerate_subgroups(G, caps)
-        if all(S.membership(u) for u in M.N.igs)
-    ]
+    subs_over_n = enumerate_subgroups(G, caps, over=M.N)
     a_vecs = frozenset(a.vec for a in M.a_elements)
     fix = {
         q.vec: frozenset(structure._commuting(t, a_vecs, [q.vec]))

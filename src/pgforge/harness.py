@@ -130,12 +130,15 @@ def check_lemma_2_2(entry, caps):
     Frattini subgroup pointwise.  The constructor builds one member per
     homomorphism G / socle frattini(G) -> socle, which gives that size,
     and verifies that each member is an automorphism fixing the socle and
-    the Frattini subgroup pointwise; the size is checked against the
+    the Frattini subgroup pointwise; the first member that is not fails
+    the check, with what it broke.  The size is checked against the
     closed formula and a product-and-filter oracle in the test suite."""
     G = entry.presentation
     if G.order > caps.element_sweep:
         raise HypothesesUnmet("above the sweep cap")
-    members, _ = central_socle_automorphisms(G, caps)
+    members, _, broken = central_socle_automorphisms(G, caps)
+    if broken is not None:
+        return ("fail", broken)
     return ("pass", {"size": len(members)})
 
 

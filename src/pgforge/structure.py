@@ -20,6 +20,7 @@ from pgforge.subgroups import (
     _leading,
     _sift,
     coset_layers,
+    frattini_closure,
     full_subgroup,
     normal_closure,
     quotient,
@@ -159,24 +160,6 @@ def agemo(G: PcPresentation, i: int = 1, caps=DEFAULT_CAPS) -> Subgroup:
         return subgroup_closure(G, powers)
 
     return _memo(G, ("agemo", i), compute, caps)
-
-
-def frattini_closure(G: PcPresentation) -> Subgroup:
-    """G' G^p without a sweep: the normal closure of the generators' p-th
-    powers and pairwise commutators.  The quotient by it is elementary
-    abelian, so it contains G' G^p; each of those words lies in the normal
-    subgroup G' G^p, so it is contained in it."""
-    def compute():
-        gens = G.gens()
-        p = G.prime
-        words = [g ** p for g in gens] + [
-            gens[i].commutator(gens[j])
-            for i in range(len(gens))
-            for j in range(i + 1, len(gens))
-        ]
-        return normal_closure(G, words)
-
-    return _memo(G, "frattini", compute)
 
 
 def frattini_quotient(G: PcPresentation):

@@ -125,15 +125,35 @@ class _IgsBuilder:
 
     def finish(self):
         self.close()
+        return self.subgroup()
+
+    def order(self):
+        order = 1
+        for i, v in enumerate(self.table):
+            if v is not None:
+                order *= self.pres.rel_orders[i] // v[i]
+        return order
+
+    def subgroup(self):
+        """The Subgroup of the table, which must already be closed."""
         self.reduce_entries()
         igs = tuple(
             Element(self.pres, v) for v in self.table if v is not None
         )
-        order = 1
-        for e in igs:
-            i = e.leading_index()
-            order *= self.pres.rel_orders[i] // e.vec[i]
-        return Subgroup(self.pres, igs, order)
+        return Subgroup(self.pres, igs, self.order())
+
+    @classmethod
+    def of(cls, S):
+        """A row reduction holding S's table.  Adding an x outside S that
+        normalizes S and has x^p in S then gives the table of S<x>, of
+        order p|S|, without a closure.  Sifting leaves an element y of xS
+        at some pivot i where S's step, if any, is p^v; y^p in S makes y's
+        step there p^(v-1).  So y takes pivot i, and S's old entry u there
+        sifts past it to y^(-p) u, an element of S below i, spanned by S's
+        later entries, which are unchanged."""
+        b = cls(S.pres)
+        b.table = list(S._table)
+        return b
 
 
 class Subgroup:
@@ -279,6 +299,24 @@ def normal_closure(P: PcPresentation, gens) -> Subgroup:
         S = b.finish()
 
 
+def frattini_closure(G: PcPresentation) -> Subgroup:
+    """G' G^p without a sweep: the normal closure of the generators' p-th
+    powers and pairwise commutators, once per presentation.  The quotient
+    by it is elementary abelian, so it contains G' G^p; each of those words
+    lies in the normal subgroup G' G^p, so it is contained in it."""
+    phi = G._cache.get("frattini")
+    if phi is None:
+        gens = G.gens()
+        p = G.prime
+        words = [g ** p for g in gens] + [
+            gens[i].commutator(gens[j])
+            for i in range(len(gens))
+            for j in range(i + 1, len(gens))
+        ]
+        phi = G._cache["frattini"] = normal_closure(G, words)
+    return phi
+
+
 def is_normal(S: Subgroup) -> bool:
     """Whether every IGS entry's conjugate by every generator lies in S,
     formed on vectors with each generator's inverse computed once."""
@@ -294,6 +332,20 @@ def is_normal(S: Subgroup) -> bool:
 
 
 # -- quotients -------------------------------------------------------------
+
+
+def _coset_rep(t, table, vec):
+    """The canonical representative of the coset vec S, S the subgroup of
+    a pivot table: vec times a power of each entry, in pivot order, so
+    that each pivot exponent falls below the entry's step.  The entry at
+    pivot i touches no earlier index, so the result is one of the vectors
+    of `coset_layers`, and there are as many of those as cosets."""
+    for i, u in enumerate(table):
+        if u is not None:
+            q = vec[i] // u[i]
+            if q:
+                vec = kernel.mul(t, vec, kernel.power(t, u, -q))
+    return vec
 
 
 def coset_layers(N: Subgroup):
@@ -341,14 +393,7 @@ class QuotientGroup:
     def canonical_vec(self, vec):
         """The canonical representative of the coset of an exponent
         vector, as a vector."""
-        t = self.parent._tables
-        for e in self.kernel_subgroup.igs:
-            i = e.leading_index()
-            step = e.vec[i]
-            q = vec[i] // step
-            if q:
-                vec = kernel.mul(t, vec, kernel.power(t, e.vec, -q))
-        return vec
+        return _coset_rep(self.parent._tables, self.kernel_subgroup._table, vec)
 
     def elements(self):
         for vec in itertools.product(*(range(l) for l in self._layers)):
@@ -371,20 +416,15 @@ class QuotientGroup:
         return picks
 
     def is_cyclic(self) -> bool:
-        n = self.order
-        if n == 1:
-            return True
-        return any(self.rep_order(q) == n for q in self.elements())
-
-    def rep_order(self, x: Element) -> int:
-        """Order of xN in G/N."""
-        p = self.parent.prime
-        ord_ = 1
-        y = self.canonical(x)
-        while not y.is_identity:
-            y = self.canonical(y ** p)
-            ord_ *= p
-        return ord_
+        """G/N is cyclic exactly when its Frattini quotient G / N Phi(G) has
+        order at most p.  Every subgroup between Phi(G) and G is normal
+        with an elementary abelian quotient, so N Phi(G) is Phi(G)'s table
+        extended by N's IGS, one entry at a time, without a closure."""
+        G = self.parent
+        b = _IgsBuilder.of(frattini_closure(G))
+        for e in self.kernel_subgroup.igs:
+            b.add(e.vec)
+        return G.order <= G.prime * b.order()
 
     def presentation(self):
         """A power-commutator presentation of the quotient, with the
@@ -447,60 +487,95 @@ def _quotient_presentation(Q: QuotientGroup):
 # -- lattice enumeration ----------------------------------------------------
 
 
-def enumerate_subgroups(G: PcPresentation, caps=DEFAULT_CAPS):
-    """Complete, duplicate-free list of subgroups, smallest first.
+def enumerate_subgroups(G: PcPresentation, caps=DEFAULT_CAPS, *, over=None,
+                        normal=False):
+    """Complete, duplicate-free list of subgroups, smallest first: all of
+    them, or those containing the subgroup `over`, and of those only the
+    normal ones when `normal` is set.
 
-    The lattice is computed once per presentation; every call gets a new
-    list of the same Subgroup objects.
+    Each family is computed once per presentation; every call gets a new
+    list of the same Subgroup objects.  The cap, and the normality of
+    `over` for a normal family, are checked before the memo.
     """
     if G.order > caps.subgroup_enum:
         raise CapExceeded("subgroup enumeration", G.order, caps.subgroup_enum)
-    lattice = G._cache.get("lattice")
+    if over is not None:
+        if not (over.pres is G or over.pres == G):
+            raise MixedPresentationError("bottom subgroup from another presentation")
+        if normal and not is_normal(over):
+            raise DomainError("normal subgroups above a subgroup that is not normal")
+    memo = ("lattice", None if over is None else over.key(), normal)
+    lattice = G._cache.get(memo)
     if lattice is None:
-        lattice = _lattice(G)
-        G._cache["lattice"] = lattice
+        bottom = trivial_subgroup(G) if over is None else over
+        lattice = _lattice(G, bottom, normal)
+        G._cache[memo] = lattice
     return list(lattice)
 
 
-def _lattice(G: PcPresentation):
-    """Breadth first by cyclic extension, one closure per class of x.
+def _lattice(G: PcPresentation, bottom: Subgroup, normal: bool):
+    """Breadth first by cyclic extension, from `bottom` up.
 
-    Every nontrivial subgroup is <S, x> for a smaller subgroup S and some
-    x outside it, so closing each found S with every such x reaches the
-    whole lattice.  Since <S, x> = <S, x^k s> for every s in S and every k
-    prime to p, closing <S, x> settles the whole class {x^k s} for S.
+    In a p-group every subgroup T above the bottom has a maximal subgroup
+    S that contains the bottom, and S is normal in T of index p.  So
+    T = <S, x> for any x in T outside S, and such an x normalizes S and
+    has x^p in S.  Growing each found S by every such x reaches every
+    subgroup above the bottom.  When the bottom and T are normal in G, a
+    chief series of G through the bottom and T gives such an S normal in
+    G; T/S has order p and is normal in the p-group G/S, so it is central
+    there: [x, g] lies in S for every generator g.  The normal family is
+    grown by those x alone.
+
+    x runs over S's canonical coset representatives (`coset_layers`),
+    one per coset xS.  Since <S, x> = <S, x^k> for k prime to p, the
+    cosets of those powers are passed over once T is built.  Every test
+    is a sift on vectors, and T = S<x> is S's table extended by x,
+    without a closure.
     """
     G.require_consistent()
     t = G._tables
     p = G.prime
-    ident = t.identity
-    all_vecs = [x.vec for x in G.elements()]
-    triv = trivial_subgroup(G)
-    seen = {triv.key(): triv}
-    frontier = [triv]
+    mul, inv, power = kernel.mul, kernel.inv, kernel.power
+    gens = [(g.vec, inv(t, g.vec)) for g in G.gens()]
+    seen = {bottom.key(): bottom}
+    frontier = [bottom]
     while frontier:
         nxt = []
         for S in frontier:
-            members = S.vectors()
-            done = set(members)
-            igs = list(S.igs)
-            for x in all_vecs:
-                if x in done:
+            table = S._table
+            igs = [u.vec for u in S.igs]
+
+            def inside(v):
+                return _leading(_sift(t, table, v)) is None
+
+            done = set()
+            reps = itertools.product(*(range(l) for l in coset_layers(S)))
+            next(reps)  # the identity, S's own coset
+            for x in reps:
+                if x in done or not inside(power(t, x, p)):
                     continue
-                T = subgroup_closure(G, igs + [x])
+                xinv = inv(t, x)
+                if normal:
+                    ok = all(inside(mul(t, mul(t, xinv, ginv), mul(t, x, g)))
+                             for g, ginv in gens)
+                else:
+                    ok = all(inside(mul(t, mul(t, xinv, u), x)) for u in igs)
+                if not ok:
+                    continue
+                b = _IgsBuilder.of(S)
+                b.add(x)
+                T = b.subgroup()
                 key = T.key()
                 if key not in seen:
                     seen[key] = T
                     nxt.append(T)
-                y, k = x, 1
-                while y != ident:
-                    if k % p:
-                        done.update(kernel.mul(t, y, s) for s in members)
-                    y, k = kernel.mul(t, y, x), k + 1
+                y = x
+                for _ in range(p - 2):
+                    y = mul(t, y, x)
+                    done.add(_coset_rep(t, table, y))
         frontier = nxt
     return tuple(sorted(seen.values(), key=lambda s: (s.order, s.key())))
 
 
 def enumerate_normal_subgroups(G: PcPresentation, caps=DEFAULT_CAPS):
-    return [S for S in enumerate_subgroups(G, caps) if is_normal(S)]
-
+    return enumerate_subgroups(G, caps, normal=True)

@@ -1,6 +1,7 @@
 """Brute-force oracles shared by the test modules: H0's fixed points and
-trace image by Element sweeps over A and Q, and the invariant factors of
-a section from the orders of its coset representatives."""
+trace image by Element sweeps over A and Q, the invariant factors of a
+section from the orders of its coset representatives, and the cyclicity
+of a quotient from the orders of its elements."""
 
 from collections import Counter
 
@@ -51,7 +52,24 @@ def section_invariants(G, big, small):
     from the orders of the canonical coset representatives of small."""
     Q = quotient(G, small)
     reps = {Q.canonical_vec(v) for v in big.vectors()}
-    return invariants_of_orders(G.prime, [Q.rep_order(Element(G, vec)) for vec in reps])
+    return invariants_of_orders(G.prime, [rep_order(Q, Element(G, vec)) for vec in reps])
+
+
+def rep_order(Q, x):
+    """Order of xN in Q = G/N, by repeated p-th powers."""
+    p = Q.parent.prime
+    order = 1
+    y = Q.canonical(x)
+    while not y.is_identity:
+        y = Q.canonical(y ** p)
+        order *= p
+    return order
+
+
+def is_cyclic_by_orders(Q):
+    """Whether some element of Q has order |Q|, by the order of each."""
+    n = Q.order
+    return n == 1 or any(rep_order(Q, q) == n for q in Q.elements())
 
 
 def h0(M):

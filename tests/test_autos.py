@@ -282,16 +282,17 @@ def test_scan_nonempty_with_noncyclic_center():
 
 
 def test_socle_group_counts(es27, q8):
-    members, homs = central_socle_automorphisms(es27)
+    members, homs, broken = central_socle_automorphisms(es27)
+    assert broken is None
     assert len(members) == 9
-    members, homs = central_socle_automorphisms(q8)
+    members, homs, _ = central_socle_automorphisms(q8)
     assert len(members) == 4
     v4 = corpus.abelian(2, [1, 1]).presentation
     assert len(central_socle_automorphisms(v4)[0]) == 1
 
 
 def test_socle_members_fix_frattini_and_socle(es27):
-    members, _ = central_socle_automorphisms(es27)
+    members, _, _ = central_socle_automorphisms(es27)
     phi = frattini(es27)
     om = omega1(center(es27))
     for alpha in members:
@@ -301,7 +302,7 @@ def test_socle_members_fix_frattini_and_socle(es27):
 
 
 def test_socle_group_closed_under_composition(q8):
-    members, _ = central_socle_automorphisms(q8)
+    members, _, _ = central_socle_automorphisms(q8)
     keys = {m.key() for m in members}
     for a in members:
         for b in members:
@@ -338,7 +339,8 @@ def test_socle_construction_matches_filter_oracle():
         if omega1(center(G)).order ** G.n_gens > FILTER_ORACLE_TUPLES:
             left_out.append(entry.id)
             continue
-        members, homs = central_socle_automorphisms(G)
+        members, homs, broken = central_socle_automorphisms(G)
+        assert broken is None, entry.id
         want_members, want_homs = filter_central_socle_automorphisms(G)
         assert [m.key() for m in members] == [m.key() for m in want_members], entry.id
         assert homs == want_homs, entry.id
@@ -355,7 +357,7 @@ def test_socle_group_size_formula():
             G, list(om.igs) + list(derived_subgroup(G).igs) + list(agemo(G).igs)
         )
         dprime = p_valuation(G.order // N.order, G.prime)
-        members, homs = central_socle_automorphisms(G)
+        members, homs, _ = central_socle_automorphisms(G)
         assert len(members) == len(homs) == om.order ** dprime, entry.id
 
 
@@ -549,7 +551,7 @@ def test_thm_2_6_fails_naming_the_fixed_sets_searched(monkeypatch):
     monkeypatch.setattr(autos, "first_noninner", lambda G, fixed, caps: None)
     monkeypatch.setattr(autos, "_odd_coset_witness", lambda G, caps: None)
     monkeypatch.setattr(autos, "central_socle_automorphisms",
-                        lambda G, caps: ([], []))
+                        lambda G, caps: ([], [], None))
     d8xc2 = corpus.CorpusEntry("d8xc2-involutions",
                                parse_presentation(D8XC2_INVOLUTIONS), "test")
     rs = run_check("thm-2.6", [corpus.dihedral(8), corpus.extraspecial(3, "p"), d8xc2])
@@ -562,6 +564,27 @@ def test_thm_2_6_fails_naming_the_fixed_sets_searched(monkeypatch):
          {"witness": "none found", "fixed_sets": ["frattini"]}),
     ]
     assert exit_code(rs) == 1
+
+
+def test_noncyclic_center_falls_back_to_the_search_when_a_socle_member_breaks(monkeypatch):
+    """D8 x C2 on involutions reaches the socle member; with the socle
+    constructor stubbed to report a broken member, the witness comes from
+    the Frattini search instead, and thm-2.6 still passes."""
+    from pgforge import autos
+    from pgforge.harness import run_check
+
+    broken = {"images": [(1, 0, 0, 0)] * 4, "broken": "relation 1 broken"}
+    monkeypatch.setattr(autos, "central_socle_automorphisms",
+                        lambda G, caps: ([], [], broken))
+    entry = corpus.CorpusEntry("d8xc2-involutions",
+                               parse_presentation(D8XC2_INVOLUTIONS), "test")
+    G = entry.presentation
+    w = powerful_quotient_witness(G)
+    assert (w.path, w.fixed_set) == ("search-fallback", "frattini")
+    assert w.is_noninner and w.order == 2
+    assert naive_is_inner(G, w.automorphism) is None
+    (r,) = run_check("thm-2.6", [entry])
+    assert r.status == "pass" and r.witness["path"] == "search-fallback"
 
 
 def test_witness_search_fallback_validated(l128_pres):

@@ -370,3 +370,40 @@ def test_second_proof_fails_with_what_the_route_found(monkeypatch, stub, counter
     rs = run_check("second-proof", [entry])
     assert [(r.status, r.counterexample) for r in rs] == [("fail", counterexample)]
     assert exit_code(rs) == 1
+
+
+def unit_images(G):
+    return [tuple(int(i == j) for j in range(G.n_gens)) for i in range(G.n_gens)]
+
+
+def test_lemma_2_2_reports_a_socle_member_that_breaks_a_relation(monkeypatch):
+    """With the relation test stubbed to fail, the first member, the
+    identity shift, is the counterexample, named by its images."""
+    from pgforge import autos
+
+    monkeypatch.setattr(autos, "_vecs_validation_error",
+                        lambda G, images: "relation 1 broken")
+    es27 = corpus.extraspecial(3, "p")
+    (r,) = run_check("lemma-2.2", [es27])
+    assert r.status == "fail"
+    assert r.counterexample == {"images": unit_images(es27.presentation),
+                                "broken": "relation 1 broken"}
+    assert exit_code([r]) == 1
+
+
+@pytest.mark.parametrize("fixes,moved", [
+    (lambda om: lambda alpha, S: False, "omega1(Z(G))"),
+    (lambda om: lambda alpha, S: S == om, "the Frattini subgroup"),
+])
+def test_lemma_2_2_reports_a_socle_member_that_moves_a_subgroup(monkeypatch, fixes, moved):
+    """On C4 x C2, where omega1(Z(G)) and the Frattini subgroup differ,
+    a stubbed pointwise test makes the first member move either one."""
+    from pgforge import autos, structure
+
+    entry = corpus.abelian(2, [2, 1])
+    G = entry.presentation
+    om = structure.omega1(structure.center(G))
+    monkeypatch.setattr(autos.Automorphism, "fixes_pointwise", fixes(om))
+    (r,) = run_check("lemma-2.2", [entry])
+    assert r.status == "fail"
+    assert r.counterexample == {"images": unit_images(G), "broken": f"moved {moved}"}

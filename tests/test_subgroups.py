@@ -19,6 +19,8 @@ from pgforge.subgroups import (
 from pgforge import corpus
 from pgforge.caps import DeskCaps
 
+from oracles import is_cyclic_by_orders, rep_order
+
 
 def brute_closure(P, gens):
     """Independent oracle: grow the multiplication-closed set to a fixpoint."""
@@ -152,7 +154,7 @@ def test_quotient_d8_center_is_klein(d8):
     Z = subgroup_closure(d8, [d8.gen(2)])
     Q = quotient(d8, Z)
     assert Q.order == 4
-    assert all(Q.rep_order(x) <= 2 for x in Q.elements())
+    assert all(rep_order(Q, x) <= 2 for x in Q.elements())
 
 
 def test_quotient_by_whole_group(d8):
@@ -165,7 +167,7 @@ def test_quotient_q8(q8):
     minus1 = subgroup_closure(q8, [q8.gen(1) ** 2])
     Q = quotient(q8, minus1)
     assert Q.order == 4
-    assert all(Q.rep_order(x) <= 2 for x in Q.elements())
+    assert all(rep_order(Q, x) <= 2 for x in Q.elements())
 
 
 def test_quotient_requires_normal(d8):
@@ -232,6 +234,30 @@ def test_enumeration_is_memoized_per_presentation():
         enumerate_subgroups(P, DeskCaps(subgroup_enum=8))
 
 
+@pytest.mark.parametrize("family", ["normal", "over", "normal-over"])
+def test_each_family_is_memoized_and_refused_before_its_memo(family):
+    P = corpus.dihedral(16).presentation
+    N = normal_closure(P, [P.gen(P.n_gens - 1)])
+    kwargs = {
+        "normal": {"normal": True},
+        "over": {"over": N},
+        "normal-over": {"normal": True, "over": N},
+    }[family]
+    first = enumerate_subgroups(P, **kwargs)
+    second = enumerate_subgroups(P, **kwargs)
+    assert first == second and first is not second
+    assert all(a is b for a, b in zip(first, second))
+    with pytest.raises(CapExceeded):
+        enumerate_subgroups(P, DeskCaps(subgroup_enum=8), **kwargs)
+
+
+def test_normal_family_refuses_a_bottom_that_is_not_normal(d8):
+    S = subgroup_closure(d8, [d8.gen(0)])
+    assert [T.order for T in enumerate_subgroups(d8, over=S)] == [2, 4, 8]
+    with pytest.raises(DomainError):
+        enumerate_subgroups(d8, over=S, normal=True)
+
+
 def all_elements_lattice(G):
     """Oracle: breadth-first closure of every subgroup with every element
     of the group, |L| * |G| closures in all."""
@@ -254,17 +280,71 @@ def all_elements_lattice(G):
     return sorted(seen.values(), key=lambda s: (s.order, s.key()))
 
 
-def test_cyclic_extension_lattice_matches_all_elements_oracle():
-    checked = 0
-    for entry in corpus.builtin_corpus(validate=False):
-        G = entry.presentation
-        if G.order > DeskCaps().subgroup_enum:
+@pytest.fixture(scope="module")
+def oracle_lattices():
+    """(id, presentation, all-elements lattice) for every corpus group
+    within the lattice cap, each oracle lattice built once."""
+    return [(e.id, e.presentation, all_elements_lattice(e.presentation))
+            for e in lattice_groups()]
+
+
+def keys(subgroups):
+    return [S.key() for S in subgroups]
+
+
+def test_cyclic_extension_lattice_matches_all_elements_oracle(oracle_lattices):
+    for gid, G, want in oracle_lattices:
+        assert keys(enumerate_subgroups(G)) == keys(want), gid
+    assert len(oracle_lattices) >= 30
+
+
+def test_normal_family_matches_the_filtered_oracle(oracle_lattices):
+    """The normal subgroups, grown by central steps, are the oracle
+    lattice's members that pass the Element normality test, in order."""
+    for gid, G, want in oracle_lattices:
+        normals = [S for S in want if element_is_normal(S)]
+        assert keys(enumerate_subgroups(G, normal=True)) == keys(normals), gid
+
+
+def test_subgroups_over_each_normal_subgroup_match_the_filtered_oracle(oracle_lattices):
+    """For every normal N, the subgroups grown from N are the oracle
+    lattice's members containing N, and the normal ones among them are
+    those that pass the Element normality test, both in order."""
+    pairs = 0
+    for gid, G, want in oracle_lattices:
+        for N in [S for S in want if element_is_normal(S)]:
+            above = [S for S in want if N <= S]
+            assert keys(enumerate_subgroups(G, over=N)) == keys(above), (gid, N.key())
+            assert keys(enumerate_subgroups(G, over=N, normal=True)) == keys(
+                [S for S in above if element_is_normal(S)]), (gid, N.key())
+            pairs += 1
+    assert pairs > 400
+
+
+def test_subgroups_over_any_subgroup_match_the_filtered_oracle(oracle_lattices):
+    """Cyclic extension needs no normal bottom: on the groups of order at
+    most 32, every subgroup's family is the oracle's members above it."""
+    bottoms = 0
+    for gid, G, want in oracle_lattices:
+        if G.order > 32:
             continue
-        got = [S.key() for S in enumerate_subgroups(G)]
-        want = [S.key() for S in all_elements_lattice(G)]
-        assert got == want, entry.id
-        checked += 1
-    assert checked >= 30
+        for S in want:
+            above = [T for T in want if S <= T]
+            assert keys(enumerate_subgroups(G, over=S)) == keys(above), (gid, S.key())
+            bottoms += 1
+    assert bottoms > 200
+
+
+def test_is_cyclic_matches_the_element_orders_on_every_normal_subgroup():
+    cyclic = pairs = 0
+    for entry in lattice_groups():
+        G = entry.presentation
+        for N in enumerate_normal_subgroups(G):
+            Q = quotient(G, N)
+            assert Q.is_cyclic() == is_cyclic_by_orders(Q), (entry.id, N.key())
+            cyclic += Q.is_cyclic()
+            pairs += 1
+    assert 0 < cyclic < pairs
 
 
 def element_is_normal(S):

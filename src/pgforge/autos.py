@@ -345,23 +345,25 @@ def search_order_p_automorphisms(G: PcPresentation, fixed: Subgroup,
     conjugating element of the exhaustive inner test.
 
     The automorphisms are the leaves of one backtracking pass over exponent
-    vectors (`_search_leaves`).  A leaf has order k exactly when its k-th
-    power is the identity and no k/q-th power is, for q a prime dividing
-    k; the powers come by square and multiply, so a large k costs
-    O(log k) compositions."""
+    vectors (`_fixing_leaves` over `_search_pools`), every one of them
+    drawn.  A leaf has order k exactly when its k-th power is the identity
+    and no k/q-th power is, for q a prime dividing k; the powers come by
+    square and multiply, so a large k costs O(log k) compositions."""
     if order is None:
         order = G.prime
     if order < 1:
         raise DomainError(f"target order must be at least 1, got {order}")
-    leaves = _search_leaves(G, fixed, caps)
+    leaves = _fixing_leaves(G, fixed, _search_pools(G, fixed, caps))
     return list(_classified(G, fixed, leaves, order, caps))
 
 
 def first_noninner(G: PcPresentation, fixed: Subgroup, caps=DEFAULT_CAPS):
     """The first noninner witness of search_order_p_automorphisms(G, fixed,
-    caps), or None.  The leaves are classified in the same order, and only
-    up to that witness."""
-    leaves = _search_leaves(G, fixed, caps)
+    caps), or None.  The leaves are drawn lazily in key order and
+    classified one at a time, so the search stops at that witness: the
+    rest of x1's candidates are never paired with the suffix set.  The
+    caps are checked at the call, before any leaf is drawn."""
+    leaves = _fixing_leaves(G, fixed, _search_pools(G, fixed, caps))
     return next(
         (w for w in _classified(G, fixed, leaves, G.prime, caps) if w.is_noninner),
         None,
@@ -390,12 +392,11 @@ def _classified(G, fixed, leaves, order, caps):
         )
 
 
-def _search_leaves(G: PcPresentation, fixed: Subgroup, caps):
-    """Sorted image-vector tuples of every automorphism fixing the given
-    subgroup pointwise: the leaves of `_fixing_leaves` over these pools.
-    A generator in the fixed subgroup is its own image; any other image
-    has the generator's order and reproduces each of its p-power powers
-    that lies in the fixed subgroup."""
+def _search_pools(G: PcPresentation, fixed: Subgroup, caps):
+    """The candidate images of the search, one pool per generator, after
+    its cap check.  A generator in the fixed subgroup is its own image; any
+    other image has the generator's order and reproduces each of its
+    p-power powers that lies in the fixed subgroup."""
     if G.order > caps.auto_search:
         raise CapExceeded("automorphism search", G.order, caps.auto_search)
     G.require_consistent()
@@ -421,46 +422,64 @@ def _search_leaves(G: PcPresentation, fixed: Subgroup, caps):
             h for h, o in zip(structure._vectors(G), orders)
             if o == want and all(power(t, h, k) == gk for k, gk in pinned)
         ])
-    return _fixing_leaves(G, fixed, pools)
+    return pools
 
 
 def _fixing_leaves(G: PcPresentation, fixed: Subgroup, pools):
-    """Sorted image-vector tuples of the automorphisms that fix the
-    subgroup `fixed` pointwise and send each generator g_i into pools[i].
+    """The image-vector tuples of the automorphisms that fix the subgroup
+    `fixed` pointwise and send each generator g_i into pools[i], yielded
+    lazily in sorted order.
 
-    Backtracks over generator images from the highest index down, with no
-    Element objects in the loop; each pooled image is paired once with its
-    inverse, its rel_orders[i]-th power and its coordinates modulo
-    frattini(G).  At each level the power and conjugation relations of x_i
-    are checked on the assigned suffix.  A node is pruned when the images
-    of indices i..n-1 span a smaller space modulo frattini(G) than the
-    generators do: an automorphism induces an invertible map on
-    G/frattini(G), which keeps that rank.  At the root this proves
-    generation (Burnside's basis theorem), so a leaf that fixes `fixed`'s
-    IGS is an automorphism without further validation; the test suite
-    keeps the re-validating search as its oracle.  No commutator check is
+    Leaves sort by (image of x1, image of x2, ...), and the relations of
+    x_i read only the images of x_i..x_n.  So the valid suffixes, the
+    images of x2..xn, are found in full and sorted first: a backtracking
+    descent from the highest index down to x2, with no Element objects in
+    the loop, each pooled image paired once with its inverse, its
+    rel_orders[i]-th power and its coordinates modulo frattini(G).  Then
+    x1's pool is walked in sorted order, each candidate against every
+    suffix in order, and a leaf is yielded as soon as it passes; x1's
+    entries are computed only as the walk reaches them, and its rank test
+    once per coordinate row, against an echelon basis kept with each
+    suffix.  A caller that stops early never pays for the rest of the
+    walk.
+
+    At each level the power and conjugation relations of x_i are checked
+    on the assigned suffix.  A node is pruned when the images of indices
+    i..n-1 span a smaller space modulo frattini(G) than the generators do:
+    an automorphism induces an invertible map on G/frattini(G), which keeps
+    that rank.  At the root this proves generation (Burnside's basis
+    theorem), so a leaf that fixes `fixed`'s IGS is an automorphism
+    without further validation; the test suite keeps the re-validating
+    search and the eager descent as its oracles.  No commutator check is
     needed when `fixed` contains frattini(G): such a leaf maps each
     [x_i, x_j], which lies in frattini(G), to itself."""
     p = G.prime
     n = G.n_gens
+    if n == 0:
+        yield ()
+        return
     t = G._tables
     _, project = structure.frattini_quotient(G)
-    cand = [
-        [(h, kernel.inv(t, h), kernel.power(t, h, m), list(project(h))) for h in pool]
-        for pool, m in zip(pools, G.rel_orders)
-    ]
+
+    def entry(h, m):
+        return h, kernel.inv(t, h), kernel.power(t, h, m), list(project(h))
+
     coords = [list(project(g)) for g in _gen_vecs(n)]
     target = [_rank_mod_p([list(r) for r in coords[i:]], p) for i in range(n)]
     fixed_igs = [u.vec for u in fixed.igs]
+    cand = [None] + [[entry(h, m) for h in pool]
+                     for pool, m in zip(pools[1:], G.rel_orders[1:])]
     images = [None] * n
     rows = [None] * n
-    leaves = []
+    suffixes = []
 
     def descend(i):
-        if i < 0:
-            leaf = tuple(images)
-            if all(_image(t, leaf, enumerate(u)) == u for u in fixed_igs):
-                leaves.append(leaf)
+        if i == 0:
+            # x1's rank test needs only an echelon basis of the suffix's
+            # rows, and none when they already have the full rank
+            basis = [list(r) for r in rows[1:]]
+            rank = _rank_mod_p(basis, p)
+            suffixes.append((tuple(images[1:]), basis[:rank] if rank < target[0] else None))
             return
         for h, hinv, hpow, row in cand[i]:
             images[i] = h
@@ -471,8 +490,25 @@ def _fixing_leaves(G: PcPresentation, fixed: Subgroup, pools):
         images[i] = None
 
     descend(n - 1)
-    leaves.sort()
-    return leaves
+    suffixes.sort(key=lambda s: s[0])
+    m = G.rel_orders[0]
+    # x1's rank test reads only its coordinates modulo frattini(G), so the
+    # suffixes that pass it are listed once per coordinate row
+    passing = {}
+    for h in sorted(pools[0]):
+        _, hinv, hpow, row = entry(h, m)
+        key = tuple(row)
+        if key not in passing:
+            passing[key] = [
+                suffix for suffix, basis in suffixes
+                if basis is None
+                or _rank_mod_p([list(row)] + [list(b) for b in basis], p) >= target[0]
+            ]
+        for suffix in passing[key]:
+            leaf = (h,) + suffix
+            if (_broken_relation(G, t, leaf, 0, hinv, hpow) is None
+                    and all(_image(t, leaf, enumerate(u)) == u for u in fixed_igs)):
+                yield leaf
 
 
 def _fixed_name(G, S: Subgroup) -> str:

@@ -416,16 +416,23 @@ def c_aut_slice(G: PcPresentation, N: Subgroup, caps=DEFAULT_CAPS):
     defect g^{-1} g^a in N, sorted by key.
 
     The leaves of `autos._fixing_leaves`, the backtracking descent of the
-    order-p search with its generation pruning, over the pools [g_i] for a
-    generator in N and g_i N for any other.  Every map there that keeps
-    the relations and fixes N is an automorphism, being the identity on
-    G/N and on N, so its kernel lies in N, where it is injective: the
-    pruning drops no member of the slice.  The search reads no cocycle
-    or module, so the bridge can be checked against it.  The product
-    |N|^free is refused above 2 000 000 before the search starts; the test
-    suite keeps the filter of that whole product as its oracle."""
+    order-p search with its generation pruning, over `_slice_pools`.
+    Every map there that keeps the relations and fixes N is an
+    automorphism, being the identity on G/N and on N, so its kernel lies
+    in N, where it is injective: the pruning drops no member of the slice.
+    The search reads no cocycle or module, so the bridge can be checked
+    against it.  The test suite keeps the filter of the whole product
+    |N|^free as its oracle."""
     from pgforge.autos import Automorphism, _fixing_leaves
 
+    leaves = _fixing_leaves(G, N, _slice_pools(G, N))
+    return [Automorphism._of_vecs(G, leaf) for leaf in leaves]
+
+
+def _slice_pools(G: PcPresentation, N: Subgroup):
+    """The candidate images of `c_aut_slice`: [g_i] for a generator in N
+    and g_i N for any other.  The product |N|^free is refused above
+    2 000 000, here, before the search starts."""
     if not is_normal(N):
         raise DomainError("c_aut_slice needs a normal subgroup")
     t = G._tables
@@ -435,9 +442,8 @@ def c_aut_slice(G: PcPresentation, N: Subgroup, caps=DEFAULT_CAPS):
     needed = len(n_vecs) ** in_n.count(False)
     if needed > 2_000_000:
         raise CapExceeded("pointwise-fixing slice", needed, 2_000_000)
-    pools = [[g] if fixed else [kernel.mul(t, g, v) for v in n_vecs]
-             for g, fixed in zip(gens, in_n)]
-    return [Automorphism._of_vecs(G, leaf) for leaf in _fixing_leaves(G, N, pools)]
+    return [[g] if fixed else [kernel.mul(t, g, v) for v in n_vecs]
+            for g, fixed in zip(gens, in_n)]
 
 
 # -- the norm identity sweeps -------------------------------------------------

@@ -23,6 +23,17 @@ from pgforge.errors import (
     PresentationError,
 )
 
+MAX_GENERATORS = 256
+"""The most generators a presentation may have.  A presentation holds n*n
+conjugation slots and the kernel's tables grow alike, so a larger count is
+refused before anything of that size is allocated."""
+
+
+def _check_generator_count(n, line=None):
+    if n > MAX_GENERATORS:
+        raise PresentationError(
+            f"generator count {n} is above the cap {MAX_GENERATORS}", line)
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -71,6 +82,7 @@ class PcPresentation:
             raise PresentationError(f"{prime} is not prime")
         rel_orders = tuple(int(m) for m in rel_orders)
         n = len(rel_orders)
+        _check_generator_count(n)
         for i, m in enumerate(rel_orders):
             v = p_valuation(m, prime)
             if v is None or v == 0:
@@ -408,6 +420,7 @@ def parse_presentation(text: str) -> PcPresentation:
             n = _parse_int(rest, "generator count", lineno)
             if n < 0:
                 raise PresentationError("generator count must be >= 0", lineno)
+            _check_generator_count(n, lineno)
         elif directive == "order":
             fields = rest.split()
             if len(fields) != 2:

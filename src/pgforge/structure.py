@@ -396,12 +396,15 @@ def ds_condition(G: PcPresentation, caps=DEFAULT_CAPS) -> bool:
 
 
 def center_of_subgroup(G: PcPresentation, S: Subgroup, caps=DEFAULT_CAPS) -> Subgroup:
-    """Z(S), by a sweep of S's exponent vectors against its IGS."""
+    """Z(S), by a sweep of S's exponent vectors against its IGS, once per
+    presentation and subgroup.  The cap is checked before the memo, so a
+    hit refuses exactly where a cold call would."""
     if S.order > caps.element_sweep:
         raise CapExceeded("subgroup center sweep", S.order, caps.element_sweep)
     if not (S.pres is G or S.pres == G):
         raise MixedPresentationError("subgroup of another presentation")
-    return subgroup_of_elements(G, _commuting(G._tables, S.vectors(), [u.vec for u in S.igs]))
+    return _memo(G, ("center_of_subgroup", S.key()), lambda: subgroup_of_elements(
+        G, _commuting(G._tables, S.vectors(), [u.vec for u in S.igs])))
 
 
 def maximal_subgroups(G: PcPresentation, caps=DEFAULT_CAPS):

@@ -1,10 +1,13 @@
 """Brute-force oracles shared by the test modules: H0's fixed points and
 trace image by Element sweeps over A and Q, the invariant factors of a
-section from the orders of its coset representatives, and the cyclicity
-of a quotient from the orders of its elements."""
+section from the orders of its coset representatives, the cyclicity
+of a quotient from the orders of its elements, and the automorphism
+search's descent built in full and sorted."""
 
 from collections import Counter
 
+from pgforge import kernel, structure
+from pgforge.autos import _broken_relation, _gen_vecs, _image, _rank_mod_p
 from pgforge.core import Element, p_valuation
 from pgforge.structure import _invariant_factors
 from pgforge.subgroups import quotient, subgroup_closure
@@ -75,3 +78,41 @@ def is_cyclic_by_orders(Q):
 def h0(M):
     """H0 as the fixed points over the trace image, both swept."""
     return section_invariants(M.G, fixed_points(M), trace_image(M))
+
+
+def eager_fixing_leaves(G, fixed, pools):
+    """The leaves of `autos._fixing_leaves` by one full descent from the
+    last generator's image to the first, every pooled image's entry
+    computed up front, and the leaf list sorted at the end."""
+    p = G.prime
+    n = G.n_gens
+    t = G._tables
+    _, project = structure.frattini_quotient(G)
+    cand = [
+        [(h, kernel.inv(t, h), kernel.power(t, h, m), list(project(h))) for h in pool]
+        for pool, m in zip(pools, G.rel_orders)
+    ]
+    coords = [list(project(g)) for g in _gen_vecs(n)]
+    target = [_rank_mod_p([list(r) for r in coords[i:]], p) for i in range(n)]
+    fixed_igs = [u.vec for u in fixed.igs]
+    images = [None] * n
+    rows = [None] * n
+    leaves = []
+
+    def descend(i):
+        if i < 0:
+            leaf = tuple(images)
+            if all(_image(t, leaf, enumerate(u)) == u for u in fixed_igs):
+                leaves.append(leaf)
+            return
+        for h, hinv, hpow, row in cand[i]:
+            images[i] = h
+            rows[i] = row
+            if (_rank_mod_p([list(r) for r in rows[i:]], p) >= target[i]
+                    and _broken_relation(G, t, images, i, hinv, hpow) is None):
+                descend(i - 1)
+        images[i] = None
+
+    descend(n - 1)
+    leaves.sort()
+    return leaves

@@ -47,6 +47,8 @@ from pgforge.subgroups import full_subgroup, quotient, subgroup_closure
 from pgforge.caps import DEFAULT_CAPS, DeskCaps
 from pgforge import corpus
 
+from oracles import eager_fixing_leaves
+
 
 def naive_is_inner(G, alpha):
     for h in G.elements():
@@ -412,16 +414,58 @@ def test_search_rejects_order_below_one(d8):
             search_order_p_automorphisms(d8, frattini(d8), order=order)
 
 
-def test_search_cap_refuses():
+def test_search_cap_refuses(monkeypatch):
+    """The full search, the first-witness search and the prop-1.3 slice
+    each refuse at the call, before the descent draws a leaf."""
+    from pgforge import autos
+    from pgforge.cohomology import c_aut_slice
+
+    def no_descent(*args):
+        raise AssertionError("the descent started before the refusal")
+
+    monkeypatch.setattr(autos, "_fixing_leaves", no_descent)
     P = corpus.metacyclic(3, 3, 2).presentation  # order 256
+    D = corpus.dihedral(16).presentation
+    for search in (search_order_p_automorphisms, first_noninner, autos._search_pools):
+        with pytest.raises(CapExceeded):
+            search(P, frattini(P), DEFAULT_CAPS)
+        with pytest.raises(CapExceeded):
+            search(D, frattini(D), DeskCaps(auto_search=8))
+    # elementary abelian of order 128 over its index-2 subgroup of even
+    # exponent sums: 64^7 candidate tuples
+    E = corpus.abelian(2, [1] * 7).presentation
+    gens = E.gens()
     with pytest.raises(CapExceeded):
-        search_order_p_automorphisms(P, frattini(P))
-    with pytest.raises(CapExceeded):
-        search_order_p_automorphisms(
-            corpus.dihedral(16).presentation,
-            frattini(corpus.dihedral(16).presentation),
-            DeskCaps(auto_search=8),
-        )
+        c_aut_slice(E, subgroup_closure(E, [gens[0] * g for g in gens[1:]]))
+
+
+@pytest.mark.parametrize("gid,fix,drawn,leaves", [
+    ("d16xc2", "frattini", 2, 128),
+    ("g64", "omega1-center", 7, 128),
+])
+def test_first_noninner_stops_at_its_witness(monkeypatch, gid, fix, drawn, leaves):
+    """The descent yields its leaves lazily, so the first-witness search
+    draws only those up to its witness, which is still the first noninner
+    entry of the full search."""
+    from pgforge import autos
+
+    G = next(e for e in corpus.builtin_corpus(validate=False) if e.id == gid).presentation
+    fixed = fixed_set_by_name(G, fix)
+    want = next(w for w in search_order_p_automorphisms(G, fixed) if w.is_noninner)
+    lazy = autos._fixing_leaves
+    counts = []
+
+    def counting(*args):
+        counts.append(0)
+        for leaf in lazy(*args):
+            counts[-1] += 1
+            yield leaf
+
+    monkeypatch.setattr(autos, "_fixing_leaves", counting)
+    assert first_noninner(G, fixed).to_dict() == want.to_dict()
+    pools = autos._search_pools(G, fixed, DEFAULT_CAPS)
+    assert len(list(autos._fixing_leaves(G, fixed, pools))) == leaves
+    assert counts == [drawn, leaves]
 
 
 # -- fixture claims --------------------------------------------------------------
@@ -883,11 +927,15 @@ D8XC2_INVOLUTIONS = (
 
 
 def test_search_matches_revalidating_oracle_on_corpus():
-    """Identical witness lists, in order, and first_noninner is the first
-    noninner entry, for both fixed sets on every group within the cap and
-    on D8 x C2 generated by involutions."""
+    """Identical witness lists, in order, first_noninner is the first
+    noninner entry, and the lazy descent yields the eager one's sorted
+    leaves, for both fixed sets on every group within the cap, on D8 x C2
+    generated by involutions and on the trivial group."""
+    from pgforge.autos import _fixing_leaves, _search_pools
+
     groups = [(entry.id, entry.presentation) for entry in searchable_corpus()]
     groups.append(("d8xc2-involutions", parse_presentation(D8XC2_INVOLUTIONS)))
+    groups.append(("trivial", parse_presentation("prime 2\ngens 0\n")))
     left_out = []
     searched = noninner = 0
     for gid, G in groups:
@@ -897,6 +945,9 @@ def test_search_matches_revalidating_oracle_on_corpus():
             first = next((w for w in got if w["noninner"]), None)
             w = first_noninner(G, fixed)
             assert (w and w.to_dict()) == first, (gid, name)
+            pools = _search_pools(G, fixed, DEFAULT_CAPS)
+            assert list(_fixing_leaves(G, fixed, pools)) == \
+                eager_fixing_leaves(G, fixed, pools), (gid, name)
             noninner += first is not None
             if (gid, name) in ORACLE_LEFT_OUT:
                 left_out.append((gid, name))
@@ -915,7 +966,7 @@ def test_search_matches_oracle_for_every_fixed_subgroup():
     Every leaf of the descent is an automorphism, not only the witnesses:
     the order test alone would also drop the maps that generation pruning
     cuts off."""
-    from pgforge.autos import _search_leaves
+    from pgforge.autos import _fixing_leaves, _search_pools
     from pgforge.subgroups import enumerate_subgroups
 
     v4 = corpus.abelian(2, [1, 1]).presentation
@@ -928,7 +979,7 @@ def test_search_matches_oracle_for_every_fixed_subgroup():
         for S in enumerate_subgroups(G):
             got = [w.to_dict() for w in search_order_p_automorphisms(G, S)]
             assert got == [w.to_dict() for w in oracle_search(G, S)], (entry.id, S.key())
-            for leaf in _search_leaves(G, S, DEFAULT_CAPS):
+            for leaf in _fixing_leaves(G, S, _search_pools(G, S, DEFAULT_CAPS)):
                 images = Automorphism._of_vecs(G, leaf).images
                 assert validation_error(G, images) is None, (entry.id, S.key(), leaf)
 

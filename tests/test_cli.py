@@ -191,6 +191,14 @@ def test_cap_override_allows_smaller_scope(d8_file, capsys):
     assert main(["search-autos", d8_file, "--fix", "frattini", "--cap", "4"]) == 2
 
 
+def test_inspect_huge_generator_count_exits_2(tmp_path, capsys):
+    big = tmp_path / "big.pc"
+    big.write_text("group big\nprime 2\ngens 1000000000000\norder 1 2\n")
+    assert main(["inspect", str(big)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 3: generator count 1000000000000 is above the cap 256\n")
+
+
 def test_inspect_bad_integer_field_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.pc"
     bad.write_text("group bad\nprime 2\ngens 1\norder a 2\n")

@@ -44,7 +44,8 @@ from pgforge.subgroups import (
 from pgforge import corpus
 
 import oracles
-from oracles import act, fixed_points, invariants_of_orders, trace_image
+from oracles import (act, eager_fixing_leaves, fixed_points, invariants_of_orders,
+                     trace_image)
 
 
 def oracle_z1(M):
@@ -707,12 +708,20 @@ def bijection_pairs():
 
 
 def test_slice_search_matches_the_filter_on_every_pair(bijection_pairs):
+    """And the lazy descent yields the eager one's sorted leaves on the
+    slice pools of every pair."""
+    from pgforge.autos import _fixing_leaves
+    from pgforge.cohomology import _slice_pools
+
     assert len(bijection_pairs) == 336
     assert len({gid for gid, *_ in bijection_pairs}) == 30
     for gid, G, N, _ in bijection_pairs:
         assert [a.key() for a in c_aut_slice(G, N)] == [
             a.key() for a in filter_slice(G, N)
         ], (gid, N.key())
+        pools = _slice_pools(G, N)
+        assert list(_fixing_leaves(G, N, pools)) == eager_fixing_leaves(G, N, pools), \
+            (gid, N.key())
 
 
 def test_vector_bridge_matches_the_validated_bridge_on_every_pair(bijection_pairs):

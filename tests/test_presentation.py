@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pgforge.core import (
+    MAX_GENERATORS,
     Element,
     PcPresentation,
     parse_presentation,
@@ -52,6 +53,19 @@ def test_parse_errors_carry_line_numbers():
         parse_presentation("group x\nprime 2\ngens -1\n")
     with pytest.raises(PresentationError, match="line 4"):
         parse_presentation("group x\nprime 2\ngens 1\norder 1 5\n")
+
+
+def test_generator_count_above_the_cap_is_refused_before_allocating():
+    """The parser refuses at the `gens` line, before any `order` line is
+    read, so a count of 10**12 costs nothing; the constructor refuses
+    before its n*n conjugation slots."""
+    text = "group x\nprime 2\ngens 1000000000000\norder 1 2\n"
+    with pytest.raises(PresentationError,
+                       match="^line 3: generator count 1000000000000 is above the cap 256$"):
+        parse_presentation(text)
+    with pytest.raises(PresentationError, match="^generator count 257 is above the cap 256$"):
+        PcPresentation(2, [2] * (MAX_GENERATORS + 1))
+    assert PcPresentation(2, [2] * MAX_GENERATORS).n_gens == MAX_GENERATORS
 
 
 @pytest.mark.parametrize("relations, message", [

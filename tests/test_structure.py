@@ -537,3 +537,23 @@ def test_subgroup_vectors_are_the_layer_products():
 def test_center_of_subgroup_refuses_a_subgroup_of_another_presentation(d8, q8):
     with pytest.raises(MixedPresentationError):
         center_of_subgroup(d8, full_subgroup(q8))
+
+
+def test_warm_center_of_subgroup_refuses_like_a_cold_call():
+    """The memo hit checks the cap first: a smaller cap refuses with the
+    cold call's error, and the default caps return the memoized subgroup."""
+    from pgforge.caps import DeskCaps
+
+    small = DeskCaps(element_sweep=8)
+    warm = corpus.g64().presentation
+    phi = frattini(warm)
+    Z = center_of_subgroup(warm, phi)
+    assert ("center_of_subgroup", phi.key()) in warm._cache
+    cold_G = corpus.g64().presentation
+    with pytest.raises(CapExceeded) as cold:
+        center_of_subgroup(cold_G, frattini(cold_G), small)
+    with pytest.raises(CapExceeded) as hit:
+        center_of_subgroup(warm, phi, small)
+    assert (hit.value.what, hit.value.needed, hit.value.cap) == \
+        (cold.value.what, cold.value.needed, cold.value.cap) == ("subgroup center sweep", 16, 8)
+    assert center_of_subgroup(warm, phi) is Z

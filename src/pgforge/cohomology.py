@@ -453,7 +453,9 @@ NORM_CASES = ("pcentral-odd", "class3-odd", "class3-even", "class2")
 
 
 def norm_counterexample(G: PcPresentation, case: str, caps=DEFAULT_CAPS):
-    """Exhaustive sweep of the norm identity in its case-exact form.
+    """The norm identity in its case-exact form on every nontrivial
+    abelian normal A, decided on A's IGS (`_norm_verdict`); the exhaustive
+    sweep runs only on a fail, for the first counterexample.
 
     pcentral-odd: p odd and G/Z(G) p-central; for p > 3 the norm equals
     a^p exactly, for p = 3 up to a central defect.
@@ -488,7 +490,101 @@ def norm_counterexample(G: PcPresentation, case: str, caps=DEFAULT_CAPS):
         if structure.nilpotency_class(G) > 2:
             raise HypothesesUnmet("class exceeds 2")
 
-    return _norm_sweep(G, case, caps)
+    checked = _norm_verdict(G, case, caps)
+    if checked is None:
+        return _norm_sweep(G, case, caps)
+    return None, checked
+
+
+def _norm_exponents(case, p):
+    """The n of the norms N_n checked in each case."""
+    return [p] if case != "class2" else sorted({1, 2, p, p + 1, p * p})
+
+
+def _norm_conjugators(G: PcPresentation, case: str, caps):
+    """(A, xs, partners) for each nontrivial abelian member A of the
+    normal-subgroup family, in its order.  Conjugation of A and the
+    admissibility conditions only depend on cosets modulo the (normal)
+    centralizer of A, so xs are the canonical coset representatives of
+    C_G(A) that are admissible: g^p in C_G(A), or x^2 in C_G(A) for
+    class3-even.  For class3-even partners[i] lists the k with
+    (xs[i] xs[k])^2 in C_G(A); otherwise it is None."""
+    p = G.prime
+    t = G._tables
+    mul, power = kernel.mul, kernel.power
+    ident = t.identity
+    for A in enumerate_subgroups(G, caps, normal=True):
+        if A.is_trivial() or not A.is_abelian():
+            continue
+        cent = structure.centralizer(G, A, caps)
+
+        def in_cent(v):
+            return _sift(t, cent._table, v) == ident
+
+        reps = itertools.product(*(range(l) for l in coset_layers(cent)))
+        if case == "class3-even":
+            xs = [x for x in reps if in_cent(power(t, x, 2))]
+            partners = [[k for k, y in enumerate(xs) if in_cent(power(t, mul(t, x, y), 2))]
+                        for x in xs]
+        else:
+            xs = [g for g in reps if in_cent(power(t, g, p))]
+            partners = None
+        yield A, xs, partners
+
+
+def _norm_verdict(G: PcPresentation, case: str, caps=DEFAULT_CAPS):
+    """The tuples `_norm_sweep` checks when it finds no counterexample,
+    or None when it would find one, decided on the IGS of each A.
+
+    For fixed A and admissible g and n, a -> N_n(a) a^-n is a
+    homomorphism A -> A, and so is a -> a^(xy) a^y a^x a a^-4 for fixed
+    x, y: conjugation by g is an automorphism of the abelian normal A.  So
+    the defect lies in Z(G) (or is trivial) on all of A exactly when it
+    does on A's IGS (K. S. Brown, Cohomology of Groups, VI), and a pass
+    checks |A| tuples per admissible (g, n) or (x, y) pair."""
+    p = G.prime
+    t = G._tables
+    mul, power, inv = kernel.mul, kernel.power, kernel.inv
+    ident = t.identity
+    Z = structure.center(G, caps)
+    ns = _norm_exponents(case, p)
+    exact = case == "pcentral-odd" and p > 3
+
+    def conj(a, g, ginv):
+        return mul(t, mul(t, ginv, a), g)
+
+    def central(defect):
+        return _sift(t, Z._table, defect) == ident
+
+    checked = 0
+    for A, xs, partners in _norm_conjugators(G, case, caps):
+        gens = [u.vec for u in A.igs]
+        inverses = [inv(t, x) for x in xs]
+        if case == "class3-even":
+            a4invs = [power(t, a, -4) for a in gens]
+            images = [[conj(a, x, xinv) for a in gens] for x, xinv in zip(xs, inverses)]
+            for axs, ks in zip(images, partners):
+                for k in ks:
+                    y, yinv, ays = xs[k], inverses[k], images[k]
+                    for a, ax, ay, a4inv in zip(gens, axs, ays, a4invs):
+                        val = mul(t, mul(t, mul(t, conj(ax, y, yinv), ay), ax), a)
+                        if not central(mul(t, val, a4inv)):
+                            return None
+                checked += A.order * len(ks)
+        else:
+            for g, ginv in zip(xs, inverses):
+                for a in gens:
+                    norms = {1: a}
+                    ak = acc = a
+                    for k in range(1, ns[-1]):
+                        ak = conj(ak, g, ginv)
+                        acc = norms[k + 1] = mul(t, ak, acc)
+                    for n in ns:
+                        defect = mul(t, norms[n], power(t, a, -n))
+                        if (defect != ident) if exact and n == p else not central(defect):
+                            return None
+            checked += A.order * len(xs) * len(ns)
+    return checked
 
 
 def _conjugation_table(t, vecs, g):
@@ -501,9 +597,10 @@ def _conjugation_table(t, vecs, g):
 
 def _norm_sweep(G: PcPresentation, case: str, caps=DEFAULT_CAPS):
     """The sweep of `norm_counterexample` without its hypothesis checks,
-    over (A, a, g, n) in that order, stopping at the first counterexample.
-    The A are the nontrivial abelian members of the normal-subgroup family
-    (`enumerate_subgroups(..., normal=True)`), in its order.
+    over (A, a, g, n) in that order, stopping at the first counterexample;
+    the A and their admissible conjugators are those of
+    `_norm_conjugators`.  `norm_counterexample` runs it only when
+    `_norm_verdict` has found that some A fails.
 
     Every conjugation is made once per conjugator: for each A and each
     admissible coset representative g a table a -> a^g over A, so a^(g^k)
@@ -516,30 +613,15 @@ def _norm_sweep(G: PcPresentation, case: str, caps=DEFAULT_CAPS):
     mul, power, inv = kernel.mul, kernel.power, kernel.inv
     ident = t.identity
     Z = structure.center(G, caps)
-    abelian_normals = [
-        S for S in enumerate_subgroups(G, caps, normal=True)
-        if not S.is_trivial() and S.is_abelian()
-    ]
+    ns = _norm_exponents(case, p)
     checked = 0
-    for A in abelian_normals:
-        # conjugation of A and the admissibility conditions only depend on
-        # cosets modulo the (normal) centralizer of A, so sweeping the
-        # canonical coset representatives is still exhaustive
-        cent = structure.centralizer(G, A, caps)
-
-        def in_cent(v):
-            return _sift(t, cent._table, v) == ident
-
-        reps = itertools.product(*(range(l) for l in coset_layers(cent)))
+    for A, xs, partners in _norm_conjugators(G, case, caps):
         avecs = A.vectors()
+        tables = [_conjugation_table(t, avecs, x) for x in xs]
         if case == "class3-even":
-            xs = [x for x in reps if in_cent(power(t, x, 2))]
-            tables = [_conjugation_table(t, avecs, x) for x in xs]
-            ys = [[k for k, y in enumerate(xs) if in_cent(power(t, mul(t, x, y), 2))]
-                  for x in xs]
             for a in avecs:
                 a4inv = inv(t, power(t, a, 4))
-                for x, tx, ks in zip(xs, tables, ys):
+                for x, tx, ks in zip(xs, tables, partners):
                     ax = tx[a]
                     for k in ks:
                         ty = tables[k]
@@ -550,12 +632,9 @@ def _norm_sweep(G: PcPresentation, case: str, caps=DEFAULT_CAPS):
                                     "defect": defect}, checked
                         checked += 1
         else:
-            gs = [g for g in reps if in_cent(power(t, g, p))]
-            ns = [p] if case != "class2" else sorted({1, 2, p, p + 1, p * p})
-            tables = [_conjugation_table(t, avecs, g) for g in gs]
             for a in avecs:
                 inverse_powers = [inv(t, power(t, a, n)) for n in ns]
-                for g, tg in zip(gs, tables):
+                for g, tg in zip(xs, tables):
                     norms = {1: a}
                     ak = acc = a
                     for k in range(1, ns[-1]):

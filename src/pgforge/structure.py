@@ -124,14 +124,19 @@ def center(G: PcPresentation, caps=DEFAULT_CAPS) -> Subgroup:
 
 
 def centralizer(G: PcPresentation, target, caps=DEFAULT_CAPS) -> Subgroup:
-    """Centralizer of an element or a subgroup, by element sweep."""
+    """Centralizer of an element or a subgroup, by element sweep; a
+    subgroup's is computed once per presentation.  The cap and the
+    presentation are checked before the memo, so a hit refuses exactly
+    where a cold call would."""
     if isinstance(target, Element):
-        tgens = [target]
-    elif isinstance(target, Subgroup):
-        tgens = list(target.igs)
-    else:
+        return _commuting_sweep(G, [target], caps)
+    if not isinstance(target, Subgroup):
         raise DomainError("centralizer target must be an Element or Subgroup")
-    return _commuting_sweep(G, tgens, caps)
+    _check_sweep(G, caps)
+    if not (target.pres is G or target.pres == G):
+        raise MixedPresentationError("centralizer target from another presentation")
+    return _memo(G, ("centralizer", target.key()),
+                 lambda: _commuting_sweep(G, target.igs, caps))
 
 
 def derived_subgroup(G: PcPresentation) -> Subgroup:

@@ -85,23 +85,38 @@ class _IgsBuilder:
         return changed
 
     def close(self):
-        """Iterate power and conjugation obligations until stable."""
+        """Add the obligations of an induced pc sequence until stable: the
+        relative-order power of each entry, and v^u for each entry u at an
+        earlier pivot than v.  With j the pivot of v, G_j is normal, so v^u
+        lies in G_j and sifts only through the entries after u; then u
+        normalizes the subgroup they span, since in a finite group
+        S^u <= S forces S^u = S, and u^-1 needs no obligation of its own
+        (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+        ch. 8).  Each residue is formed once per call, keyed by the entry
+        vectors; a pass re-adds the residues of every current entry, and
+        the call ends on a pass that changes nothing."""
         t = self.t
         orders = self.pres.rel_orders
+        powers = {}
+        conjugates = {}
+        inverses = {}
         while True:
             entries = [v for v in self.table if v is not None]
             residues = []
-            for v in entries:
-                i = _leading(v)
-                r = orders[i] // v[i]
-                residues.append(kernel.power(t, v, r))
-            for u in entries:
-                ui = kernel.inv(t, u)
-                for v in entries:
-                    if u is v:
-                        continue
-                    residues.append(kernel.mul(t, kernel.mul(t, ui, v), u))
-                    residues.append(kernel.mul(t, kernel.mul(t, u, v), ui))
+            for pos, u in enumerate(entries):
+                r = powers.get(u)
+                if r is None:
+                    i = _leading(u)
+                    r = powers[u] = kernel.power(t, u, orders[i] // u[i])
+                residues.append(r)
+                for v in entries[pos + 1:]:
+                    c = conjugates.get((u, v))
+                    if c is None:
+                        ui = inverses.get(u)
+                        if ui is None:
+                            ui = inverses[u] = kernel.inv(t, u)
+                        c = conjugates[u, v] = kernel.mul(t, kernel.mul(t, ui, v), u)
+                    residues.append(c)
             changed = False
             for r in residues:
                 if self.add(r):
@@ -281,6 +296,9 @@ def full_subgroup(P: PcPresentation) -> Subgroup:
 
 
 def normal_closure(P: PcPresentation, gens) -> Subgroup:
+    """The smallest normal subgroup containing gens: closed under
+    conjugation by each generator of P, which suffices, since S^g <= S
+    forces S^g = S in a finite group."""
     S = subgroup_closure(P, gens)
     while True:
         b = _IgsBuilder(P)
@@ -289,11 +307,10 @@ def normal_closure(P: PcPresentation, gens) -> Subgroup:
         changed = False
         for e in S.igs:
             for g in P.gens():
-                for h in (g, g.inverse()):
-                    c = e.conjugate(h)
-                    if not S.membership(c):
-                        b.add(c.vec)
-                        changed = True
+                c = e.conjugate(g)
+                if not S.membership(c):
+                    b.add(c.vec)
+                    changed = True
         if not changed:
             return S
         S = b.finish()

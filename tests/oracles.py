@@ -1,8 +1,9 @@
 """Brute-force oracles shared by the test modules: H0's fixed points and
 trace image by Element sweeps over A and Q, the invariant factors of a
 section from the orders of its coset representatives, the cyclicity
-of a quotient from the orders of its elements, and the automorphism
-search's descent built in full and sorted."""
+of a quotient from the orders of its elements, the automorphism
+search's descent built in full and sorted, and the IGS closure over every
+ordered pair of entries in both directions."""
 
 from collections import Counter
 
@@ -10,7 +11,7 @@ from pgforge import kernel, structure
 from pgforge.autos import _broken_relation, _gen_vecs, _image, _rank_mod_p
 from pgforge.core import Element, p_valuation
 from pgforge.structure import _invariant_factors
-from pgforge.subgroups import quotient, subgroup_closure
+from pgforge.subgroups import _IgsBuilder, _leading, quotient, subgroup_closure
 
 
 def act(a, q):
@@ -116,3 +117,39 @@ def eager_fixing_leaves(G, fixed, pools):
     descend(n - 1)
     leaves.sort()
     return leaves
+
+
+def all_pairs_close(b):
+    """Close an `_IgsBuilder` by the power residue of every entry and both
+    conjugates u^-1 v u and u v u^-1 of every ordered pair of entries,
+    all formed again on every pass, until a pass changes nothing."""
+    t = b.t
+    orders = b.pres.rel_orders
+    while True:
+        entries = [v for v in b.table if v is not None]
+        residues = []
+        for v in entries:
+            i = _leading(v)
+            residues.append(kernel.power(t, v, orders[i] // v[i]))
+        for u in entries:
+            ui = kernel.inv(t, u)
+            for v in entries:
+                if u is v:
+                    continue
+                residues.append(kernel.mul(t, kernel.mul(t, ui, v), u))
+                residues.append(kernel.mul(t, kernel.mul(t, u, v), ui))
+        changed = False
+        for r in residues:
+            if b.add(r):
+                changed = True
+        if not changed:
+            return
+
+
+def all_pairs_closure(P, vecs):
+    """The subgroup generated by the vectors, closed by `all_pairs_close`."""
+    b = _IgsBuilder(P)
+    for v in vecs:
+        b.add(v)
+    all_pairs_close(b)
+    return b.subgroup()

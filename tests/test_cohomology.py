@@ -11,6 +11,7 @@ from pgforge.cohomology import (
     _cocycle_forms,
     _kernel_basis,
     _norm_sweep,
+    _norm_verdict,
     b1,
     bridge_vecs,
     c_aut_slice,
@@ -854,8 +855,30 @@ def shared_corpus():
     return corpus.builtin_corpus(validate=False)
 
 
+@pytest.fixture(scope="module")
+def element_norm_reports(shared_corpus):
+    """{(group id, case): `element_norm_sweep`} for every corpus group and
+    case within the caps, hypotheses ignored."""
+    reports = {}
+    for entry in shared_corpus:
+        for case in NORM_CASES:
+            try:
+                reports[entry.id, case] = element_norm_sweep(entry.presentation, case)
+            except CapExceeded:
+                pass
+    return reports
+
+
+def verdict_agrees(verdict, report):
+    """Whether `_norm_verdict` gave the element sweep's tuple count on a
+    pass and None on a fail."""
+    counterexample, checked = report
+    return verdict == (checked if counterexample is None else None)
+
+
 @pytest.mark.parametrize("case", NORM_CASES)
-def test_norm_sweeps_match_the_element_sweep_on_the_corpus(case, shared_corpus):
+def test_norm_sweeps_match_the_element_sweep_on_the_corpus(case, shared_corpus,
+                                                           element_norm_reports):
     """Every corpus group within the caps: the report where the case's
     hypotheses hold, and otherwise the bare sweep, which must stop at the
     same first counterexample (class2 on dihedral-16, for one)."""
@@ -870,13 +893,50 @@ def test_norm_sweeps_match_the_element_sweep_on_the_corpus(case, shared_corpus):
                 rep = _norm_sweep(G, case)
                 holds = False
         except CapExceeded:
+            assert (entry.id, case) not in element_norm_reports
             continue
-        assert rep == element_norm_sweep(G, case), (entry.id, case)
+        assert rep == element_norm_reports[entry.id, case], (entry.id, case)
         outcomes[holds, "pass" if rep[0] is None else "fail"] += 1
     assert outcomes[True, "fail"] == 0
     assert outcomes[True, "pass"] >= 9
     if case != "class3-even":
         assert outcomes[False, "fail"] >= 5
+
+
+def test_norm_verdict_matches_the_element_sweep_on_the_corpus(shared_corpus,
+                                                               element_norm_reports):
+    """The verdict on A's IGS against the sweep of every a in A, on every
+    (corpus group, case) pair within the caps with the hypotheses ignored:
+    the tuple count on a pass, None on a fail."""
+    groups = {entry.id: entry.presentation for entry in shared_corpus}
+    fails = 0
+    for (gid, case), report in element_norm_reports.items():
+        assert verdict_agrees(_norm_verdict(groups[gid], case), report), (gid, case)
+        fails += report[0] is not None
+    assert len(element_norm_reports) >= 152
+    assert fails >= 25
+
+
+@pytest.mark.parametrize("case", NORM_CASES)
+def test_passing_norm_checks_never_run_the_sweep(case, shared_corpus, element_norm_reports,
+                                                 monkeypatch):
+    """The counterexample sweep runs only after the verdict finds a failing
+    generator: with it replaced by a function that raises, every corpus
+    group whose hypotheses hold within the caps still passes, with the
+    element sweep's tuple count."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the counterexample sweep ran on a passing group")
+
+    monkeypatch.setattr("pgforge.cohomology._norm_sweep", refuse)
+    passed = 0
+    for entry in shared_corpus:
+        try:
+            rep = norm_counterexample(entry.presentation, case)
+        except (HypothesesUnmet, CapExceeded):
+            continue
+        assert rep == element_norm_reports[entry.id, case], (entry.id, case)
+        passed += 1
+    assert passed >= 9
 
 
 # UT(4, 2): x1, x2, x3 the transvections e12, e23, e34 and x4, x5, x6
@@ -913,7 +973,46 @@ def test_norm_sweep_matches_the_element_sweep_on_a_dihedral_action(case, ut42):
         rep = norm_counterexample(G, case)
     except HypothesesUnmet:
         rep = _norm_sweep(G, case)
-    assert rep == element_norm_sweep(G, case)
+    want = element_norm_sweep(G, case)
+    assert rep == want
+    assert verdict_agrees(_norm_verdict(G, case), want)
+
+
+# C2 x D16 with the central C2 first: x1 = c, x2 = s, x3 = r, x4 = r^2,
+# x5 = r^4.  A = <c, r> is abelian normal and its first IGS entry c is
+# central, so only a later entry shows class2's defect r^-2.
+C2XD16 = """group c2xd16
+prime 2
+gens 5
+order 1 2
+order 2 2
+order 3 2
+order 4 2
+order 5 2
+pow 3 = x4
+pow 4 = x5
+conj 3 2 = x3*x4*x5
+conj 4 2 = x4*x5
+"""
+
+
+def test_norm_verdict_reads_every_generator_of_a(monkeypatch):
+    """With the family cut down to A = <c, r>, the verdict fails on r,
+    not on the central first entry, and the sweep's counterexample lies in
+    the same A."""
+    from pgforge import cohomology
+    from pgforge.core import parse_presentation
+
+    G = parse_presentation(C2XD16)
+    c, r = G.gen(0), G.gen(2)
+    A = subgroup_closure(G, [c, r])
+    assert A.igs[0] == c and c in center(G) and is_normal(A) and A.is_abelian()
+    every = cohomology._norm_conjugators
+    monkeypatch.setattr(cohomology, "_norm_conjugators", lambda G, case, caps: (
+        entry for entry in every(G, case, caps) if entry[0] == A))
+    assert _norm_verdict(G, "class2") is None
+    counterexample, checked = _norm_sweep(G, "class2")
+    assert counterexample["A"] == A.key() and counterexample["a"] not in ((0,) * 5, c.vec)
 
 
 def test_norm_identity_hypotheses():

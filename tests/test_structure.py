@@ -557,3 +557,27 @@ def test_warm_center_of_subgroup_refuses_like_a_cold_call():
     assert (hit.value.what, hit.value.needed, hit.value.cap) == \
         (cold.value.what, cold.value.needed, cold.value.cap) == ("subgroup center sweep", 16, 8)
     assert center_of_subgroup(warm, phi) is Z
+
+
+def test_warm_centralizer_of_subgroup_refuses_like_a_cold_call(q8):
+    """A subgroup's centralizer is memoized, and the memo hit checks the
+    cap and the presentation first: a smaller cap refuses with the cold
+    call's error, a subgroup of another presentation is refused, and the
+    default caps return the memoized subgroup."""
+    from pgforge.caps import DeskCaps
+
+    small = DeskCaps(element_sweep=8)
+    warm = corpus.g64().presentation
+    phi = frattini(warm)
+    C = centralizer(warm, phi)
+    assert ("centralizer", phi.key()) in warm._cache
+    cold_G = corpus.g64().presentation
+    with pytest.raises(CapExceeded) as cold:
+        centralizer(cold_G, frattini(cold_G), small)
+    with pytest.raises(CapExceeded) as hit:
+        centralizer(warm, phi, small)
+    assert (hit.value.what, hit.value.needed, hit.value.cap) == \
+        (cold.value.what, cold.value.needed, cold.value.cap) == ("element sweep", 64, 8)
+    with pytest.raises(MixedPresentationError):
+        centralizer(warm, full_subgroup(q8))
+    assert centralizer(warm, phi) is C

@@ -6,6 +6,7 @@ import pytest
 from pgforge.core import PcPresentation
 from pgforge.errors import CapExceeded, DomainError
 from pgforge.subgroups import (
+    _IgsBuilder,
     enumerate_normal_subgroups,
     enumerate_subgroups,
     full_subgroup,
@@ -19,7 +20,7 @@ from pgforge.subgroups import (
 from pgforge import corpus
 from pgforge.caps import DeskCaps
 
-from oracles import is_cyclic_by_orders, rep_order
+from oracles import all_pairs_closure, is_cyclic_by_orders, rep_order
 
 
 def brute_closure(P, gens):
@@ -62,18 +63,58 @@ def test_closure_examples(d8):
     assert subgroup_closure(d8, [g1, g2]).order == 8
 
 
-def test_closure_matches_oracle(d8, q8, es27):
+def test_closure_matches_oracle(d8):
+    """Seeded random generating sets on d8 and on every corpus group within
+    the lattice cap: the closure's key is that of the all-pairs closure,
+    also when the set is added one element at a time with a close after
+    each, and its elements are those of `brute_closure`."""
     rng = random.Random(11)
-    for P in (d8, q8, es27):
+    for P in [d8] + [e.presentation for e in lattice_groups()]:
         els = list(P.elements())
-        for trial in range(12):
+        for trial in range(6):
             gens = [rng.choice(els) for _ in range(rng.randint(0, 3))]
             S = subgroup_closure(P, gens)
+            assert S.key() == all_pairs_closure(P, [g.vec for g in gens]).key(), P.name
+            b = _IgsBuilder(P)
+            for g in gens:
+                b.add(g.vec)
+                b.close()
+            assert b.subgroup().key() == S.key(), P.name
             oracle = brute_closure(P, gens)
-            assert S.order == len(oracle)
-            assert sorted(e.vec for e in S.elements()) == sorted(e.vec for e in oracle)
-            for x in els:
-                assert S.membership(x) == (x in oracle)
+            assert sorted(S.vectors()) == sorted(e.vec for e in oracle), P.name
+            if P.order <= 32:
+                for x in els:
+                    assert S.membership(x) == (x in oracle)
+
+
+def brute_normal_closure(P, gens):
+    """Oracle: `brute_closure` of the set and its conjugates by every
+    element of P, grown to a fixpoint."""
+    els = list(P.elements())
+    S = brute_closure(P, gens)
+    while True:
+        grown = brute_closure(P, list(S) + [x.conjugate(g) for x in S for g in els])
+        if len(grown) == len(S):
+            return S
+        S = grown
+
+
+def test_normal_closure_matches_the_conjugation_oracle(d8):
+    """Seeded random generating sets on d8 and on every corpus group of
+    order at most 64, closed under conjugation by the generators only."""
+    rng = random.Random(13)
+    groups = [d8] + [e.presentation for e in lattice_groups() if e.presentation.order <= 64]
+    proper = 0
+    for P in groups:
+        els = list(P.elements())
+        for trial in range(6):
+            gens = [rng.choice(els) for _ in range(rng.randint(0, 2))]
+            N = normal_closure(P, gens)
+            oracle = brute_normal_closure(P, gens)
+            assert sorted(N.vectors()) == sorted(e.vec for e in oracle), P.name
+            assert is_normal(N)
+            proper += len(oracle) < P.order and len(oracle) > len(brute_closure(P, gens))
+    assert proper >= 10
 
 
 def test_membership_examples(d8):

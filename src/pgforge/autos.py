@@ -380,9 +380,9 @@ def _classified(G, fixed, leaves, order, caps):
             continue
         alpha = Automorphism._of_vecs(G, images)
         if name is None:
-            # only once a witness exists: _fixed_name checks the default
-            # sweep cap, which a search with larger caps must not trip
-            name = _fixed_name(G, fixed)
+            # only once a witness exists: a search that finds none never
+            # builds the named subgroups
+            name = _fixed_name(G, fixed, caps)
         yield AutWitness(
             automorphism=alpha,
             order=order,
@@ -511,11 +511,11 @@ def _fixing_leaves(G: PcPresentation, fixed: Subgroup, pools):
                 yield leaf
 
 
-def _fixed_name(G, S: Subgroup) -> str:
-    if S == structure.frattini(G):
+def _fixed_name(G, S: Subgroup, caps) -> str:
+    if S == structure.frattini(G, caps):
         return "frattini"
     try:
-        if S == structure.omega1(structure.center(G)):
+        if S == structure.omega1(structure.center(G, caps), caps):
             return "omega1-center"
     except (CapExceeded, DomainError):
         pass

@@ -21,7 +21,7 @@ from pgforge.autos import fixed_set_by_name, search_order_p_automorphisms
 from pgforge.caps import DEFAULT_CAPS
 from pgforge.core import _parse_word, parse_presentation
 from pgforge.corpus import builtin_corpus, load_manifest, read_source
-from pgforge.errors import CapExceeded, ForgeError
+from pgforge.errors import CapExceeded, ForgeError, PresentationError
 from pgforge.harness import CHECKS, exit_code, report_dict, run_all, run_check
 from pgforge.subgroups import is_normal, subgroup_closure
 
@@ -78,7 +78,12 @@ def cmd_verify_all(args):
 def cmd_cohomology(args):
     G = _load(args.file)
     G.require_consistent()
-    gens = [G.collect(_parse_word(w, 0)) for w in args.normal.split(",")]
+    gens = []
+    for w in args.normal.split(","):
+        try:
+            gens.append(G.collect(_parse_word(w, None)))
+        except PresentationError as exc:
+            raise PresentationError(f"--normal {w.strip()!r}: {exc}") from None
     N = subgroup_closure(G, gens)
     if not is_normal(N):
         raise ForgeError(

@@ -454,8 +454,8 @@ NORM_CASES = ("pcentral-odd", "class3-odd", "class3-even", "class2")
 
 def norm_counterexample(G: PcPresentation, case: str, caps=DEFAULT_CAPS):
     """The norm identity in its case-exact form on every nontrivial
-    abelian normal A, decided on A's IGS (`_norm_verdict`); the exhaustive
-    sweep runs only on a fail, for the first counterexample.
+    abelian normal A, checked by `_norm_report` once the case's hypotheses
+    hold.
 
     pcentral-odd: p odd and G/Z(G) p-central; for p > 3 the norm equals
     a^p exactly, for p = 3 up to a central defect.
@@ -490,10 +490,7 @@ def norm_counterexample(G: PcPresentation, case: str, caps=DEFAULT_CAPS):
         if structure.nilpotency_class(G) > 2:
             raise HypothesesUnmet("class exceeds 2")
 
-    checked = _norm_verdict(G, case, caps)
-    if checked is None:
-        return _norm_sweep(G, case, caps)
-    return None, checked
+    return _norm_report(G, case, caps)
 
 
 def _norm_exponents(case, p):
@@ -532,23 +529,54 @@ def _norm_conjugators(G: PcPresentation, case: str, caps):
         yield A, xs, partners
 
 
-def _norm_verdict(G: PcPresentation, case: str, caps=DEFAULT_CAPS):
-    """The tuples `_norm_sweep` checks when it finds no counterexample,
-    or None when it would find one, decided on the IGS of each A.
+def _norm_report(G: PcPresentation, case: str, caps=DEFAULT_CAPS):
+    """(the first counterexample or None, tuples checked) of the norm
+    identity over (A, a, g, n), or (A, a, x, y) for class3-even, in that
+    order, with no hypothesis checks; the A and their admissible
+    conjugators are those of `_norm_conjugators`.
 
     For fixed A and admissible g and n, a -> N_n(a) a^-n is a
     homomorphism A -> A, and so is a -> a^(xy) a^y a^x a a^-4 for fixed
     x, y: conjugation by g is an automorphism of the abelian normal A.  So
     the defect lies in Z(G) (or is trivial) on all of A exactly when it
-    does on A's IGS (K. S. Brown, Cohomology of Groups, VI), and a pass
-    checks |A| tuples per admissible (g, n) or (x, y) pair."""
+    does on A's IGS (K. S. Brown, Cohomology of Groups, VI).  Each A is
+    walked on its IGS, and when that passes it counts |A| tuples per
+    admissible (g, n) or (x, y) pair.  The first A with a failing
+    generator is walked again on all of its elements, and the first
+    failing tuple there is the counterexample, its index among all the
+    tuples the count, since every earlier A passed in full.  The
+    test suite keeps the Element sweep as its oracle."""
+    Z = structure.center(G, caps)
+    ns = _norm_exponents(case, G.prime)
+    checked = 0
+    for A, xs, partners in _norm_conjugators(G, case, caps):
+        walk = _norm_tuples(G, case, Z, A, xs, partners, [u.vec for u in A.igs])
+        if all(passes for _, passes in walk):
+            pairs = len(xs) * len(ns) if partners is None else sum(map(len, partners))
+            checked += A.order * pairs
+            continue
+        walk = _norm_tuples(G, case, Z, A, xs, partners, A.vectors())
+        return next((payload, index) for index, (payload, passes) in enumerate(walk, checked)
+                    if not passes)
+    return None, checked
+
+
+def _norm_tuples(G: PcPresentation, case: str, Z: Subgroup, A: Subgroup, xs, partners,
+                 elements):
+    """(payload, whether the identity holds) for each tuple (a, g, n), or
+    (a, x, y) for class3-even, with a running over `elements` of A, in
+    that order.
+
+    Each conjugator's inverse is formed once, and a^-n once per (a, n).
+    The norms for every n come from one running product,
+    N_(k+1)(a) = a^(g^k) N_k(a); for class3-even a^x is formed once per
+    (a, x)."""
     p = G.prime
     t = G._tables
     mul, power, inv = kernel.mul, kernel.power, kernel.inv
     ident = t.identity
-    Z = structure.center(G, caps)
-    ns = _norm_exponents(case, p)
-    exact = case == "pcentral-odd" and p > 3
+    key = A.key()
+    inverses = [inv(t, x) for x in xs]
 
     def conj(a, g, ginv):
         return mul(t, mul(t, ginv, a), g)
@@ -556,103 +584,31 @@ def _norm_verdict(G: PcPresentation, case: str, caps=DEFAULT_CAPS):
     def central(defect):
         return _sift(t, Z._table, defect) == ident
 
-    checked = 0
-    for A, xs, partners in _norm_conjugators(G, case, caps):
-        gens = [u.vec for u in A.igs]
-        inverses = [inv(t, x) for x in xs]
-        if case == "class3-even":
-            a4invs = [power(t, a, -4) for a in gens]
-            images = [[conj(a, x, xinv) for a in gens] for x, xinv in zip(xs, inverses)]
-            for axs, ks in zip(images, partners):
+    if case == "class3-even":
+        for a in elements:
+            a4inv = power(t, a, -4)
+            images = [conj(a, x, xinv) for x, xinv in zip(xs, inverses)]
+            for x, ax, ks in zip(xs, images, partners):
                 for k in ks:
-                    y, yinv, ays = xs[k], inverses[k], images[k]
-                    for a, ax, ay, a4inv in zip(gens, axs, ays, a4invs):
-                        val = mul(t, mul(t, mul(t, conj(ax, y, yinv), ay), ax), a)
-                        if not central(mul(t, val, a4inv)):
-                            return None
-                checked += A.order * len(ks)
-        else:
-            for g, ginv in zip(xs, inverses):
-                for a in gens:
-                    norms = {1: a}
-                    ak = acc = a
-                    for k in range(1, ns[-1]):
-                        ak = conj(ak, g, ginv)
-                        acc = norms[k + 1] = mul(t, ak, acc)
-                    for n in ns:
-                        defect = mul(t, norms[n], power(t, a, -n))
-                        if (defect != ident) if exact and n == p else not central(defect):
-                            return None
-            checked += A.order * len(xs) * len(ns)
-    return checked
-
-
-def _conjugation_table(t, vecs, g):
-    """{a: a^g} over the vectors of a normal subgroup, from one inverse of
-    g and two products per a."""
-    mul = kernel.mul
-    ginv = kernel.inv(t, g)
-    return {a: mul(t, mul(t, ginv, a), g) for a in vecs}
-
-
-def _norm_sweep(G: PcPresentation, case: str, caps=DEFAULT_CAPS):
-    """The sweep of `norm_counterexample` without its hypothesis checks,
-    over (A, a, g, n) in that order, stopping at the first counterexample;
-    the A and their admissible conjugators are those of
-    `_norm_conjugators`.  `norm_counterexample` runs it only when
-    `_norm_verdict` has found that some A fails.
-
-    Every conjugation is made once per conjugator: for each A and each
-    admissible coset representative g a table a -> a^g over A, so a^(g^k)
-    is read by following it.  The norms for every n come from one running
-    product, N_(k+1)(a) = a^(g^k) N_k(a), and a^n and its inverse are
-    formed once per (a, n).  The test suite keeps the Element sweep as its
-    oracle."""
-    p = G.prime
-    t = G._tables
-    mul, power, inv = kernel.mul, kernel.power, kernel.inv
-    ident = t.identity
-    Z = structure.center(G, caps)
+                    val = mul(t, mul(t, mul(t, conj(ax, xs[k], inverses[k]), images[k]), ax), a)
+                    defect = mul(t, val, a4inv)
+                    yield ({"A": key, "a": a, "x": x, "y": xs[k], "defect": defect},
+                           central(defect))
+        return
     ns = _norm_exponents(case, p)
-    checked = 0
-    for A, xs, partners in _norm_conjugators(G, case, caps):
-        avecs = A.vectors()
-        tables = [_conjugation_table(t, avecs, x) for x in xs]
-        if case == "class3-even":
-            for a in avecs:
-                a4inv = inv(t, power(t, a, 4))
-                for x, tx, ks in zip(xs, tables, partners):
-                    ax = tx[a]
-                    for k in ks:
-                        ty = tables[k]
-                        val = mul(t, mul(t, mul(t, ty[ax], ty[a]), ax), a)
-                        defect = mul(t, val, a4inv)
-                        if _sift(t, Z._table, defect) != ident:
-                            return {"A": A.key(), "a": a, "x": x, "y": xs[k],
-                                    "defect": defect}, checked
-                        checked += 1
-        else:
-            for a in avecs:
-                inverse_powers = [inv(t, power(t, a, n)) for n in ns]
-                for g, tg in zip(xs, tables):
-                    norms = {1: a}
-                    ak = acc = a
-                    for k in range(1, ns[-1]):
-                        ak = tg[ak]
-                        acc = norms[k + 1] = mul(t, ak, acc)
-                    for n, an_inv in zip(ns, inverse_powers):
-                        defect = mul(t, norms[n], an_inv)
-                        exact = case == "pcentral-odd" and p > 3 and n == p
-                        bad = (
-                            defect != ident
-                            if exact
-                            else _sift(t, Z._table, defect) != ident
-                        )
-                        if bad:
-                            return {"A": A.key(), "a": a, "g": g, "n": n,
-                                    "defect": defect}, checked
-                        checked += 1
-    return None, checked
+    exact = case == "pcentral-odd" and p > 3
+    for a in elements:
+        inverse_powers = [power(t, a, -n) for n in ns]
+        for g, ginv in zip(xs, inverses):
+            norms = {1: a}
+            ak = acc = a
+            for k in range(1, ns[-1]):
+                ak = conj(ak, g, ginv)
+                acc = norms[k + 1] = mul(t, ak, acc)
+            for n, an_inv in zip(ns, inverse_powers):
+                defect = mul(t, norms[n], an_inv)
+                passes = defect == ident if exact and n == p else central(defect)
+                yield {"A": key, "a": a, "g": g, "n": n, "defect": defect}, passes
 
 
 # -- fixed-point centralizers and nonvanishing ----------------------------------

@@ -169,9 +169,12 @@ class PcPresentation:
         return Element(self, vec)
 
     def collect(self, word) -> "Element":
-        """Normal form of an arbitrary word; negative exponents allowed."""
+        """Normal form of an arbitrary word; negative exponents allowed.
+        A generator index outside 0..n-1 (x1..xn) is refused."""
         out = self.identity()
         for g, e in word:
+            if not 0 <= g < self.n_gens:
+                raise PresentationError(f"no generator x{g + 1}")
             if e:
                 out = out * self.gen(g) ** e
         return out

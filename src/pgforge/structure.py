@@ -413,38 +413,32 @@ def center_of_subgroup(G: PcPresentation, S: Subgroup, caps=DEFAULT_CAPS) -> Sub
 
 
 def maximal_subgroups(G: PcPresentation, caps=DEFAULT_CAPS):
-    """All index-p subgroups: pullbacks of the hyperplanes of G/frattini."""
+    """All index-p subgroups, sorted by key: the pullbacks of the
+    hyperplanes of G/frattini(G), built rather than closed.
+
+    The generators at the layers where frattini(G)'s cosets take p values
+    (`coset_layers`) are a basis b_1..b_d of the elementary abelian
+    quotient.  Each hyperplane is the kernel of one functional f whose
+    first nonzero coefficient f_l is 1, and it has the basis b_k (k < l)
+    and b_k b_l^(-f_k) (k > l).  Every subgroup above frattini(G) is
+    normal with x^p in frattini(G), so each of those d - 1 vectors extends
+    the table by one layer (`_IgsBuilder.of`), with no closure."""
     phi = frattini(G, caps)
-    Qp, project = frattini_quotient(G)
+    t = G._tables
     p = G.prime
-    d = Qp.n_gens
-    if d == 0:
-        return []
-    # F_p coordinates of each coset representative
-    coords = {x.vec: project(x.vec) for x in quotient(G, phi).elements()}
+    basis = [g.vec for g, l in zip(G.gens(), coset_layers(phi)) if l > 1]
     out = []
-    seen = set()
-    # hyperplanes = kernels of nonzero functionals, up to scalar
-    for func in itertools.product(range(p), repeat=d):
-        if not any(func):
-            continue
-        lead = next(i for i, c in enumerate(func) if c)
-        if func[lead] != 1:
-            continue  # normalize the functional
-        gens = list(phi.igs)
-        for vec, exps in coords.items():
-            if sum(c * e for c, e in zip(func, exps)) % p == 0:
-                gens.append(Element(G, vec))
-        M = subgroup_closure(G, gens)
-        if M.key() not in seen:
-            seen.add(M.key())
-            out.append(M)
-    out.sort(key=lambda s: s.key())
-    expected = (p ** d - 1) // (p - 1)
-    if len(out) != expected:
-        raise DomainError(
-            f"maximal subgroup count {len(out)} != {expected}"
-        )
+    for lead, b_l in enumerate(basis):
+        shifts = [kernel.power(t, b_l, -c) for c in range(p)]
+        later = basis[lead + 1:]
+        for f in itertools.product(range(p), repeat=len(later)):
+            b = _IgsBuilder.of(phi)
+            for v in basis[:lead]:
+                b.add(v)
+            for v, c in zip(later, f):
+                b.add(kernel.mul(t, v, shifts[c]))
+            out.append(b.subgroup())
+    out.sort(key=Subgroup.key)
     return out
 
 

@@ -19,9 +19,11 @@ from pgforge.core import Element, PcPresentation
 from pgforge.errors import CapExceeded, DomainError, MixedPresentationError
 
 
-def _leading(vec):
-    for i, e in enumerate(vec):
-        if e:
+def _leading(vec, start=0):
+    """The first index at or after `start` with a nonzero exponent, or
+    None."""
+    for i in range(start, len(vec)):
+        if vec[i]:
             return i
     return None
 
@@ -29,11 +31,10 @@ def _leading(vec):
 def _sift(t, table, vec):
     """Strip vec through a pivot table (entry at its leading index, or
     None); the remainder is the identity exactly when vec lies in the
-    subgroup the table generates."""
-    while True:
-        i = _leading(vec)
-        if i is None:
-            return vec
+    subgroup the table generates.  A strip at pivot i clears index i and
+    touches no earlier one, so each scan starts after the last pivot."""
+    i = _leading(vec)
+    while i is not None:
         u = table[i]
         if u is None:
             return vec
@@ -42,6 +43,8 @@ def _sift(t, table, vec):
             return vec
         q = vec[i] // step
         vec = kernel.mul(t, kernel.power(t, u, -q), vec)
+        i = _leading(vec, i + 1)
+    return vec
 
 
 class _IgsBuilder:

@@ -2,16 +2,24 @@
 trace image by Element sweeps over A and Q, the invariant factors of a
 section from the orders of its coset representatives, the cyclicity
 of a quotient from the orders of its elements, the automorphism
-search's descent built in full and sorted, and the IGS closure over every
-ordered pair of entries in both directions."""
+search's descent built in full and sorted, the IGS closure over every
+ordered pair of entries in both directions, and the maximal subgroups
+filtered from every functional on G/Phi(G)."""
 
+import itertools
 from collections import Counter
 
 from pgforge import kernel, structure
 from pgforge.autos import _broken_relation, _gen_vecs, _image, _rank_mod_p
 from pgforge.core import Element, p_valuation
 from pgforge.structure import _invariant_factors
-from pgforge.subgroups import _IgsBuilder, _leading, quotient, subgroup_closure
+from pgforge.subgroups import (
+    _IgsBuilder,
+    _leading,
+    frattini_closure,
+    quotient,
+    subgroup_closure,
+)
 
 
 def act(a, q):
@@ -153,3 +161,24 @@ def all_pairs_closure(P, vecs):
         b.add(v)
     all_pairs_close(b)
     return b.subgroup()
+
+
+def filtered_maximal_subgroups(G):
+    """The index-p subgroups, sorted by key: for every functional on
+    G/Phi(G) whose first nonzero coefficient is 1, the closure of Phi(G)
+    and every coset representative in its kernel, duplicates dropped."""
+    phi = frattini_closure(G)
+    Qp, project = structure.frattini_quotient(G)
+    p = G.prime
+    d = Qp.n_gens
+    coords = {x.vec: project(x.vec) for x in quotient(G, phi).elements()}
+    found = {}
+    for func in itertools.product(range(p), repeat=d):
+        if not any(func) or func[next(i for i, c in enumerate(func) if c)] != 1:
+            continue
+        gens = [u.vec for u in phi.igs] + [
+            vec for vec, exps in coords.items()
+            if sum(c * e for c, e in zip(func, exps)) % p == 0]
+        M = subgroup_closure(G, gens)
+        found[M.key()] = M
+    return sorted(found.values(), key=lambda M: M.key())

@@ -574,7 +574,7 @@ def test_witness_falls_back_to_each_search_once(monkeypatch, entry_fn, construct
     calls = []
 
     def nothing(G, fixed, caps):
-        calls.append(autos._fixed_name(G, fixed))
+        calls.append(autos._fixed_name(G, fixed, caps))
         return None
 
     monkeypatch.setattr(autos, "first_noninner", nothing)
@@ -900,7 +900,7 @@ def oracle_search(G, fixed, caps=DEFAULT_CAPS, order=None):
         alpha = Automorphism._of_vecs(G, [x.vec for x in imgs])
         if oracle_order(alpha) != order:
             continue
-        witnesses.append(AutWitness(alpha, order, _fixed_name(G, fixed),
+        witnesses.append(AutWitness(alpha, order, _fixed_name(G, fixed, caps),
                                     oracle_is_inner(G, alpha, caps), "search"))
     witnesses.sort(key=lambda w: w.automorphism.key())
     return witnesses

@@ -173,6 +173,27 @@ def test_cohomology_rejects_non_normal(d8_file, capsys):
     assert main(["cohomology", d8_file, "--normal", "x1"]) == 2
 
 
+@pytest.mark.parametrize("word", ["x0", "x99", "x3"])
+def test_cohomology_refuses_a_generator_outside_the_presentation(d8_file, capsys, word):
+    """d8 has generators x1 and x2: any other index, x0 included, is
+    refused naming the --normal argument, with exit code 2."""
+    assert main(["cohomology", d8_file, "--normal", f"x2,{word}"]) == 2
+    assert capsys.readouterr().err == f"error: --normal {word!r}: no generator {word}\n"
+
+
+def test_search_autos_names_the_fixed_set_within_the_given_cap(tmp_path, capsys):
+    """The fixed set of a witness is named under the caps of the search:
+    C_8192 is above the default sweep cap 4096, and --cap 8192 lifts it
+    for the naming too."""
+    path = tmp_path / "c8192.pc"
+    path.write_text("group c8192\nprime 2\ngens 1\norder 1 8192\n")
+    assert main(["search-autos", str(path), "--fix", "frattini", "--cap", "8192"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["count"] == doc["noninner_count"] == 1
+    assert doc["witnesses"][0]["fixed_set"] == "frattini"
+    assert doc["witnesses"][0]["images"] == [[4097]]
+
+
 def test_search_autos_command(d8_file, capsys):
     assert main(["search-autos", d8_file, "--fix", "frattini", "--order", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)

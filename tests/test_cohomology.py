@@ -10,8 +10,7 @@ from pgforge.cohomology import (
     CrossedHom,
     _cocycle_forms,
     _kernel_basis,
-    _norm_sweep,
-    _norm_verdict,
+    _norm_report,
     b1,
     bridge_vecs,
     c_aut_slice,
@@ -807,8 +806,8 @@ def test_norm_identity_sweeps_pass(case, entry_fn):
 
 def element_norm_sweep(G, case, caps=DEFAULT_CAPS):
     """The norm sweep with Element arithmetic and one norm_element per
-    (A, a, g, n), which the conjugation tables replaced: the first
-    counterexample or None, and the tuples checked."""
+    (A, a, g, n), over every a in A: the first counterexample or None, and
+    the tuples checked."""
     p = G.prime
     Z = center(G, caps)
     abelian_normals = [
@@ -869,18 +868,11 @@ def element_norm_reports(shared_corpus):
     return reports
 
 
-def verdict_agrees(verdict, report):
-    """Whether `_norm_verdict` gave the element sweep's tuple count on a
-    pass and None on a fail."""
-    counterexample, checked = report
-    return verdict == (checked if counterexample is None else None)
-
-
 @pytest.mark.parametrize("case", NORM_CASES)
 def test_norm_sweeps_match_the_element_sweep_on_the_corpus(case, shared_corpus,
                                                            element_norm_reports):
     """Every corpus group within the caps: the report where the case's
-    hypotheses hold, and otherwise the bare sweep, which must stop at the
+    hypotheses hold, and otherwise the bare report, which must stop at the
     same first counterexample (class2 on dihedral-16, for one)."""
     outcomes = Counter()
     for entry in shared_corpus:
@@ -890,7 +882,7 @@ def test_norm_sweeps_match_the_element_sweep_on_the_corpus(case, shared_corpus,
                 rep = norm_counterexample(G, case)
                 holds = True
             except HypothesesUnmet:
-                rep = _norm_sweep(G, case)
+                rep = _norm_report(G, case)
                 holds = False
         except CapExceeded:
             assert (entry.id, case) not in element_norm_reports
@@ -905,13 +897,14 @@ def test_norm_sweeps_match_the_element_sweep_on_the_corpus(case, shared_corpus,
 
 def test_norm_verdict_matches_the_element_sweep_on_the_corpus(shared_corpus,
                                                                element_norm_reports):
-    """The verdict on A's IGS against the sweep of every a in A, on every
-    (corpus group, case) pair within the caps with the hypotheses ignored:
-    the tuple count on a pass, None on a fail."""
+    """The walk on A's IGS, and on all of A after a failing generator,
+    against the sweep of every a in A, on every (corpus group, case) pair
+    within the caps with the hypotheses ignored: the same first
+    counterexample and the same tuple count, on a pass and on a fail."""
     groups = {entry.id: entry.presentation for entry in shared_corpus}
     fails = 0
     for (gid, case), report in element_norm_reports.items():
-        assert verdict_agrees(_norm_verdict(groups[gid], case), report), (gid, case)
+        assert _norm_report(groups[gid], case) == report, (gid, case)
         fails += report[0] is not None
     assert len(element_norm_reports) >= 152
     assert fails >= 25
@@ -920,14 +913,20 @@ def test_norm_verdict_matches_the_element_sweep_on_the_corpus(shared_corpus,
 @pytest.mark.parametrize("case", NORM_CASES)
 def test_passing_norm_checks_never_run_the_sweep(case, shared_corpus, element_norm_reports,
                                                  monkeypatch):
-    """The counterexample sweep runs only after the verdict finds a failing
-    generator: with it replaced by a function that raises, every corpus
-    group whose hypotheses hold within the caps still passes, with the
-    element sweep's tuple count."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("the counterexample sweep ran on a passing group")
+    """A passing group never sweeps A: with the walk made to raise on any
+    list of elements other than A's IGS, every corpus group whose
+    hypotheses hold within the caps still passes, with the element
+    sweep's tuple count."""
+    from pgforge import cohomology
 
-    monkeypatch.setattr("pgforge.cohomology._norm_sweep", refuse)
+    walk = cohomology._norm_tuples
+
+    def igs_only(G, case, Z, A, xs, partners, elements):
+        if list(elements) != [u.vec for u in A.igs]:
+            raise AssertionError("the walk went beyond A's IGS on a passing group")
+        return walk(G, case, Z, A, xs, partners, elements)
+
+    monkeypatch.setattr(cohomology, "_norm_tuples", igs_only)
     passed = 0
     for entry in shared_corpus:
         try:
@@ -972,10 +971,8 @@ def test_norm_sweep_matches_the_element_sweep_on_a_dihedral_action(case, ut42):
     try:
         rep = norm_counterexample(G, case)
     except HypothesesUnmet:
-        rep = _norm_sweep(G, case)
-    want = element_norm_sweep(G, case)
-    assert rep == want
-    assert verdict_agrees(_norm_verdict(G, case), want)
+        rep = _norm_report(G, case)
+    assert rep == element_norm_sweep(G, case)
 
 
 # C2 x D16 with the central C2 first: x1 = c, x2 = s, x3 = r, x4 = r^2,
@@ -997,8 +994,8 @@ conj 4 2 = x4*x5
 
 
 def test_norm_verdict_reads_every_generator_of_a(monkeypatch):
-    """With the family cut down to A = <c, r>, the verdict fails on r,
-    not on the central first entry, and the sweep's counterexample lies in
+    """With the family cut down to A = <c, r>, the walk on A's IGS fails
+    on r, not on the central first entry, and the counterexample lies in
     the same A."""
     from pgforge import cohomology
     from pgforge.core import parse_presentation
@@ -1010,8 +1007,7 @@ def test_norm_verdict_reads_every_generator_of_a(monkeypatch):
     every = cohomology._norm_conjugators
     monkeypatch.setattr(cohomology, "_norm_conjugators", lambda G, case, caps: (
         entry for entry in every(G, case, caps) if entry[0] == A))
-    assert _norm_verdict(G, "class2") is None
-    counterexample, checked = _norm_sweep(G, "class2")
+    counterexample, checked = _norm_report(G, "class2")
     assert counterexample["A"] == A.key() and counterexample["a"] not in ((0,) * 5, c.vec)
 
 

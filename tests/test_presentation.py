@@ -215,6 +215,13 @@ def test_collect_negative_exponents(d8):
     assert d8.collect([(1, -1), (1, 1)]).is_identity
 
 
+@pytest.mark.parametrize("g", [-1, 3, 98])
+def test_collect_refuses_a_generator_outside_the_presentation(d8, g):
+    """x0 is index -1, which must not wrap round to the last generator."""
+    with pytest.raises(PresentationError, match=f"^no generator x{g + 1}$"):
+        d8.collect([(1, 1), (g, 0)])
+
+
 def test_power_and_inverse(small_corpus):
     rng = random.Random(4)
     for entry in small_corpus:

@@ -42,7 +42,7 @@ from pgforge.subgroups import (
 )
 from pgforge import corpus
 
-from oracles import invariants_of_orders, section_invariants
+from oracles import filtered_maximal_subgroups, invariants_of_orders, section_invariants
 
 
 def sweep_center(P):
@@ -280,6 +280,22 @@ def test_maximal_subgroups(d8, es27):
     assert len(maximal_subgroups(es27)) == 4
     for M in maximal_subgroups(d8):
         assert M.order == 4
+
+
+def test_maximal_subgroups_match_the_filtered_oracle():
+    """The hyperplanes built on Phi(G)'s table are the closures of the
+    kernel of every functional, on every corpus group within the sweep
+    cap."""
+    checked = 0
+    for entry in corpus.builtin_corpus(validate=False):
+        G = entry.presentation
+        if G.order > DEFAULT_CAPS.element_sweep:
+            continue
+        got = maximal_subgroups(G)
+        assert [M.key() for M in got] == [M.key() for M in filtered_maximal_subgroups(G)], entry.id
+        assert all(M.order * G.prime == G.order for M in got), entry.id
+        checked += 1
+    assert checked >= 30
 
 
 def test_metacyclic_structure_facts():

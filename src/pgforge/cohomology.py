@@ -621,31 +621,30 @@ def fixed_point_centralizer_mismatch(M: GModule, caps=DEFAULT_CAPS):
     subgroups checked); the zero module and one with H0 nonzero raise
     HypothesesUnmet.
 
-    The subgroups H of Q are taken as the subgroups of G above N, built
-    from N up (`enumerate_subgroups(..., over=N)`), smallest first.
-    Fix(q), the a in A with a^q = a, is found once per q in Q, on vectors.
-    Then the H-fixed points are the intersection of Fix(h) over h in H,
-    and their centralizer is {q : fixed points inside Fix(q)}: the same
-    sets, with no conjugation per subgroup."""
+    The subgroups H of Q are taken as the subgroups S of G above N, built
+    from N up (`enumerate_subgroups(..., over=N)`), smallest first.  The
+    S-fixed points are C_A(S), the stabilizer in A of S's IGS, and their
+    centralizer is the stabilizer in G of C_A(S)'s IGS, which contains S
+    and N: H is its own centralizer exactly when that stabilizer is S."""
     if M.A.is_trivial():
         raise HypothesesUnmet("trivial module")
     if h0(M) != ():
         raise HypothesesUnmet("not cohomologically trivial")
     G = M.G
-    t = G._tables
+    gens = tuple(g.vec for g in G.gens())
+    a_igs = M.A.key()
     subs_over_n = enumerate_subgroups(G, caps, over=M.N)
-    a_vecs = frozenset(a.vec for a in M.a_elements)
-    fix = {
-        q.vec: frozenset(structure._commuting(t, a_vecs, [q.vec]))
-        for q in M.q_elements
-    }
     for checked, S in enumerate(subs_over_n):
-        h_reps = sorted({M.Q.canonical_vec(x) for x in S.vectors()})
-        fixed = a_vecs.intersection(*(fix[h] for h in h_reps))
-        centralizer_reps = {q for q, fq in fix.items() if fixed <= fq}
-        if centralizer_reps != set(h_reps):
-            return {"H": h_reps, "centralizer": sorted(centralizer_reps)}, checked
+        fixed = structure.stabilizer(G, a_igs, S.key())
+        C = structure.stabilizer(G, gens, fixed.key())
+        if C != S:
+            return {"H": _q_reps(M, S), "centralizer": _q_reps(M, C)}, checked
     return None, len(subs_over_n)
+
+
+def _q_reps(M: GModule, S: Subgroup):
+    """The sorted canonical representatives of S's cosets of N."""
+    return sorted({M.Q.canonical_vec(x) for x in S.vectors()})
 
 
 def nonvanishing_hypothesis(G: PcPresentation, caps=DEFAULT_CAPS):

@@ -33,9 +33,9 @@ from pgforge.subgroups import (
 def _memo(P: PcPresentation, key, fn, caps=None):
     """fn(), computed once per presentation.
 
-    Every memoized computation that takes caps sweeps the whole of P before
-    any smaller sweep, so a hit checks that sweep's cap: it refuses exactly
-    where a cold call with the same caps would.
+    Every memoized computation that takes caps checks P's element sweep
+    cap before any smaller one, so a hit checks that cap: it refuses
+    exactly where a cold call with the same caps would.
     """
     cache = P._cache
     if key in cache:
@@ -57,20 +57,47 @@ def _vectors(P: PcPresentation):
     return itertools.product(*(range(m) for m in P.rel_orders))
 
 
-def _commuting(t, vecs, targets):
-    """The vectors x among vecs with x g = g x for every target vector g."""
-    mul = kernel.mul
-    return [x for x in vecs if all(mul(t, x, g) == mul(t, g, x) for g in targets)]
+def stabilizer(G: PcPresentation, seq, point) -> Subgroup:
+    """The elements of <seq> that fix `point`, a tuple of exponent
+    vectors, under conjugation; seq is an induced pc sequence (G's
+    generators or a subgroup's IGS), as vectors.
 
+    Orbit-stabilizer down the series U_j = <seq[j], seq[j+1], ...>, each
+    normal in the one before with a cyclic quotient of order m, walked
+    from the last entry up.  The orbit O of `point` under U_(j+1) is held
+    as a dict from each orbit point to an element taking `point` there.
+    Since U_(j+1) is normal, x = seq[j] permutes the U_(j+1)-orbits, so
+    for the least k with point^(x^k) in O, at transversal t, O^(x^k) = O,
+    k divides m, and the orbit under U_j is O, O^x, ..., O^(x^(k-1)).
+    The stabilizer grows by the index m/k, by the row x^k t^-1.  The row
+    normalizes the stabilizer so far, which is the new one's intersection
+    with the normal U_(j+1); its (m/k)-th power lies in it; and its
+    leading index comes before every entry of the table so far.  So the
+    row extends the table without a closure, as in `_IgsBuilder.of`
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+    ch. 8)."""
+    t = G._tables
+    mul, inv = kernel.mul, kernel.inv
+    orbit = {point: t.identity}
+    b = _IgsBuilder(G)
+    for x in reversed(seq):
+        i = _leading(x)
+        m = G.rel_orders[i] // x[i]
+        xinv = inv(t, x)
 
-def _commuting_sweep(G: PcPresentation, targets, caps):
-    """The subgroup of the elements commuting with every target, by a
-    sweep of G's exponent vectors; the swept list is the whole subgroup,
-    so it is not closed again."""
-    _check_sweep(G, caps)
-    if any(not (g.pres is G or g.pres == G) for g in targets):
-        raise MixedPresentationError("centralizer target from another presentation")
-    return subgroup_of_elements(G, _commuting(G._tables, _vectors(G), [g.vec for g in targets]))
+        def act(pt):
+            return tuple(mul(t, mul(t, xinv, v), x) for v in pt)
+
+        k, image = 1, act(point)
+        while image not in orbit:
+            k, image = k + 1, act(image)
+        if k < m:
+            b.add(mul(t, kernel.power(t, x, k), inv(t, orbit[image])))
+        layer = list(orbit.items())
+        for _ in range(k - 1):
+            layer = [(act(pt), mul(t, u, x)) for pt, u in layer]
+            orbit.update(layer)
+    return b.subgroup()
 
 
 def _positions(P: PcPresentation):
@@ -120,23 +147,30 @@ def element_orders(G: PcPresentation, caps=DEFAULT_CAPS):
 
 
 def center(G: PcPresentation, caps=DEFAULT_CAPS) -> Subgroup:
-    return _memo(G, "center", lambda: _commuting_sweep(G, G.gens(), caps), caps)
+    """Z(G), the stabilizer in G of its generators."""
+    def compute():
+        _check_sweep(G, caps)
+        gens = tuple(g.vec for g in G.gens())
+        return stabilizer(G, gens, gens)
+
+    return _memo(G, "center", compute, caps)
 
 
 def centralizer(G: PcPresentation, target, caps=DEFAULT_CAPS) -> Subgroup:
-    """Centralizer of an element or a subgroup, by element sweep; a
-    subgroup's is computed once per presentation.  The cap and the
-    presentation are checked before the memo, so a hit refuses exactly
-    where a cold call would."""
-    if isinstance(target, Element):
-        return _commuting_sweep(G, [target], caps)
-    if not isinstance(target, Subgroup):
+    """Centralizer of an element or a subgroup: the stabilizer in G of
+    the element or of the subgroup's IGS; a subgroup's is computed once
+    per presentation.  The cap and the presentation are checked before
+    the memo, so a hit refuses exactly where a cold call would."""
+    if not isinstance(target, (Element, Subgroup)):
         raise DomainError("centralizer target must be an Element or Subgroup")
     _check_sweep(G, caps)
     if not (target.pres is G or target.pres == G):
         raise MixedPresentationError("centralizer target from another presentation")
+    gens = tuple(g.vec for g in G.gens())
+    if isinstance(target, Element):
+        return stabilizer(G, gens, (target.vec,))
     return _memo(G, ("centralizer", target.key()),
-                 lambda: _commuting_sweep(G, target.igs, caps))
+                 lambda: stabilizer(G, gens, target.key()))
 
 
 def derived_subgroup(G: PcPresentation) -> Subgroup:
@@ -382,34 +416,25 @@ def is_p_central(G: PcPresentation, caps=DEFAULT_CAPS) -> bool:
 
 
 def ds_condition(G: PcPresentation, caps=DEFAULT_CAPS) -> bool:
-    """C_G(Z(frattini(G))) equals frattini(G).
-
-    The centralizer contains frattini(G), so it is a union of its cosets,
-    and a coset lies in it exactly when its canonical representative
-    does.  So the condition holds exactly when no representative of a
-    nontrivial coset commutes with Z(frattini(G))'s IGS: one test per
-    coset, not per element of G."""
+    """C_G(Z(frattini(G))) equals frattini(G), with both the center and
+    the centralizer memoized."""
     def compute():
         phi = frattini(G, caps)
-        z_phi = center_of_subgroup(G, phi, caps)
-        _check_sweep(G, caps)
-        reps = itertools.product(*(range(l) for l in coset_layers(phi)))
-        next(reps)  # the identity, representing phi itself
-        return not _commuting(G._tables, reps, [u.vec for u in z_phi.igs])
+        return centralizer(G, center_of_subgroup(G, phi, caps), caps) == phi
 
     return _memo(G, "ds", compute, caps)
 
 
 def center_of_subgroup(G: PcPresentation, S: Subgroup, caps=DEFAULT_CAPS) -> Subgroup:
-    """Z(S), by a sweep of S's exponent vectors against its IGS, once per
-    presentation and subgroup.  The cap is checked before the memo, so a
-    hit refuses exactly where a cold call would."""
+    """Z(S), the stabilizer in S of its IGS, once per presentation and
+    subgroup.  The cap is checked before the memo, so a hit refuses
+    exactly where a cold call would."""
     if S.order > caps.element_sweep:
         raise CapExceeded("subgroup center sweep", S.order, caps.element_sweep)
     if not (S.pres is G or S.pres == G):
         raise MixedPresentationError("subgroup of another presentation")
-    return _memo(G, ("center_of_subgroup", S.key()), lambda: subgroup_of_elements(
-        G, _commuting(G._tables, S.vectors(), [u.vec for u in S.igs])))
+    return _memo(G, ("center_of_subgroup", S.key()),
+                 lambda: stabilizer(G, S.key(), S.key()))
 
 
 def maximal_subgroups(G: PcPresentation, caps=DEFAULT_CAPS):

@@ -71,7 +71,13 @@ class _IgsBuilder:
         return _sift(self.t, self.table, vec)
 
     def add(self, vec):
-        """Insert vec, displacing weaker pivots; returns True if changed."""
+        """Insert vec, displacing weaker pivots; returns True if changed.
+
+        A sifted remainder either takes an empty pivot or a strictly
+        smaller step than the entry it displaces, so every change raises
+        the table's order, which is at most |G|: `add` and `close` stop.
+        A remainder that does neither means a faulty sift, and raises
+        DomainError rather than looping."""
         queue = [vec]
         changed = False
         while queue:
@@ -81,6 +87,8 @@ class _IgsBuilder:
                 continue
             v = self._normalize(v)
             old = self.table[i]
+            if old is not None and v[i] >= old[i]:
+                raise DomainError("sifted vector does not lower the step at its pivot")
             self.table[i] = v
             changed = True
             if old is not None:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -41,7 +42,7 @@ from pgforge.subgroups import (
     subgroup_closure,
     trivial_subgroup,
 )
-from pgforge import corpus
+from pgforge import cohomology, corpus
 
 import oracles
 from oracles import (act, eager_fixing_leaves, fixed_points, invariants_of_orders,
@@ -501,6 +502,23 @@ def test_module_vectors_match_the_element_oracles(corpus_modules):
     assert statuses["pass"] > 10 and statuses["skip"] > 10
 
 
+def test_fixed_point_centralizer_fail_path_matches_the_oracle(corpus_modules,
+                                                              monkeypatch):
+    """With H0 taken as zero, so that no module is turned away for it, the
+    mismatch payload and count agree with the Element oracle on every
+    corpus module with nontrivial A; most of them then fail."""
+    monkeypatch.setattr(cohomology, "h0", lambda M: ())
+    monkeypatch.setattr(sys.modules[__name__], "h0", lambda M: ())
+    statuses = Counter()
+    for gid, M in corpus_modules:
+        if M.A.is_trivial():
+            continue
+        got = fixed_point_centralizer_mismatch(M)
+        assert got == oracle_fixed_point_centralizer_report(M), gid
+        statuses["pass" if got[0] is None else "fail"] += 1
+    assert statuses["fail"] >= 300, statuses
+
+
 def closure_generator_reps(Q):
     """The greedy picks with the span closed again from scratch for each
     pick: the oracle of `QuotientGroup.generator_reps`."""
@@ -917,7 +935,6 @@ def test_passing_norm_checks_never_run_the_sweep(case, shared_corpus, element_no
     list of elements other than A's IGS, every corpus group whose
     hypotheses hold within the caps still passes, with the element
     sweep's tuple count."""
-    from pgforge import cohomology
 
     walk = cohomology._norm_tuples
 
@@ -997,7 +1014,6 @@ def test_norm_verdict_reads_every_generator_of_a(monkeypatch):
     """With the family cut down to A = <c, r>, the walk on A's IGS fails
     on r, not on the central first entry, and the counterexample lies in
     the same A."""
-    from pgforge import cohomology
     from pgforge.core import parse_presentation
 
     G = parse_presentation(C2XD16)

@@ -72,10 +72,10 @@ def commutator_sweep(P, targets):
 
 def test_center_and_centralizer_match_the_commutator_sweep():
     """On every corpus group within the sweep cap: the center, and the
-    centralizers of each generator and of the Frattini and derived
-    subgroups."""
+    centralizers of each generator, of the Frattini and derived subgroups
+    and, within the lattice cap, of every normal subgroup."""
     caps = DEFAULT_CAPS
-    groups = 0
+    groups = targets = 0
     for entry in corpus.builtin_corpus():
         G = entry.presentation
         if G.order > caps.element_sweep:
@@ -84,9 +84,13 @@ def test_center_and_centralizer_match_the_commutator_sweep():
         assert center(G) == commutator_sweep(G, G.gens()), entry.id
         for g in G.gens():
             assert centralizer(G, g) == commutator_sweep(G, [g]), entry.id
-        for S in (frattini(G), derived_subgroup(G)):
+        subs = [frattini(G), derived_subgroup(G)]
+        if G.order <= caps.subgroup_enum:
+            subs += enumerate_normal_subgroups(G)
+        for S in subs:
             assert centralizer(G, S) == commutator_sweep(G, S.igs), entry.id
-    assert groups > 30
+            targets += 1
+    assert groups > 30 and targets > 400
 
 
 def test_centralizer_refuses_a_target_of_another_presentation(d8, q8):
@@ -381,16 +385,16 @@ def test_memo_hit_enforces_caps():
 
 
 def test_ds_condition_matches_the_centralizer_sweep_on_the_corpus():
-    """One representative per coset of the Frattini subgroup gives the
-    verdict of sweeping all of G for C_G(Z(frattini(G))), on every corpus
-    group within the sweep cap."""
+    """ds_condition gives the verdict of the commutator sweeps: of
+    frattini(G)'s elements for its center, then of all of G for that
+    center's centralizer, on every corpus group within the sweep cap."""
     verdicts = Counter()
     for entry in corpus.builtin_corpus(validate=False):
         G = entry.presentation
         if G.order > DEFAULT_CAPS.element_sweep:
             continue
         phi = frattini(G)
-        expected = centralizer(G, center_of_subgroup(G, phi)) == phi
+        expected = commutator_sweep(G, sweep_center_of_subgroup(G, phi).igs) == phi
         assert ds_condition(G) == expected, entry.id
         verdicts[expected] += 1
     assert sum(verdicts.values()) == 39
@@ -508,7 +512,7 @@ def test_group_sweeps_match_the_element_sweeps():
 
 
 def test_subgroup_sweeps_match_the_element_sweeps():
-    """center_of_subgroup on every normal subgroup, and omega1 and
+    """center_of_subgroup on every subgroup, normal or not, and omega1 and
     abelian_invariants on every abelian one and on the center, against
     the Element sweeps, on every corpus group within the lattice cap."""
     checked = 0
@@ -516,14 +520,14 @@ def test_subgroup_sweeps_match_the_element_sweeps():
         G = entry.presentation
         if G.order > DEFAULT_CAPS.subgroup_enum:
             continue
-        for S in enumerate_normal_subgroups(G):
+        for S in enumerate_subgroups(G):
             Z = center_of_subgroup(G, S)
             assert Z == sweep_center_of_subgroup(G, S), entry.id
             for A in {S, Z} if S.is_abelian() else {Z}:
                 assert omega1(A) == sweep_omega1(G, A.elements()), entry.id
                 assert abelian_invariants(A) == sweep_abelian_invariants(A), entry.id
             checked += 1
-    assert checked > 400
+    assert checked > 800
 
 
 def test_subgroup_vectors_are_the_layer_products():

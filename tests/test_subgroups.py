@@ -1,5 +1,6 @@
 import itertools
 import random
+import signal
 
 import pytest
 
@@ -7,6 +8,7 @@ from pgforge.core import PcPresentation
 from pgforge.errors import CapExceeded, DomainError
 from pgforge.subgroups import (
     _IgsBuilder,
+    _leading,
     enumerate_normal_subgroups,
     enumerate_subgroups,
     full_subgroup,
@@ -17,7 +19,7 @@ from pgforge.subgroups import (
     subgroup_of_elements,
     trivial_subgroup,
 )
-from pgforge import corpus
+from pgforge import corpus, kernel, subgroups
 from pgforge.caps import DeskCaps
 
 from oracles import all_pairs_closure, is_cyclic_by_orders, rep_order
@@ -61,6 +63,36 @@ def test_closure_examples(d8):
     assert subgroup_closure(d8, [g3]).order == 2
     assert subgroup_closure(d8, []).order == 1
     assert subgroup_closure(d8, [g1, g2]).order == 8
+
+
+def test_a_faulty_sift_is_refused_rather_than_looping(d8, monkeypatch):
+    """With a sift that skips an index after each strip, a remainder lands
+    on an occupied pivot without lowering its step, so the table's order
+    stops rising; `add` refuses it with DomainError instead of displacing
+    entries for ever.  An alarm turns a hang into a failure."""
+    def skipping_sift(t, table, vec):
+        i = _leading(vec)
+        while i is not None:
+            u = table[i]
+            if u is None or vec[i] % u[i]:
+                return vec
+            vec = kernel.mul(t, kernel.power(t, u, -(vec[i] // u[i])), vec)
+            i = _leading(vec, i + 2)
+        return vec
+
+    def hang(signum, frame):
+        raise AssertionError("the closure did not stop within 10 s")
+
+    monkeypatch.setattr(subgroups, "_sift", skipping_sift)
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    try:
+        g1, g2, _ = d8.gens()
+        with pytest.raises(DomainError):
+            subgroup_closure(d8, [g1, g2])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_closure_matches_oracle(d8):

@@ -1,5 +1,6 @@
 """Automorphisms: construction, validation, the exhaustive order-p search,
-and the explicit witness constructions for the theorem harness.
+and the explicit witness constructions for the theorem harness, whose
+coset and pair shifts all come from `_transversal_map_automorphism`.
 
 Every automorphism is validated at construction: the generator images must
 satisfy all power and conjugation relations and generate the group.  The
@@ -19,7 +20,7 @@ from pgforge.core import Element, PcPresentation
 from pgforge.errors import (CapExceeded, DomainError, HypothesesUnmet,
                             MixedPresentationError)
 from pgforge import structure
-from pgforge.subgroups import Subgroup, coset_layers, quotient, subgroup_closure
+from pgforge.subgroups import Subgroup, _coset_rep, coset_layers, quotient, subgroup_closure
 
 
 class Automorphism:
@@ -533,16 +534,27 @@ def fixed_set_by_name(G, name: str, caps=DEFAULT_CAPS) -> Subgroup:
 # -- the coset-shift construction ---------------------------------------------
 
 
-def coset_exponent(G, M: Subgroup, g: Element, x: Element) -> int:
-    """i with x in M g^i, for a maximal M and g outside it."""
-    p = G.prime
-    probe = x
-    ginv = g.inverse()
-    for i in range(p):
-        if M.membership(probe):
-            return i
-        probe = probe * ginv
-    raise DomainError("element fell outside the coset decomposition")
+def _transversal_map_automorphism(G, U: Subgroup, xs, news):
+    """The automorphism u x_1^l_1 ... x_r^l_r -> u new_1^l_1 ... new_r^l_r
+    (u in U, 0 <= l_i < p) when G/U is elementary abelian with coset basis
+    xs; DomainError where a generator is in none of these cosets or the
+    images break a relation.  g lies in U w exactly when g^-1 and w^-1
+    have the same canonical left coset representative, so one lookup in a
+    dict of the p^r words gives g's image g w^-1 new."""
+    t = G._tables
+    mul, inv = kernel.mul, kernel.inv
+    shift = {}
+    for ls in itertools.product(range(G.prime), repeat=len(xs)):
+        winv = inv(t, _image(t, [x.vec for x in xs], enumerate(ls)))
+        new = _image(t, [y.vec for y in news], enumerate(ls))
+        shift.setdefault(_coset_rep(t, U._table, winv), mul(t, winv, new))
+    images = []
+    for g in G.gens():
+        s = shift.get(_coset_rep(t, U._table, inv(t, g.vec)))
+        if s is None:
+            raise DomainError("element fell outside the coset decomposition")
+        images.append(Element(G, mul(t, g.vec, s)))
+    return make_automorphism(G, images)
 
 
 def maximal_coset_shift(G: PcPresentation, M: Subgroup, g: Element,
@@ -561,7 +573,7 @@ def maximal_coset_shift(G: PcPresentation, M: Subgroup, g: Element,
         raise DomainError("coset generator must lie outside the maximal subgroup")
     if M.order * p != G.order:
         raise DomainError("subgroup is not maximal")
-    return _transversal_map_automorphism(G, M, g, g * z)
+    return _transversal_map_automorphism(G, M, [g], [g * z])
 
 
 def coset_commutator_images(G: PcPresentation, M: Subgroup, caps=DEFAULT_CAPS):
@@ -599,23 +611,25 @@ def coset_commutator_images(G: PcPresentation, M: Subgroup, caps=DEFAULT_CAPS):
 
 
 def coset_shift_scan(G: PcPresentation, caps=DEFAULT_CAPS):
-    """All triples (M, g, z) with z central of order p outside the
-    commutator image [Z(M), g] for which the coset shift is a validated
+    """All (M, g, z, alpha) with z central of order p outside the
+    commutator image [Z(M), g] and alpha the coset shift, a validated
     noninner automorphism of order p fixing M (hence frattini) pointwise.
 
     An empty scan certifies omega1(Z(G)) <= [Z(M), g] for every maximal M
-    and every g outside it."""
+    and every g outside it.  Each (M, coset Mg, z) is decided once and its
+    triples share the map: for central z the shift is h -> h z^i(h), with
+    h in M g^i(h), and g' = m g leaves every i(h) unchanged."""
     if structure.is_abelian(G):
         raise HypothesesUnmet("abelian")
     if G.order > caps.element_sweep:
         raise CapExceeded("coset shift scan", G.order, caps.element_sweep)
-    p = G.prime
     Z = structure.center(G, caps)
     om = structure.omega1(Z, caps)
     shifts = sorted(om.elements(), key=lambda e: e.vec)
     witnesses = []
     for M in structure.maximal_subgroups(G, caps):
         index, images = coset_commutator_images(G, M, caps)
+        decided = {}  # (k, z) -> the witness map of the coset M x^k, or None
         for g in G.elements():
             k = index(g.vec)
             if not k:
@@ -623,14 +637,17 @@ def coset_shift_scan(G: PcPresentation, caps=DEFAULT_CAPS):
             for z in shifts:
                 if z.is_identity or z.vec in images[k]:
                     continue
-                try:
-                    alpha = maximal_coset_shift(G, M, g, z, caps)
-                except DomainError:
-                    continue
-                if alpha.order() != p or not alpha.fixes_pointwise(M):
-                    continue
-                if is_inner(G, alpha, caps) is None:
-                    witnesses.append((M, g, z, alpha))
+                if (k, z.vec) not in decided:
+                    decided[k, z.vec] = None
+                    try:
+                        alpha = maximal_coset_shift(G, M, g, z, caps)
+                    except DomainError:
+                        continue
+                    if (alpha.order() == G.prime and alpha.fixes_pointwise(M)
+                            and is_inner(G, alpha, caps) is None):
+                        decided[k, z.vec] = alpha
+                if decided[k, z.vec] is not None:
+                    witnesses.append((M, g, z, decided[k, z.vec]))
     return witnesses
 
 
@@ -681,32 +698,6 @@ def central_socle_automorphisms(G: PcPresentation, caps=DEFAULT_CAPS):
 
 
 # -- theorem constructions ------------------------------------------------------
-
-
-def _transversal_map_automorphism(G, U: Subgroup, x: Element, x_new: Element):
-    """Images for the map u x^i -> u x_new^i on the coset decomposition
-    over a maximal subgroup U."""
-    images = []
-    for g in G.gens():
-        i = coset_exponent(G, U, x, g)
-        u = g * (x ** i).inverse()
-        images.append(u * x_new ** i)
-    return make_automorphism(G, images)
-
-
-def _pair_map_automorphism(G, U: Subgroup, xi, xj, xi_new, xj_new):
-    """Images for u xi^l xj^k -> u xi_new^l xj_new^k when G/U is a
-    2x2 elementary abelian coset grid."""
-    images = []
-    for g in G.gens():
-        for l, k in itertools.product(range(2), repeat=2):
-            u = g * (xj ** k).inverse() * (xi ** l).inverse()
-            if U.membership(u):
-                images.append(u * xi_new ** l * xj_new ** k)
-                break
-        else:
-            raise DomainError("coset grid decomposition failed")
-    return make_automorphism(G, images)
 
 
 def _metacyclic_shape(G: PcPresentation):
@@ -837,10 +828,12 @@ def _odd_coset_witness(G, caps):
     U = structure.centralizer(G, h, caps)
     if U.order * p != G.order:
         raise DomainError("odd case: centralizer is not maximal")
-    x = next(g for g in G.elements() if not U.membership(g))
+    # the first element outside U in G.elements() order: the vectors before
+    # e_j, x_j the last generator outside U, are products of x_(j+1)..x_n
+    x = next(g for g in reversed(G.gens()) if not U.membership(g))
     if (x * h) ** p != x ** p:
         raise DomainError("odd case: transversal shift does not preserve p-th powers")
-    beta = _transversal_map_automorphism(G, U, x, x * h)
+    beta = _transversal_map_automorphism(G, U, [x], [x * h])
     return witness_for(G, beta, structure.frattini(G, caps), "frattini",
                        path="odd-coset-shift", caps=caps)
 
@@ -877,8 +870,8 @@ def _even_cyclic_center_witness(G, caps):
                     G,
                     [x for x in cents[i].elements() if cents[j].membership(x)],
                 )
-                phi_map = _pair_map_automorphism(
-                    G, U, xi, xj, xi * scan[i], xj * scan[j]
+                phi_map = _transversal_map_automorphism(
+                    G, U, [xi, xj], [xi * scan[i], xj * scan[j]]
                 )
                 return witness_for(G, phi_map, phi, "frattini",
                                    path="even-pair-shift", caps=caps)
@@ -886,9 +879,9 @@ def _even_cyclic_center_witness(G, caps):
         # all centralizers agree: shift by the product of two involutions
         h12 = scan[0] * scan[1]
         M = cents[0]
-        x = next(g for g in G.elements() if not M.membership(g))
+        x = next(g for g in reversed(G.gens()) if not M.membership(g))
         if (x * h12) ** 2 == x ** 2:
-            alpha = _transversal_map_automorphism(G, M, x, x * h12)
+            alpha = _transversal_map_automorphism(G, M, [x], [x * h12])
             return witness_for(G, alpha, phi, "frattini",
                                path="even-coset-shift", caps=caps)
     shape = _metacyclic_shape(G)

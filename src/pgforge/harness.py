@@ -103,9 +103,12 @@ def check_lemma_2_1(entry, caps):
     phi = structure.frattini(G, caps)
     noninner = first_noninner(G, phi, caps)
     scan = coset_shift_scan(G, caps)
+    validated = set()  # each shared map once, at the first triple carrying it
     for (M, g, z, alpha) in scan:
-        if alpha.order() != G.prime or not alpha.fixes_pointwise(phi):
-            return ("fail", {"scan witness failed validation": z.vec})
+        if alpha.key() not in validated:
+            validated.add(alpha.key())
+            if alpha.order() != G.prime or not alpha.fixes_pointwise(phi):
+                return ("fail", {"scan witness failed validation": z.vec})
     if noninner is not None:
         return ("pass", {"noninner_exists": True, "scan_witnesses": len(scan)})
     # hypothesis holds: the inclusion must be exact everywhere

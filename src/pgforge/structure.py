@@ -88,15 +88,18 @@ def stabilizer(G: PcPresentation, seq, point) -> Subgroup:
         def act(pt):
             return tuple(mul(t, mul(t, xinv, v), x) for v in pt)
 
-        k, image = 1, act(point)
+        # the search forms point's images with their transversals x^k, so
+        # the extension moves only the rest of O, after point, its first key
+        k, xk, image, trail = 1, x, act(point), []
         while image not in orbit:
-            k, image = k + 1, act(image)
+            trail.append((image, xk))
+            k, xk, image = k + 1, mul(t, xk, x), act(image)
         if k < m:
-            b.add(mul(t, kernel.power(t, x, k), inv(t, orbit[image])))
-        layer = list(orbit.items())
-        for _ in range(k - 1):
+            b.add(mul(t, xk, inv(t, orbit[image])))
+        layer = list(orbit.items())[1:]
+        for item in trail:
             layer = [(act(pt), mul(t, u, x)) for pt, u in layer]
-            orbit.update(layer)
+            orbit.update([item, *layer])
     return b.subgroup()
 
 

@@ -3,15 +3,21 @@ trace image by Element sweeps over A and Q, the invariant factors of a
 section from the orders of its coset representatives, the cyclicity
 of a quotient from the orders of its elements, the automorphism
 search's descent built in full and sorted, the IGS closure over every
-ordered pair of entries in both directions, and the maximal subgroups
-filtered from every functional on G/Phi(G)."""
+ordered pair of entries in both directions, the maximal subgroups
+filtered from every functional on G/Phi(G), and lemma 2.1's: the
+transversal and coset-grid shifts by membership probes, the coset-shift
+scan with one map and one commutator image per element outside M, and
+the inclusion loop over every such element."""
 
 import itertools
 from collections import Counter
 
 from pgforge import kernel, structure
-from pgforge.autos import _broken_relation, _gen_vecs, _image, _rank_mod_p
+from pgforge.autos import (_broken_relation, _gen_vecs, _image, _rank_mod_p,
+                           is_inner, make_automorphism, maximal_coset_shift)
+from pgforge.caps import DEFAULT_CAPS
 from pgforge.core import Element, p_valuation
+from pgforge.errors import DomainError
 from pgforge.structure import _invariant_factors
 from pgforge.subgroups import (
     _IgsBuilder,
@@ -182,3 +188,88 @@ def filtered_maximal_subgroups(G):
         M = subgroup_closure(G, gens)
         found[M.key()] = M
     return sorted(found.values(), key=lambda M: M.key())
+
+
+# -- lemma 2.1 ------------------------------------------------------------------
+
+
+def coset_exponent(G, M, g, x):
+    """i with x in M g^i, for a maximal M and g outside it."""
+    p = G.prime
+    probe = x
+    ginv = g.inverse()
+    for i in range(p):
+        if M.membership(probe):
+            return i
+        probe = probe * ginv
+    raise DomainError("element fell outside the coset decomposition")
+
+
+def _transversal_map_automorphism(G, U, x, x_new):
+    """Images for the map u x^i -> u x_new^i on the coset decomposition
+    over a maximal subgroup U."""
+    images = []
+    for g in G.gens():
+        i = coset_exponent(G, U, x, g)
+        u = g * (x ** i).inverse()
+        images.append(u * x_new ** i)
+    return make_automorphism(G, images)
+
+
+def _pair_map_automorphism(G, U, xi, xj, xi_new, xj_new):
+    """Images for u xi^l xj^k -> u xi_new^l xj_new^k when G/U is a
+    2x2 elementary abelian coset grid."""
+    images = []
+    for g in G.gens():
+        for l, k in itertools.product(range(2), repeat=2):
+            u = g * (xj ** k).inverse() * (xi ** l).inverse()
+            if U.membership(u):
+                images.append(u * xi_new ** l * xj_new ** k)
+                break
+        else:
+            raise DomainError("coset grid decomposition failed")
+    return make_automorphism(G, images)
+
+
+def element_coset_shift_scan(G, caps=DEFAULT_CAPS):
+    """The scan with one Element commutator image per g outside M, which
+    the per-coset images replaced."""
+    from pgforge.structure import center, center_of_subgroup, maximal_subgroups, omega1
+
+    p = G.prime
+    om = omega1(center(G, caps), caps)
+    witnesses = []
+    for M in maximal_subgroups(G, caps):
+        zm = center_of_subgroup(G, M, caps)
+        for g in [g for g in G.elements() if not M.membership(g)]:
+            image = {a.commutator(g) for a in zm.elements()}
+            for z in sorted(om.elements(), key=lambda e: e.vec):
+                if z.is_identity or z in image:
+                    continue
+                try:
+                    alpha = maximal_coset_shift(G, M, g, z, caps)
+                except DomainError:
+                    continue
+                if alpha.order() != p or not alpha.fixes_pointwise(M):
+                    continue
+                if is_inner(G, alpha, caps) is None:
+                    witnesses.append((M, g, z, alpha))
+    return witnesses
+
+
+def element_inclusion_failure(G):
+    """The first (M, g) whose commutator image [Z(M), g] misses part of
+    omega1(Z(G)), with one Element image per g outside M."""
+    from pgforge.structure import center, center_of_subgroup, maximal_subgroups, omega1
+
+    om = omega1(center(G))
+    for M in maximal_subgroups(G):
+        zm = center_of_subgroup(G, M)
+        for g in G.elements():
+            if M.membership(g):
+                continue
+            image = {a.commutator(g).vec for a in zm.elements()}
+            missing = [z.vec for z in om.elements() if z.vec not in image]
+            if missing:
+                return {"M": M.key(), "g": g.vec, "outside": missing}
+    return None

@@ -8,6 +8,7 @@ from pgforge.autos import (
     Automorphism,
     _fixed_name,
     _has_order,
+    _transversal_map_automorphism,
     central_socle_automorphisms,
     cohomological_witness,
     compose,
@@ -47,7 +48,8 @@ from pgforge.subgroups import full_subgroup, quotient, subgroup_closure
 from pgforge.caps import DEFAULT_CAPS, DeskCaps
 from pgforge import corpus
 
-from oracles import eager_fixing_leaves
+import oracles
+from oracles import eager_fixing_leaves, element_coset_shift_scan
 
 
 def naive_is_inner(G, alpha):
@@ -203,32 +205,6 @@ def test_scan_dichotomy(small_corpus):
                         assert z in image
 
 
-def element_coset_shift_scan(G, caps=DEFAULT_CAPS):
-    """The scan with one Element commutator image per g outside M, which
-    the per-coset images replaced."""
-    from pgforge.structure import center_of_subgroup
-
-    p = G.prime
-    om = omega1(center(G, caps), caps)
-    witnesses = []
-    for M in maximal_subgroups(G, caps):
-        zm = center_of_subgroup(G, M, caps)
-        for g in [g for g in G.elements() if not M.membership(g)]:
-            image = {a.commutator(g) for a in zm.elements()}
-            for z in sorted(om.elements(), key=lambda e: e.vec):
-                if z.is_identity or z in image:
-                    continue
-                try:
-                    alpha = maximal_coset_shift(G, M, g, z, caps)
-                except DomainError:
-                    continue
-                if alpha.order() != p or not alpha.fixes_pointwise(M):
-                    continue
-                if is_inner(G, alpha, caps) is None:
-                    witnesses.append((M, g, z, alpha))
-    return witnesses
-
-
 def scan_keys(witnesses):
     return [(M.key(), g.vec, z.vec, alpha.key()) for M, g, z, alpha in witnesses]
 
@@ -257,6 +233,75 @@ def test_scan_matches_the_element_scan_on_the_corpus():
                 if k:
                     assert images[k] == {a.commutator(g).vec for a in zm}, entry.id
     assert scanned >= 20 and nonempty >= 3
+
+
+def test_scan_builds_each_coset_shift_once(monkeypatch):
+    """One coset shift per maximal M, coset M x^k and nontrivial z outside
+    its commutator image, however many g lie in the coset: 44 over the
+    corpus groups within the sweep cap, for 660 witness triples."""
+    from pgforge import autos
+
+    built = []
+    shift = autos.maximal_coset_shift
+    monkeypatch.setattr(autos, "maximal_coset_shift",
+                        lambda *args: built.append(args) or shift(*args))
+    cells = triples = 0
+    for entry in corpus.builtin_corpus(validate=False):
+        G = entry.presentation
+        if G.order > DEFAULT_CAPS.element_sweep or is_abelian(G):
+            continue
+        triples += len(coset_shift_scan(G))
+        socle = omega1(center(G)).vectors()
+        for M in maximal_subgroups(G):
+            _, images = coset_commutator_images(G, M)
+            cells += sum(z not in image and any(z) for image in images[1:] for z in socle)
+    assert len(built) == cells == 44
+    assert triples == 660
+
+
+def test_transversal_shift_matches_the_probe_oracles():
+    """The one transversal routine against the membership-probe shifts it
+    replaced, on every corpus group within the sweep cap: each maximal U
+    with x, its last generator outside U, sent to xz for each z in
+    omega1(Z(G)); for p = 2 also each coset grid U = M1 and M2's
+    intersection, with x_i in M1 outside M2 and x_j in M2 outside M1
+    shifted by socle involutions.  Both give the same map or both raise
+    DomainError."""
+    def outcome(build, *args):
+        try:
+            return build(*args).key()
+        except DomainError:
+            return "DomainError"
+
+    counts = {"map": 0, "DomainError": 0}
+    grids = 0
+    for entry in corpus.builtin_corpus(validate=False):
+        G = entry.presentation
+        if G.order > DEFAULT_CAPS.element_sweep:
+            continue
+        socle = omega1(center(G))
+        maximals = maximal_subgroups(G)
+        for U in maximals:
+            x = next(g for g in reversed(G.gens()) if not U.membership(g))
+            for z in socle.elements():
+                got = outcome(_transversal_map_automorphism, G, U, [x], [x * z])
+                assert got == outcome(oracles._transversal_map_automorphism,
+                                      G, U, x, x * z), entry.id
+        if G.prime != 2:
+            continue
+        shifts = [G.identity()] + list(socle.igs)
+        for M1, M2 in itertools.combinations(maximals, 2):
+            U = subgroup_closure(G, [x for x in M1.elements() if M2.membership(x)])
+            xi = next(x for x in M1.elements() if not M2.membership(x))
+            xj = next(x for x in M2.elements() if not M1.membership(x))
+            grids += 1
+            for si, sj in list(itertools.product(shifts, repeat=2))[1:]:
+                got = outcome(_transversal_map_automorphism,
+                              G, U, [xi, xj], [xi * si, xj * sj])
+                assert got == outcome(oracles._pair_map_automorphism,
+                                      G, U, xi, xj, xi * si, xj * sj), entry.id
+                counts["DomainError" if got == "DomainError" else "map"] += 1
+    assert grids > 100 and min(counts.values()) > 1000
 
 
 def test_scan_rejects_abelian():

@@ -15,6 +15,8 @@ from pgforge.harness import (
 )
 from pgforge import corpus
 
+from oracles import element_inclusion_failure
+
 
 @pytest.fixture(scope="module")
 def mini_corpus():
@@ -148,24 +150,6 @@ def test_liebeck_check():
     assert rs[0].witness["count"] == 3
 
 
-def element_inclusion_failure(G):
-    """The first (M, g) whose commutator image [Z(M), g] misses part of
-    omega1(Z(G)), with one Element image per g outside M."""
-    from pgforge.structure import center, center_of_subgroup, maximal_subgroups, omega1
-
-    om = omega1(center(G))
-    for M in maximal_subgroups(G):
-        zm = center_of_subgroup(G, M)
-        for g in G.elements():
-            if M.membership(g):
-                continue
-            image = {a.commutator(g).vec for a in zm.elements()}
-            missing = [z.vec for z in om.elements() if z.vec not in image]
-            if missing:
-                return {"M": M.key(), "g": g.vec, "outside": missing}
-    return None
-
-
 def test_lemma_2_1_inclusion_loop_matches_the_element_loop(monkeypatch):
     """With the search and the scan stubbed to find nothing, the check
     runs its inclusion loop on every nonabelian corpus group within the
@@ -190,6 +174,33 @@ def test_lemma_2_1_inclusion_loop_matches_the_element_loop(monkeypatch):
             assert outcome == ("fail", want), entry.id
             failures += 1
     assert failures >= 3
+
+
+def test_lemma_2_1_orders_each_distinct_map_once(monkeypatch):
+    """Scan triples share their coset's map, and the check computes the
+    order of each distinct map once: 30 over the corpus, for 660
+    triples."""
+    from pgforge import harness
+    from pgforge.autos import Automorphism, coset_shift_scan
+    from pgforge.structure import is_abelian
+
+    ordered = []
+    order = Automorphism.order
+    triples = distinct = 0
+    for entry in corpus.builtin_corpus(validate=False):
+        G = entry.presentation
+        if G.order > DEFAULT_CAPS.auto_search or is_abelian(G):
+            continue
+        scan = coset_shift_scan(G, DEFAULT_CAPS)
+        triples += len(scan)
+        distinct += len({alpha.key() for _, _, _, alpha in scan})
+        with monkeypatch.context() as m:
+            m.setattr(harness, "coset_shift_scan", lambda G, caps: scan)
+            m.setattr(Automorphism, "order",
+                      lambda self, *args: ordered.append(self) or order(self, *args))
+            assert harness.check_lemma_2_1(entry, DEFAULT_CAPS)[0] == "pass", entry.id
+    assert len(ordered) == distinct == 30
+    assert triples == 660
 
 
 def test_thm_3_6_builds_one_quotient_test_per_normal_subgroup(monkeypatch):

@@ -1,6 +1,9 @@
 """Automorphisms: construction, validation, the exhaustive order-p search,
 and the explicit witness constructions for the theorem harness, whose
 coset and pair shifts all come from `_transversal_map_automorphism`.
+Lemma 2.1's scan reads one commutator image [Z(M), x] per maximal M
+(`commutator_image`) and builds one shift per (M, z), with x the first
+element outside M (`subgroups.first_outside`).
 
 Every automorphism is validated at construction: the generator images must
 satisfy all power and conjugation relations and generate the group.  The
@@ -20,7 +23,8 @@ from pgforge.core import Element, PcPresentation
 from pgforge.errors import (CapExceeded, DomainError, HypothesesUnmet,
                             MixedPresentationError)
 from pgforge import structure
-from pgforge.subgroups import Subgroup, _coset_rep, coset_layers, quotient, subgroup_closure
+from pgforge.subgroups import (Subgroup, _coset_rep, first_outside, quotient,
+                               subgroup_closure)
 
 
 class Automorphism:
@@ -576,78 +580,58 @@ def maximal_coset_shift(G: PcPresentation, M: Subgroup, g: Element,
     return _transversal_map_automorphism(G, M, [g], [g * z])
 
 
-def coset_commutator_images(G: PcPresentation, M: Subgroup, caps=DEFAULT_CAPS):
-    """For a maximal M: the coset index of a vector, and the commutator
-    image {[a, g] : a in Z(M)} of each coset Mg outside M, as a set of
-    vectors.
+def commutator_image(G: PcPresentation, M: Subgroup, x: Element,
+                     caps=DEFAULT_CAPS) -> Subgroup:
+    """[Z(M), g] = {[a, g] : a in Z(M)} for a maximal M and every g outside
+    it, as the subgroup generated by [u, x] for u in Z(M)'s IGS, with x
+    any one element outside M.
 
-    G/M has order p, and its canonical coset representatives are the
-    powers x^k (0 <= k < p) of the one generator x whose coset layer is
-    not trivial, so g lies in M x^k for k = sum_i e_i k_i mod p, with e
-    g's exponents and k_i the index of the generator g_i.  For a in Z(M)
-    and m in M, [a, mg] = [a, g], so each image is formed once, from x^k:
-    p - 1 images per maximal subgroup, not one per element outside it.
-    Returns (index, images) with images[k] the image of M x^k, k >= 1."""
-    p = G.prime
-    t = G._tables
-    n = G.n_gens
-    mul, inv = kernel.mul, kernel.inv
-    layers = coset_layers(M)
-    lead = next(i for i, l in enumerate(layers) if l > 1)
-    Q = quotient(G, M)
-    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    gen_index = [Q.canonical_vec(u)[lead] for u in units]
-    zm = structure.center_of_subgroup(G, M, caps).vectors()
-    images = [None]
-    for k in range(1, p):
-        g = kernel.power(t, units[lead], k)
-        # [a, g] = (g a)^-1 (a g)
-        images.append({mul(t, inv(t, mul(t, g, a)), mul(t, a, g)) for a in zm})
-
-    def index(vec):
-        return sum(e * c for e, c in zip(vec, gen_index)) % p
-
-    return index, images
+    Z(M) is abelian, and normal in G, being characteristic in the normal
+    M.  So a -> [a, g] = a^-1 a^g is a homomorphism Z(M) -> Z(M), and its
+    image is generated by the images of Z(M)'s IGS.  Write g = m x^k with
+    m in M and p not dividing k, and s for conjugation by x on Z(M),
+    written additively.  m centralizes Z(M), so g acts as s^k, and the
+    image is that of s^k - 1 = (s - 1)(1 + s + ... + s^(k-1)), inside the
+    image of s - 1.  x^p lies in M, so s^p = 1 and s = (s^k)^k' for
+    k k' = 1 mod p: the reverse inclusion holds as well, and the image
+    does not depend on g."""
+    zm = structure.center_of_subgroup(G, M, caps)
+    return subgroup_closure(G, [u.commutator(x) for u in zm.igs])
 
 
 def coset_shift_scan(G: PcPresentation, caps=DEFAULT_CAPS):
-    """All (M, g, z, alpha) with z central of order p outside the
-    commutator image [Z(M), g] and alpha the coset shift, a validated
-    noninner automorphism of order p fixing M (hence frattini) pointwise.
+    """One (M, x, z, alpha) for each maximal M and each nontrivial z in
+    omega1(Z(G)) outside the commutator image [Z(M), g] whose coset shift
+    alpha is a validated noninner automorphism of order p fixing M (hence
+    frattini) pointwise; x is the first element outside M.
 
     An empty scan certifies omega1(Z(G)) <= [Z(M), g] for every maximal M
-    and every g outside it.  Each (M, coset Mg, z) is decided once and its
-    triples share the map: for central z the shift is h -> h z^i(h), with
-    h in M g^i(h), and g' = m g leaves every i(h) unchanged."""
+    and every g outside it, since the image does not depend on g
+    (`commutator_image`).  Nor does the map, up to z: with g = m x^k, the
+    shift for (M, g, z) sends h in M x^(ik) to h z^i, so it is the shift
+    for (M, x, z^k'), k k' = 1 mod p, and z^k' is outside the image with
+    z.  So each record stands for the |G| - |M| elements g outside M,
+    each with its own power of z."""
     if structure.is_abelian(G):
         raise HypothesesUnmet("abelian")
     if G.order > caps.element_sweep:
         raise CapExceeded("coset shift scan", G.order, caps.element_sweep)
-    Z = structure.center(G, caps)
-    om = structure.omega1(Z, caps)
+    om = structure.omega1(structure.center(G, caps), caps)
     shifts = sorted(om.elements(), key=lambda e: e.vec)
     witnesses = []
     for M in structure.maximal_subgroups(G, caps):
-        index, images = coset_commutator_images(G, M, caps)
-        decided = {}  # (k, z) -> the witness map of the coset M x^k, or None
-        for g in G.elements():
-            k = index(g.vec)
-            if not k:
+        x = first_outside(G.gens(), M)
+        image = commutator_image(G, M, x, caps)
+        for z in shifts:
+            if z.is_identity or image.membership(z):
                 continue
-            for z in shifts:
-                if z.is_identity or z.vec in images[k]:
-                    continue
-                if (k, z.vec) not in decided:
-                    decided[k, z.vec] = None
-                    try:
-                        alpha = maximal_coset_shift(G, M, g, z, caps)
-                    except DomainError:
-                        continue
-                    if (alpha.order() == G.prime and alpha.fixes_pointwise(M)
-                            and is_inner(G, alpha, caps) is None):
-                        decided[k, z.vec] = alpha
-                if decided[k, z.vec] is not None:
-                    witnesses.append((M, g, z, decided[k, z.vec]))
+            try:
+                alpha = maximal_coset_shift(G, M, x, z, caps)
+            except DomainError:
+                continue
+            if (alpha.order() == G.prime and alpha.fixes_pointwise(M)
+                    and is_inner(G, alpha, caps) is None):
+                witnesses.append((M, x, z, alpha))
     return witnesses
 
 
@@ -828,9 +812,7 @@ def _odd_coset_witness(G, caps):
     U = structure.centralizer(G, h, caps)
     if U.order * p != G.order:
         raise DomainError("odd case: centralizer is not maximal")
-    # the first element outside U in G.elements() order: the vectors before
-    # e_j, x_j the last generator outside U, are products of x_(j+1)..x_n
-    x = next(g for g in reversed(G.gens()) if not U.membership(g))
+    x = first_outside(G.gens(), U)
     if (x * h) ** p != x ** p:
         raise DomainError("odd case: transversal shift does not preserve p-th powers")
     beta = _transversal_map_automorphism(G, U, [x], [x * h])
@@ -864,12 +846,11 @@ def _even_cyclic_center_witness(G, caps):
     for i in range(limit):
         for j in range(i + 1, limit):
             if cents[i] != cents[j]:
-                xi = next(x for x in cents[i].elements() if not cents[j].membership(x))
-                xj = next(x for x in cents[j].elements() if not cents[i].membership(x))
-                U = subgroup_closure(
-                    G,
-                    [x for x in cents[i].elements() if cents[j].membership(x)],
-                )
+                xi = first_outside(cents[i].igs, cents[j])
+                xj = first_outside(cents[j].igs, cents[i])
+                # C_G(h_i) and C_G(h_j) meet in the stabilizer of the pair
+                gens = tuple(g.vec for g in G.gens())
+                U = structure.stabilizer(G, gens, (scan[i].vec, scan[j].vec))
                 phi_map = _transversal_map_automorphism(
                     G, U, [xi, xj], [xi * scan[i], xj * scan[j]]
                 )
@@ -879,7 +860,7 @@ def _even_cyclic_center_witness(G, caps):
         # all centralizers agree: shift by the product of two involutions
         h12 = scan[0] * scan[1]
         M = cents[0]
-        x = next(g for g in reversed(G.gens()) if not M.membership(g))
+        x = first_outside(G.gens(), M)
         if (x * h12) ** 2 == x ** 2:
             alpha = _transversal_map_automorphism(G, M, [x], [x * h12])
             return witness_for(G, alpha, phi, "frattini",

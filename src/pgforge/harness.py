@@ -20,7 +20,7 @@ from pgforge import cohomology, structure
 from pgforge.autos import (
     central_socle_automorphisms,
     cohomological_witness,
-    coset_commutator_images,
+    commutator_image,
     coset_shift_scan,
     first_noninner,
     generates,
@@ -33,7 +33,7 @@ from pgforge.caps import DEFAULT_CAPS
 from pgforge.core import p_valuation
 from pgforge.corpus import builtin_corpus
 from pgforge.errors import CapExceeded, DomainError, HypothesesUnmet
-from pgforge.subgroups import enumerate_normal_subgroups, subgroup_closure
+from pgforge.subgroups import enumerate_normal_subgroups, first_outside, subgroup_closure
 
 
 @dataclass
@@ -103,27 +103,25 @@ def check_lemma_2_1(entry, caps):
     phi = structure.frattini(G, caps)
     noninner = first_noninner(G, phi, caps)
     scan = coset_shift_scan(G, caps)
-    validated = set()  # each shared map once, at the first triple carrying it
     for (M, g, z, alpha) in scan:
-        if alpha.key() not in validated:
-            validated.add(alpha.key())
-            if alpha.order() != G.prime or not alpha.fixes_pointwise(phi):
-                return ("fail", {"scan witness failed validation": z.vec})
+        if alpha.order() != G.prime or not alpha.fixes_pointwise(phi):
+            return ("fail", {"scan witness failed validation": z.vec})
+    # each record stands for its shift at every g outside M
+    triples = sum(G.order - M.order for M, _, _, _ in scan)
     if noninner is not None:
-        return ("pass", {"noninner_exists": True, "scan_witnesses": len(scan)})
+        return ("pass", {"noninner_exists": True, "scan_witnesses": triples})
     # hypothesis holds: the inclusion must be exact everywhere
     if scan:
         return ("fail",
-                {"scan found a shift witness but the search found no noninner map": len(scan)})
-    om = structure.omega1(structure.center(G, caps), caps).vectors()
+                {"scan found a shift witness but the search found no noninner map": triples})
+    om = structure.omega1(structure.center(G, caps), caps)
     for M in structure.maximal_subgroups(G, caps):
-        # the image, hence what it misses, depends only on the coset Mg
-        index, images = coset_commutator_images(G, M, caps)
-        missing = [None] + [[z for z in om if z not in image] for image in images[1:]]
-        for g in G.elements():
-            k = index(g.vec)
-            if k and missing[k]:
-                return ("fail", {"M": M.key(), "g": g.vec, "outside": missing[k]})
+        # the image, hence what it misses, is the same for every g outside M
+        x = first_outside(G.gens(), M)
+        image = commutator_image(G, M, x, caps)
+        missing = [z.vec for z in om.elements() if not image.membership(z)]
+        if missing:
+            return ("fail", {"M": M.key(), "g": x.vec, "outside": missing})
     return ("pass", {"noninner_exists": False, "inclusion": "verified"})
 
 

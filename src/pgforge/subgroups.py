@@ -388,6 +388,16 @@ def coset_layers(N: Subgroup):
     return tuple(layers)
 
 
+def first_outside(seq, U: Subgroup):
+    """The last entry of seq outside U, or None when seq lies in U; seq is
+    an induced pc sequence of Elements (G's generators or an IGS).
+
+    It is also the first element outside U in the order of G.elements(),
+    or of the IGS's `Subgroup.elements`: the elements before the entry
+    x_j are products of x_(j+1), x_(j+2), ..., which all lie in U."""
+    return next((x for x in reversed(seq) if not U.membership(x)), None)
+
+
 class QuotientGroup:
     """G/N with canonical coset representatives.
 

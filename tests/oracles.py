@@ -232,8 +232,9 @@ def _pair_map_automorphism(G, U, xi, xj, xi_new, xj_new):
 
 
 def element_coset_shift_scan(G, caps=DEFAULT_CAPS):
-    """The scan with one Element commutator image per g outside M, which
-    the per-coset images replaced."""
+    """The scan as triples (M, g, z, alpha), one Element commutator image
+    and one shift per g outside M, which one image and one shift per
+    (M, z) replaced."""
     from pgforge.structure import center, center_of_subgroup, maximal_subgroups, omega1
 
     p = G.prime

@@ -12,7 +12,7 @@ from pgforge.autos import (
     central_socle_automorphisms,
     cohomological_witness,
     compose,
-    coset_commutator_images,
+    commutator_image,
     coset_shift_scan,
     first_noninner,
     fixed_set_by_name,
@@ -44,7 +44,7 @@ from pgforge.structure import (
     maximal_subgroups,
     omega1,
 )
-from pgforge.subgroups import full_subgroup, quotient, subgroup_closure
+from pgforge.subgroups import first_outside, full_subgroup, quotient, subgroup_closure
 from pgforge.caps import DEFAULT_CAPS, DeskCaps
 from pgforge import corpus
 
@@ -210,53 +210,96 @@ def scan_keys(witnesses):
 
 
 def test_scan_matches_the_element_scan_on_the_corpus():
-    """Witness lists, in order, and each coset's commutator image against
-    [a, g] for every g, on every nonabelian corpus group within the sweep
-    cap."""
-    from pgforge.structure import center_of_subgroup
-
+    """One record per distinct map of the element scan's triples, in order
+    of first appearance, each with the M, g and z of that map's first
+    triple; the records' |G| - |M| sum to the triple count.  On every
+    nonabelian corpus group within the sweep cap."""
     scanned = nonempty = 0
     for entry in corpus.builtin_corpus(validate=False):
         G = entry.presentation
         if G.order > DEFAULT_CAPS.element_sweep or is_abelian(G):
             continue
         ws = coset_shift_scan(G)
-        assert scan_keys(ws) == scan_keys(element_coset_shift_scan(G)), entry.id
+        triples = element_coset_shift_scan(G)
+        first = {}
+        for w in triples:
+            first.setdefault(w[3].key(), w)
+        assert scan_keys(ws) == scan_keys(first.values()), entry.id
+        assert sum(G.order - M.order for M, _, _, _ in ws) == len(triples), entry.id
         scanned += 1
         nonempty += bool(ws)
-        for M in maximal_subgroups(G):
-            index, images = coset_commutator_images(G, M)
-            zm = list(center_of_subgroup(G, M).elements())
-            for g in G.elements():
-                k = index(g.vec)
-                assert (k == 0) == M.membership(g), entry.id
-                if k:
-                    assert images[k] == {a.commutator(g).vec for a in zm}, entry.id
     assert scanned >= 20 and nonempty >= 3
 
 
+def test_commutator_image_is_the_image_at_every_g_outside_m():
+    """{[a, g] : a in Z(M)} is `commutator_image(G, M, x)`'s element set
+    for every maximal M and every g outside it, on every nonabelian
+    corpus group within the sweep cap."""
+    from pgforge.structure import center_of_subgroup
+
+    pairs = 0
+    for entry in corpus.builtin_corpus(validate=False):
+        G = entry.presentation
+        if G.order > DEFAULT_CAPS.element_sweep or is_abelian(G):
+            continue
+        for M in maximal_subgroups(G):
+            image = set(commutator_image(G, M, first_outside(G.gens(), M)).vectors())
+            zm = list(center_of_subgroup(G, M).elements())
+            for g in G.elements():
+                if not M.membership(g):
+                    assert image == {a.commutator(g).vec for a in zm}, entry.id
+                    pairs += 1
+    assert pairs == 3832
+
+
+def test_coset_shift_by_a_power_of_x_is_a_shift_by_x():
+    """maximal_coset_shift(G, M, x^k, z) is maximal_coset_shift(G, M, x,
+    z^k') for k k' = 1 mod p, or both raise DomainError, for x the last
+    generator outside each maximal M, 1 < k < p and every nontrivial z in
+    omega1(Z(G)): 112 cases on the nonabelian odd-p corpus groups within
+    the sweep cap."""
+    def outcome(*args):
+        try:
+            return maximal_coset_shift(*args).key()
+        except DomainError:
+            return "DomainError"
+
+    cases = 0
+    for entry in corpus.builtin_corpus(validate=False):
+        G = entry.presentation
+        p = G.prime
+        if p == 2 or G.order > DEFAULT_CAPS.element_sweep or is_abelian(G):
+            continue
+        socle = [z for z in omega1(center(G)).elements() if not z.is_identity]
+        for M in maximal_subgroups(G):
+            x = first_outside(G.gens(), M)
+            for k, z in itertools.product(range(2, p), socle):
+                assert (outcome(G, M, x ** k, z)
+                        == outcome(G, M, x, z ** pow(k, -1, p))), entry.id
+                cases += 1
+    assert cases == 112
+
+
 def test_scan_builds_each_coset_shift_once(monkeypatch):
-    """One coset shift per maximal M, coset M x^k and nontrivial z outside
-    its commutator image, however many g lie in the coset: 44 over the
-    corpus groups within the sweep cap, for 660 witness triples."""
+    """One coset shift per maximal M and nontrivial z outside its
+    commutator image: 38 over the corpus groups within the sweep cap."""
     from pgforge import autos
 
     built = []
     shift = autos.maximal_coset_shift
     monkeypatch.setattr(autos, "maximal_coset_shift",
                         lambda *args: built.append(args) or shift(*args))
-    cells = triples = 0
+    cells = 0
     for entry in corpus.builtin_corpus(validate=False):
         G = entry.presentation
         if G.order > DEFAULT_CAPS.element_sweep or is_abelian(G):
             continue
-        triples += len(coset_shift_scan(G))
-        socle = omega1(center(G)).vectors()
+        coset_shift_scan(G)
+        socle = list(omega1(center(G)).elements())
         for M in maximal_subgroups(G):
-            _, images = coset_commutator_images(G, M)
-            cells += sum(z not in image and any(z) for image in images[1:] for z in socle)
-    assert len(built) == cells == 44
-    assert triples == 660
+            image = commutator_image(G, M, first_outside(G.gens(), M))
+            cells += sum(not (z.is_identity or image.membership(z)) for z in socle)
+    assert len(built) == cells == 38
 
 
 def test_transversal_shift_matches_the_probe_oracles():
@@ -282,7 +325,7 @@ def test_transversal_shift_matches_the_probe_oracles():
         socle = omega1(center(G))
         maximals = maximal_subgroups(G)
         for U in maximals:
-            x = next(g for g in reversed(G.gens()) if not U.membership(g))
+            x = first_outside(G.gens(), U)
             for z in socle.elements():
                 got = outcome(_transversal_map_automorphism, G, U, [x], [x * z])
                 assert got == outcome(oracles._transversal_map_automorphism,
@@ -302,6 +345,40 @@ def test_transversal_shift_matches_the_probe_oracles():
                                       G, U, xi, xj, xi * si, xj * sj), entry.id
                 counts["DomainError" if got == "DomainError" else "map"] += 1
     assert grids > 100 and min(counts.values()) > 1000
+
+
+def test_pair_shift_grid_matches_the_element_sweeps():
+    """The even pair shift's U = C_G(h_i) and C_G(h_j)'s intersection, as
+    the stabilizer of (h_i, h_j), against the closure of the filtered
+    intersection; and its x_i, x_j from `first_outside` over each
+    centralizer's IGS against the first element of one centralizer
+    outside the other.  For the first element of Z_2(G) with each
+    centralizer, over every pair of incomparable centralizers, on the
+    corpus groups of order at most 256."""
+    from pgforge.structure import stabilizer, upper_central_series
+
+    pairs = 0
+    for entry in corpus.builtin_corpus(validate=False):
+        G = entry.presentation
+        if G.order > 256:
+            continue
+        gens = tuple(g.vec for g in G.gens())
+        ucs = upper_central_series(G)
+        picks = {}
+        for h in (ucs[2] if len(ucs) > 2 else ucs[-1]).elements():
+            C = centralizer(G, h)
+            picks.setdefault(C.key(), (h, C))
+        for (hi, Ci), (hj, Cj) in itertools.combinations(picks.values(), 2):
+            if Ci <= Cj or Cj <= Ci:
+                continue
+            U = subgroup_closure(G, [x for x in Ci.elements() if Cj.membership(x)])
+            assert stabilizer(G, gens, (hi.vec, hj.vec)) == U, entry.id
+            assert first_outside(Ci.igs, Cj) == next(
+                x for x in Ci.elements() if not Cj.membership(x)), entry.id
+            assert first_outside(Cj.igs, Ci) == next(
+                x for x in Cj.elements() if not Ci.membership(x)), entry.id
+            pairs += 1
+    assert pairs == 201
 
 
 def test_scan_rejects_abelian():

@@ -177,29 +177,32 @@ def test_lemma_2_1_inclusion_loop_matches_the_element_loop(monkeypatch):
 
 
 def test_lemma_2_1_orders_each_distinct_map_once(monkeypatch):
-    """Scan triples share their coset's map, and the check computes the
-    order of each distinct map once: 30 over the corpus, for 660
-    triples."""
+    """The scan holds one record per distinct map, and the check computes
+    the order of each once: 30 over the corpus.  The records stand for
+    660 triples (M, g, z), which the check reports as its scan
+    witnesses."""
     from pgforge import harness
     from pgforge.autos import Automorphism, coset_shift_scan
     from pgforge.structure import is_abelian
 
     ordered = []
     order = Automorphism.order
-    triples = distinct = 0
+    records = distinct = triples = 0
     for entry in corpus.builtin_corpus(validate=False):
         G = entry.presentation
         if G.order > DEFAULT_CAPS.auto_search or is_abelian(G):
             continue
         scan = coset_shift_scan(G, DEFAULT_CAPS)
-        triples += len(scan)
+        records += len(scan)
         distinct += len({alpha.key() for _, _, _, alpha in scan})
         with monkeypatch.context() as m:
             m.setattr(harness, "coset_shift_scan", lambda G, caps: scan)
             m.setattr(Automorphism, "order",
                       lambda self, *args: ordered.append(self) or order(self, *args))
-            assert harness.check_lemma_2_1(entry, DEFAULT_CAPS)[0] == "pass", entry.id
-    assert len(ordered) == distinct == 30
+            status, witness = harness.check_lemma_2_1(entry, DEFAULT_CAPS)
+        assert status == "pass", entry.id
+        triples += witness.get("scan_witnesses", 0)
+    assert len(ordered) == records == distinct == 30
     assert triples == 660
 
 

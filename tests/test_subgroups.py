@@ -11,6 +11,7 @@ from pgforge.subgroups import (
     _leading,
     enumerate_normal_subgroups,
     enumerate_subgroups,
+    first_outside,
     full_subgroup,
     is_normal,
     normal_closure,
@@ -218,6 +219,23 @@ def test_membership_agrees_with_enumeration(small_corpus):
             inside = {x.vec for x in S.elements()}
             for x in els:
                 assert S.membership(x) == (x.vec in inside)
+
+
+def test_first_outside_is_the_first_element_outside(small_corpus):
+    """The last entry of G's generators, or of a subgroup's IGS, outside
+    U is the first element outside U in elements() order; None when every
+    entry lies in U."""
+    for entry in small_corpus:
+        P = entry.presentation
+        if P.order > 2 ** 6:
+            continue
+        lattice = enumerate_subgroups(P)
+        for S, U in itertools.product(lattice, repeat=2):
+            want = next((x for x in S.elements() if not U.membership(x)), None)
+            assert first_outside(S.igs, U) == want, entry.id
+        for U in lattice:
+            want = next((x for x in P.elements() if not U.membership(x)), None)
+            assert first_outside(P.gens(), U) == want, entry.id
 
 
 # -- quotients ---------------------------------------------------------------

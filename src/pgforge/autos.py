@@ -3,7 +3,9 @@ and the explicit witness constructions for the theorem harness, whose
 coset and pair shifts all come from `_transversal_map_automorphism`.
 Lemma 2.1's scan reads one commutator image [Z(M), x] per maximal M
 (`commutator_image`) and builds one shift per (M, z), with x the first
-element outside M (`subgroups.first_outside`).
+element outside M (`subgroups.first_outside`).  Theorem 2.6's pairing
+subgroup H, the x in Z_2(G) with x^p in Z(G), and the even pair shift's
+intersection of two centralizers are stabilizers (`structure.stabilizer`).
 
 Every automorphism is validated at construction: the generator images must
 satisfy all power and conjugation relations and generate the group.  The
@@ -23,8 +25,8 @@ from pgforge.core import Element, PcPresentation
 from pgforge.errors import (CapExceeded, DomainError, HypothesesUnmet,
                             MixedPresentationError)
 from pgforge import structure
-from pgforge.subgroups import (Subgroup, _coset_rep, first_outside, quotient,
-                               subgroup_closure)
+from pgforge.subgroups import (Subgroup, _coset_rep, _IgsBuilder, _leading,
+                               first_outside, quotient, subgroup_closure)
 
 
 class Automorphism:
@@ -734,16 +736,13 @@ def powerful_quotient_witness(G: PcPresentation, caps=DEFAULT_CAPS):
         # noncyclic center: a rank count forces a noninner member among the
         # central automorphisms with socle defects; find it directly (a
         # broken member yields no members, and the search stands in)
-        try:
-            members, _, _ = central_socle_automorphisms(G, caps)
-            for alpha in members:
-                if alpha.order() != p:
-                    continue
-                if is_inner(G, alpha, caps) is None:
-                    return witness_for(G, alpha, phi, "frattini",
-                                       path="socle-search", caps=caps)
-        except CapExceeded:
-            pass
+        members, _, _ = central_socle_automorphisms(G, caps)
+        for alpha in members:
+            if alpha.order() != p:
+                continue
+            if is_inner(G, alpha, caps) is None:
+                return witness_for(G, alpha, phi, "frattini",
+                                   path="socle-search", caps=caps)
         return _search_noninner(G, phi, "frattini", caps)
 
     # a construction returns None where it has no explicit map and raises
@@ -768,14 +767,15 @@ def _search_noninner(G, fixed, fixed_name, caps):
 
 
 def _socle_pairing_subgroup(G, caps):
-    """H with H/Z(G) = omega1(Z_2(G)/Z(G)): elements of Z_2 whose p-th
-    power is central."""
-    p = G.prime
+    """H with H/Z(G) = omega1(Z_2(G)/Z(G)): the x in Z_2 with x^p central,
+    the stabilizer of the coset Z under translation by p-th powers modulo
+    Z.  Z_2/Z is abelian, so x -> x^p Z is a homomorphism on Z_2, and H is
+    its kernel."""
     Z = structure.center(G, caps)
     ucs = structure.upper_central_series(G, caps)
     Z2 = ucs[2] if len(ucs) > 2 else ucs[-1]
-    members = [x for x in Z2.elements() if Z.membership(x ** p)]
-    return subgroup_closure(G, members)
+    return structure.stabilizer(G, Z2.key(), G._tables.identity,
+                                structure._power_translation(G, Z))
 
 
 def _odd_coset_witness(G, caps):
@@ -787,26 +787,10 @@ def _odd_coset_witness(G, caps):
     if not structure.is_p_central(structure.central_quotient(G, caps), caps):
         return None
     H = _socle_pairing_subgroup(G, caps)
-    h = None
-    # the difference trick: for independent a, b with a^p = b^{ps} the
-    # element a b^{-s} has order p and stays outside the center
-    hz = [x for x in H.elements() if not Z.membership(x)]
-    for a in hz:
-        if (a ** p).is_identity:
-            h = a
-            break
-    if h is None:
-        for a, b in itertools.product(hz, repeat=2):
-            if subgroup_closure(G, [a, b, *Z.igs]).order == Z.order * p * p:
-                ap, bp = a ** p, b ** p
-                for s in range(Z.order):
-                    if ap == bp ** s:
-                        cand = a * (b ** s).inverse()
-                        if (cand ** p).is_identity and not Z.membership(cand):
-                            h = cand
-                        break
-                if h is not None:
-                    break
+    # a product a b^-s of members of H (the difference trick) lies in H, so
+    # when no member of H outside Z has order p, no such product does
+    h = next((a for a in H.elements()
+              if not Z.membership(a) and (a ** p).is_identity), None)
     if h is None:
         raise DomainError("odd case: no order-p element outside the center")
     U = structure.centralizer(G, h, caps)
@@ -839,7 +823,7 @@ def _even_cyclic_center_witness(G, caps):
     d = structure.rank_d(G, caps)
     expH = max(x.order() for x in H.elements())
     case_two = expH == 2 * Z.order
-    hs = _socle_decomposition(G, H, Z, d, case_two, caps)
+    hs = _socle_decomposition(H, Z, d, case_two)
     scan = hs[:-1] if case_two else hs[:d]
     limit = len(scan) if (not case_two or len(scan) >= 2 and d >= 3) else 0
     cents = [structure.centralizer(G, h, caps) for h in scan[:limit]]
@@ -885,17 +869,19 @@ def _even_cyclic_center_witness(G, caps):
     return None
 
 
-def _socle_decomposition(G, H, Z, d, case_two, caps):
+def _socle_decomposition(H, Z, d, case_two):
     """Independent involutions spanning H over Z, plus the final factor."""
     picks = []
-    span = Z
+    # each pick is an involution of the abelian H, so it extends the span's
+    # table without a closure (`_IgsBuilder.of`)
+    span = _IgsBuilder.of(Z)
     target = d - 1 if case_two else d
     for x in sorted(H.elements(), key=lambda e: e.vec):
         if len(picks) == target:
             break
-        if x.order() == 2 and not span.membership(x):
+        if x.order() == 2 and _leading(span.sift(x.vec)) is not None:
             picks.append(x)
-            span = subgroup_closure(G, list(span.igs) + [x])
+            span.add(x.vec)
     if len(picks) != target:
         raise DomainError("socle decomposition failed to span")
     if case_two:

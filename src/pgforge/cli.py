@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from pgforge import cohomology, kernel, structure
@@ -22,7 +23,7 @@ from pgforge.caps import DEFAULT_CAPS
 from pgforge.core import _parse_word, parse_presentation
 from pgforge.corpus import builtin_corpus, load_manifest, read_source
 from pgforge.errors import CapExceeded, ForgeError, PresentationError
-from pgforge.harness import CHECKS, exit_code, report_dict, run_all, run_check
+from pgforge.harness import CHECKS, exit_code, report_json, run_all, run_check
 from pgforge.subgroups import is_normal, subgroup_closure
 
 
@@ -54,18 +55,16 @@ def cmd_inspect(args):
 
 def cmd_verify(args):
     results = run_check(args.check_id, _entries(args), args.caps, group_id=args.group)
-    doc = report_dict(results, args.caps)
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    sys.stdout.write(report_json(results, args.caps))
     return exit_code(results)
 
 
 def cmd_verify_all(args):
     results = run_all(_entries(args), args.caps)
-    doc = report_dict(results, args.caps)
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = report_json(results, args.caps)
     if args.json:
         Path(args.json).write_text(text)
-        s = doc["summary"]
+        s = Counter(r.status for r in results)
         print(
             f"checks: {s['pass']} pass, {s['fail']} fail, "
             f"{s['skip']} skip, {s['refused']} refused -> {args.json}"

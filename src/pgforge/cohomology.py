@@ -189,7 +189,7 @@ def _cocycle_forms(M: GModule):
     """
     picks = M.gen_reps
     qs = M.q_elements
-    idx = {q.vec: i for i, q in enumerate(qs)}
+    idx = M.q_index
     orders = M.basis_orders
     m = len(orders)
     zero = (0,) * (m * len(picks))

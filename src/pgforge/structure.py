@@ -3,6 +3,12 @@
 
 Everything is a pure function of an immutable presentation; expensive
 results are memoized per presentation.
+
+Every fixed-point subgroup comes from one orbit-stabilizer walk,
+`stabilizer`, under conjugation or translation by p-th powers, each
+optionally modulo a normal subgroup: the center, centralizers and the
+centers of subgroups; each later level of the upper central series;
+and Omega_1 of an abelian subgroup.
 """
 
 from __future__ import annotations
@@ -17,15 +23,14 @@ from pgforge.errors import CapExceeded, DomainError, MixedPresentationError
 from pgforge.subgroups import (
     Subgroup,
     _IgsBuilder,
+    _coset_rep,
     _leading,
-    _sift,
     coset_layers,
     frattini_closure,
     full_subgroup,
     normal_closure,
     quotient,
     subgroup_closure,
-    subgroup_of_elements,
     trivial_subgroup,
 )
 
@@ -57,10 +62,12 @@ def _vectors(P: PcPresentation):
     return itertools.product(*(range(m) for m in P.rel_orders))
 
 
-def stabilizer(G: PcPresentation, seq, point) -> Subgroup:
-    """The elements of <seq> that fix `point`, a tuple of exponent
-    vectors, under conjugation; seq is an induced pc sequence (G's
-    generators or a subgroup's IGS), as vectors.
+def stabilizer(G: PcPresentation, seq, point, action=None) -> Subgroup:
+    """The elements of <seq> that fix `point`; seq is an induced pc
+    sequence (G's generators or a subgroup's IGS), as vectors.  action(x)
+    is the map of points that x induces, for a right action of <seq>
+    (point^(xy) = (point^x)^y); the default, `_conjugation(G)`, conjugates
+    a tuple of exponent vectors.
 
     Orbit-stabilizer down the series U_j = <seq[j], seq[j+1], ...>, each
     normal in the one before with a cyclic quotient of order m, walked
@@ -69,25 +76,24 @@ def stabilizer(G: PcPresentation, seq, point) -> Subgroup:
     Since U_(j+1) is normal, x = seq[j] permutes the U_(j+1)-orbits, so
     for the least k with point^(x^k) in O, at transversal t, O^(x^k) = O,
     k divides m, and the orbit under U_j is O, O^x, ..., O^(x^(k-1)).
-    The stabilizer grows by the index m/k, by the row x^k t^-1.  The row
-    normalizes the stabilizer so far, which is the new one's intersection
-    with the normal U_(j+1); its (m/k)-th power lies in it; and its
-    leading index comes before every entry of the table so far.  So the
-    row extends the table without a closure, as in `_IgsBuilder.of`
-    (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
-    ch. 8)."""
+    The stabilizer grows by the index m/k, by the row x^k t^-1, which
+    fixes `point`.  The row normalizes the stabilizer so far, which is
+    the new one's intersection with the normal U_(j+1); its (m/k)-th
+    power lies in it; and its leading index comes before every entry of
+    the table so far.  So the row extends the table without a closure,
+    as in `_IgsBuilder.of` (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, ch. 8).  Nothing here reads what the
+    points are, so the argument holds for every action."""
     t = G._tables
     mul, inv = kernel.mul, kernel.inv
+    if action is None:
+        action = _conjugation(G)
     orbit = {point: t.identity}
     b = _IgsBuilder(G)
     for x in reversed(seq):
         i = _leading(x)
         m = G.rel_orders[i] // x[i]
-        xinv = inv(t, x)
-
-        def act(pt):
-            return tuple(mul(t, mul(t, xinv, v), x) for v in pt)
-
+        act = action(x)
         # the search forms point's images with their transversals x^k, so
         # the extension moves only the rest of O, after point, its first key
         k, xk, image, trail = 1, x, act(point), []
@@ -101,6 +107,42 @@ def stabilizer(G: PcPresentation, seq, point) -> Subgroup:
             layer = [(act(pt), mul(t, u, x)) for pt, u in layer]
             orbit.update([item, *layer])
     return b.subgroup()
+
+
+def _modulo(G: PcPresentation, N):
+    """v -> its canonical coset representative modulo N, normal in G, or
+    v itself when N is None."""
+    if N is None:
+        return lambda v: v
+    return lambda v: _coset_rep(G._tables, N._table, v)
+
+
+def _conjugation(G: PcPresentation, N=None):
+    """Conjugation of tuples of vectors, pt -> (x^-1 v x for v in pt),
+    each conjugate reduced modulo N when one is given."""
+    t, mul = G._tables, kernel.mul
+    reduce = _modulo(G, N)
+
+    def action(x):
+        xinv = kernel.inv(t, x)
+        return lambda pt: tuple(reduce(mul(t, mul(t, xinv, v), x)) for v in pt)
+
+    return action
+
+
+def _power_translation(G: PcPresentation, N=None):
+    """Translation by p-th powers, b -> b x^p, reduced modulo N when one is
+    given: an action of a subgroup S when S/N is abelian, since
+    x -> x^p N is then a homomorphism on S, and the stabilizer of N's
+    coset is its kernel."""
+    t, mul = G._tables, kernel.mul
+    reduce = _modulo(G, N)
+
+    def action(x):
+        xp = kernel.power(t, x, G.prime)
+        return lambda b: reduce(mul(t, b, xp))
+
+    return action
 
 
 def _positions(P: PcPresentation):
@@ -226,17 +268,16 @@ def frattini(G: PcPresentation, caps=DEFAULT_CAPS) -> Subgroup:
 
 
 def omega1(S: Subgroup, caps=DEFAULT_CAPS) -> Subgroup:
-    """Subgroup generated by the elements of order dividing p; the input
-    must be abelian."""
+    """The elements of order dividing p of an abelian S: the stabilizer
+    of the identity in S under translation by p-th powers, an action
+    since x -> x^p is a homomorphism of the abelian S.  The sweep cap is
+    checked although nothing is swept, so refusals stay where they were."""
     if not S.is_abelian():
         raise DomainError("omega1 requires an abelian subgroup")
     P = S.pres
     if S.order > caps.element_sweep:
         raise CapExceeded("omega1 sweep", S.order, caps.element_sweep)
-    t = P._tables
-    power = kernel.power
-    members = [v for v in S.vectors() if power(t, v, P.prime) == t.identity]
-    return subgroup_of_elements(P, members)
+    return stabilizer(P, S.key(), P._tables.identity, _power_translation(P))
 
 
 def omega1_general(G: PcPresentation, caps=DEFAULT_CAPS) -> Subgroup:
@@ -249,33 +290,22 @@ def omega1_general(G: PcPresentation, caps=DEFAULT_CAPS) -> Subgroup:
     return _memo(G, "omega1", compute, caps)
 
 
-def _next_center(G: PcPresentation, Z: Subgroup) -> Subgroup:
-    """Z_{i+1} from Z = Z_i.  x lies in it exactly when [x, g] lies in Z
-    for every generator g, which depends only on the coset xZ, so one
-    canonical representative per coset is tested: [x, g] = (g x)^-1 (x g),
-    sifted through Z's pivot table."""
-    t = G._tables
-    mul, inv = kernel.mul, kernel.inv
-    ident = t.identity
-    gens = [g.vec for g in G.gens()]
-    reps = itertools.product(*(range(l) for l in coset_layers(Z)))
-    members = [
-        x for x in reps
-        if all(_sift(t, Z._table, mul(t, inv(t, mul(t, g, x)), mul(t, x, g))) == ident
-               for g in gens)
-    ]
-    return subgroup_closure(G, [u.vec for u in Z.igs] + members)
-
-
 def upper_central_series(G: PcPresentation, caps=DEFAULT_CAPS):
-    """1 = Z_0 < Z_1 < ... terminating at G; Z_1 is the center, and each
-    later level sweeps the coset representatives of the one before."""
+    """1 = Z_0 < Z_1 < ... terminating at G; Z_1 is the center, and
+    Z_(i+1) the stabilizer in G of the generators' cosets of Z_i under
+    conjugation, since x fixes them exactly when [g, x] lies in Z_i for
+    every generator g."""
     def compute():
         _check_sweep(G, caps)
+        gens = tuple(g.vec for g in G.gens())
         series = [trivial_subgroup(G)]
         while series[-1].order < G.order:
             prev = series[-1]
-            nxt = center(G, caps) if len(series) == 1 else _next_center(G, prev)
+            if len(series) == 1:
+                nxt = center(G, caps)
+            else:
+                reduce = _modulo(G, prev)
+                nxt = stabilizer(G, gens, tuple(map(reduce, gens)), _conjugation(G, prev))
             if nxt.order == prev.order:
                 raise DomainError("upper central series stalled; group not nilpotent?")
             series.append(nxt)
@@ -363,8 +393,9 @@ def abelian_basis(A: Subgroup, caps=DEFAULT_CAPS):
     keeps the product direct when <x> meets the span trivially, which for
     x of order o happens exactly when x^(o/p), the generator of <x>'s
     subgroup of order p, is outside the span.  So each candidate costs one
-    sift through the one span that the picks grow.  A candidate rejected
-    once stays rejected as the span grows, so one pass suffices."""
+    sift through the one span that the picks grow, a pick x of order o
+    by x^(o/p), x^(o/p^2), ..., x, one table row each.  A candidate
+    rejected once stays rejected as the span grows, so one pass suffices."""
     if not A.is_abelian():
         raise DomainError("abelian_basis requires an abelian subgroup")
     if A.order > caps.element_sweep:
@@ -382,8 +413,12 @@ def abelian_basis(A: Subgroup, caps=DEFAULT_CAPS):
         if o > 1 and _leading(span.sift(kernel.power(t, x, o // p))) is not None:
             basis.append(Element(P, x))
             size *= o
-            span.add(x)
-            span.close()
+            # each power normalizes the abelian span and has its p-th power
+            # in it, so it extends the table without a closure (`_IgsBuilder.of`)
+            q = o
+            while q > 1:
+                q //= p
+                span.add(kernel.power(t, x, q))
     if size != A.order:
         raise DomainError("no independent pick; input was not abelian?")
     return basis

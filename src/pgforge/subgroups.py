@@ -273,31 +273,6 @@ def subgroup_closure(P: PcPresentation, gens) -> Subgroup:
     return b.finish()
 
 
-def subgroup_of_elements(P: PcPresentation, vecs) -> Subgroup:
-    """The subgroup whose elements are exactly the given exponent vectors,
-    closed from one pick per depth instead of from every vector.
-
-    If the vectors are the elements of a subgroup H, those with leading
-    index i are the elements of H meeting G_i = <g_i, g_i+1, ...> outside
-    G_i+1, and their leading exponents are the nonzero multiples of H's
-    step at i, a p-power.  A vector of least leading exponent at each depth
-    therefore realizes every depth with the same step as H, so the picks
-    generate a subgroup of H of the same order: H itself.  Otherwise the
-    closure of the picks contains all the distinct vectors and more, so
-    DomainError is raised unless the closure's order is their number."""
-    picks = [None] * P.n_gens
-    distinct = set()
-    for v in vecs:
-        distinct.add(v)
-        i = _leading(v)
-        if i is not None and (picks[i] is None or v[i] < picks[i][i]):
-            picks[i] = v
-    S = subgroup_closure(P, [v for v in picks if v is not None])
-    if S.order != len(distinct):
-        raise DomainError("the vectors are not the elements of a subgroup")
-    return S
-
-
 def trivial_subgroup(P: PcPresentation) -> Subgroup:
     return subgroup_closure(P, [])
 

@@ -65,6 +65,20 @@ def small_corpus():
     ]
 
 
+@pytest.fixture(scope="session")
+def family_members():
+    """Members of the corpus families that the built-in corpus leaves out,
+    for oracle comparisons on groups outside it."""
+    return [
+        corpus.dihedral(64),
+        corpus.quaternion(64),
+        corpus.semidihedral(64),
+        corpus.modular(3, 4),
+        corpus.extraspecial(5, "p2"),
+        corpus.abelian(3, [2, 2]),
+    ]
+
+
 D8_TEXT = """\
 # dihedral of order 8, refined to three generators
 group d8

@@ -4,10 +4,11 @@ section from the orders of its coset representatives, the cyclicity
 of a quotient from the orders of its elements, the automorphism
 search's descent built in full and sorted, the IGS closure over every
 ordered pair of entries in both directions, the maximal subgroups
-filtered from every functional on G/Phi(G), and lemma 2.1's: the
+filtered from every functional on G/Phi(G), lemma 2.1's: the
 transversal and coset-grid shifts by membership probes, the coset-shift
 scan with one map and one commutator image per element outside M, and
-the inclusion loop over every such element."""
+the inclusion loop over every such element, and theorem 2.6's pairing
+subgroup filtered from every element of Z_2(G)."""
 
 import itertools
 from collections import Counter
@@ -274,3 +275,15 @@ def element_inclusion_failure(G):
             if missing:
                 return {"M": M.key(), "g": g.vec, "outside": missing}
     return None
+
+
+# -- theorem 2.6 ----------------------------------------------------------------
+
+
+def filtered_pairing_subgroup(G):
+    """H = {x in Z_2(G) : x^p in Z(G)}, Z_2(G) read as G when G is
+    abelian, as the closure of the members of Z_2(G) that pass."""
+    Z = structure.center(G)
+    ucs = structure.upper_central_series(G)
+    Z2 = ucs[2] if len(ucs) > 2 else ucs[-1]
+    return subgroup_closure(G, [x for x in Z2.elements() if Z.membership(x ** G.prime)])

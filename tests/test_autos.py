@@ -381,6 +381,22 @@ def test_pair_shift_grid_matches_the_element_sweeps():
     assert pairs == 201
 
 
+def test_pairing_subgroup_matches_the_z2_filter(family_members):
+    """Theorem 2.6's H, the stabilizer of the coset Z(G) under translation
+    by p-th powers modulo Z(G), against the filter of Z_2(G), on every
+    nonabelian corpus group and on the family members outside the
+    corpus."""
+    from pgforge.autos import _socle_pairing_subgroup
+
+    entries = [e for e in corpus.builtin_corpus(validate=False)
+               if not is_abelian(e.presentation)]
+    for entry in entries + family_members:
+        G = entry.presentation
+        assert _socle_pairing_subgroup(G, DEFAULT_CAPS) == \
+            oracles.filtered_pairing_subgroup(G), entry.id
+    assert len(entries) == 23
+
+
 def test_scan_rejects_abelian():
     with pytest.raises(HypothesesUnmet):
         coset_shift_scan(corpus.abelian(2, [1, 1]).presentation)

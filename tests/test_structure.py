@@ -496,10 +496,11 @@ def sweep_groups():
     return out
 
 
-def test_group_sweeps_match_the_element_sweeps():
+def test_group_sweeps_match_the_element_sweeps(family_members):
     """The order table, exponent, agemo, omega1_general and the upper
-    central series against the Element sweeps, on every corpus group."""
-    for entry in sweep_groups():
+    central series against the Element sweeps, on every corpus group and
+    on the family members outside the corpus."""
+    for entry in sweep_groups() + family_members:
         G = entry.presentation
         assert element_orders(G) == tuple(x.order() for x in G.elements()), entry.id
         assert exponent(G) == max(x.order() for x in G.elements()), entry.id
@@ -511,12 +512,13 @@ def test_group_sweeps_match_the_element_sweeps():
         ], entry.id
 
 
-def test_subgroup_sweeps_match_the_element_sweeps():
+def test_subgroup_sweeps_match_the_element_sweeps(family_members):
     """center_of_subgroup on every subgroup, normal or not, and omega1 and
     abelian_invariants on every abelian one and on the center, against
-    the Element sweeps, on every corpus group within the lattice cap."""
+    the Element sweeps, on every corpus group within the lattice cap and
+    on the family members outside the corpus."""
     checked = 0
-    for entry in sweep_groups():
+    for entry in sweep_groups() + family_members:
         G = entry.presentation
         if G.order > DEFAULT_CAPS.subgroup_enum:
             continue

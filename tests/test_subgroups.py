@@ -17,7 +17,6 @@ from pgforge.subgroups import (
     normal_closure,
     quotient,
     subgroup_closure,
-    subgroup_of_elements,
     trivial_subgroup,
 )
 from pgforge import corpus, kernel, subgroups
@@ -462,45 +461,3 @@ def test_is_normal_and_is_abelian_match_the_element_tests():
             normal += is_normal(S)
             total += 1
     assert 400 < normal < total
-
-
-def test_subgroup_of_elements_matches_the_closure_of_every_element():
-    """On every subgroup of every corpus group within the lattice cap,
-    in the order of its vectors and shuffled."""
-    rng = random.Random(2005)
-    checked = 0
-    for entry in lattice_groups():
-        G = entry.presentation
-        for S in enumerate_subgroups(G):
-            vecs = S.vectors()
-            assert subgroup_of_elements(G, vecs) == subgroup_closure(G, vecs) == S, entry.id
-            rng.shuffle(vecs)
-            assert subgroup_of_elements(G, vecs) == S, entry.id
-            checked += 1
-    assert checked > 800
-
-
-def test_subgroup_of_elements_refuses_a_list_that_is_not_a_subgroup():
-    """A subgroup with the identity dropped, with one outside element
-    added, or with the identity replaced by a repeated element, and a
-    generating set that is not closed, on every proper nontrivial subgroup
-    of the small corpus groups."""
-    refused = 0
-    for entry in lattice_groups():
-        G = entry.presentation
-        if G.order > 64:
-            continue
-        for S in enumerate_subgroups(G):
-            if S.is_trivial() or S.order == G.order:
-                continue
-            vecs = S.vectors()
-            outside = next(x.vec for x in G.elements() if not S.membership(x))
-            for bad in (vecs[1:], vecs + [outside], vecs[1:] + [vecs[1]]):
-                with pytest.raises(DomainError):
-                    subgroup_of_elements(G, bad)
-                refused += 1
-            if S.order > G.prime:
-                with pytest.raises(DomainError):
-                    subgroup_of_elements(G, [u.vec for u in S.igs])
-                refused += 1
-    assert refused > 1000

@@ -33,7 +33,35 @@ Apart from that fusion, collection applies the same rewrites in the same
 order as the plain stack collector, which pgforge._ckernel transcribes and
 tests/test_kernel_parity.py keeps as an oracle, so the outputs of all
 three agree on presentations and on arbitrary tables alike.
+
+Closed form for a cyclic extension of a cyclic group.  When n = 2, the
+conjugate x2^x1 is the single syllable x2^r (or absent, r = 1), x2 has
+no power word and x1's power word is x2^s (or absent, s = 0), `mul` and
+`inv` skip the collector.  The tables record `cyclic` = (o1, o2, s, R),
+R[c] = r^c mod o2 for 0 <= c < o1, and only when gcd(r, o2) = 1 and
+s*r = s (mod o2).  Then the collector turns (a, b)*(c, d) into
+
+- (a + c, b*r^c + d) when a + c < o1;
+- (a + c - o1, (b*r^w + s)*r^(c - w) + d) otherwise, with w = o1 - a,
+  which is (a + c - o1, b*r^c + s + d) since s*r = s;
+
+second entries mod o2.  Why this is the collector's output on every
+such table, consistent or not: each x1 carried past x2^b leaves
+x2^(b*r), and x2^0 passes unchanged, so whether the collector moves the
+x1's one at a time (b != 0) or merges them (b = 0), x2's exponent after k
+of them is b*r^k; the x1 that completes x1^o1 adds x2^s, which s*r = s
+lets pass the remaining x1's unchanged.  Without s*r = s the two part:
+with o1 = o2 = 3, r = 2 and s = 1 the collector merges (2, 0)*(2, 0)
+into (1, 1), leaving x2^s where the closed form conjugates it.  So such
+tables keep the collector, as every other table does.  gcd(r, o2) = 1
+holds on every consistent presentation of this shape, where x1 acts on
+<x2> by an automorphism; exactness does not need it, but it keeps the
+path to the tables on which x1 can act so.  `power` goes through `mul`
+and `inv`.  The compiled kernel has no such path and gives the same
+output.
 """
+
+from math import gcd
 
 BACKEND = "python"
 
@@ -42,7 +70,7 @@ class KernelTables:
     """Flattened relation tables consumed by the collector."""
 
     __slots__ = ("n", "orders", "pows", "conjs", "identity",
-                 "blockers", "rev_pows", "moves")
+                 "blockers", "rev_pows", "moves", "cyclic")
 
     def __init__(self, n, orders, pows, conjs):
         self.n = n
@@ -73,6 +101,25 @@ class KernelTables:
                     row[k] = w[::-1]
             moves.append(tuple(row))
         self.moves = tuple(moves)
+        self.cyclic = self._cyclic_extension()
+
+    def _cyclic_extension(self):
+        """(o1, o2, s, R) for the closed form of `mul`, or None."""
+        if self.n != 2 or self.pows[1] or self.moves[0][1].__class__ is not int:
+            return None
+        pw = self.pows[0]
+        if pw and not (len(pw) == 1 and pw[0][0] == 1 and type(pw[0][1]) is int
+                       and pw[0][1] >= 0):
+            return None
+        o1, o2 = self.orders
+        r = self.moves[0][1]
+        s = pw[0][1] % o2 if pw else 0
+        if gcd(r, o2) != 1 or s * r % o2 != s:
+            return None
+        R = [1]
+        for _ in range(o1 - 1):
+            R.append(R[-1] * r % o2)
+        return o1, o2, s, tuple(R)
 
 
 def make_tables(n, orders, pows, conjs):
@@ -148,6 +195,15 @@ def collect(tables, vec, word):
 
 
 def mul(tables, u, v):
+    cyc = tables.cyclic
+    if cyc is not None:
+        o1, o2, s, R = cyc
+        a, b = u
+        c, d = v
+        a += c
+        if a < o1:
+            return a, (b * R[c] + d) % o2
+        return a - o1, (b * R[c] + s + d) % o2
     a = list(u)
     _run(tables, a, [(i, v[i]) for i in range(len(v) - 1, -1, -1) if v[i]])
     return tuple(a)
@@ -163,6 +219,14 @@ def inv(tables, u):
     0 < k < orders[i], so the word already is a normal form: its
     exponents are the inverse's vector, with no collection left to do.
     """
+    cyc = tables.cyclic
+    if cyc is not None:
+        # (a, b)*(o1 - a, 0) = (0, b*r^(o1 - a) + s), then negate the rest
+        o1, o2, s, R = cyc
+        a, b = u
+        if not a:
+            return 0, -b % o2
+        return o1 - a, -(b * R[o1 - a] + s) % o2
     orders = tables.orders
     z = list(u)
     a = [0] * tables.n

@@ -145,21 +145,38 @@ def _vecs_in(G: PcPresentation, elements):
     return [x.vec for x in elements]
 
 
-def _broken_relation(G: PcPresentation, t, images, i, hinv, hpow):
+def _broken_relation(G: PcPresentation, t, images, i, hinv, hpow, targets=None):
     """The first relation of x_i that the image vectors break: i for the
     power relation, else the least j > i for the conjugation of x_j by
     x_i; None if all hold.  h = images[i] has inverse hinv and
-    rel_orders[i]-th power hpow, and only images[i:] are read."""
-    if hpow != _image(t, images, G.pow_words[i]):
+    rel_orders[i]-th power hpow, and only images[i:] are read.  targets
+    is `_relation_targets(G, t, images, i)`, formed here when not given."""
+    if targets is None:
+        targets = _relation_targets(G, t, images, i)
+    power_target, conj_targets = targets
+    if hpow != power_target:
         return i
-    n = G.n_gens
-    for j in range(i + 1, n):
-        hj = images[j]
-        c = kernel.mul(t, kernel.mul(t, hinv, hj), images[i])
-        w = G.conj_words[i * n + j]
-        if c != (hj if w is None else _image(t, images, w)):
+    h = images[i]
+    mul = kernel.mul
+    for j, want in enumerate(conj_targets, i + 1):
+        if mul(t, mul(t, hinv, images[j]), h) != want:
             return j
     return None
+
+
+def _relation_targets(G: PcPresentation, t, images, i):
+    """What the relations of x_i require of its image h: the image of its
+    power word, which h^rel_orders[i] must equal, and for each j > i the
+    image of x_j^(x_i), which h^-1 images[j] h must equal.  Only
+    images[i+1:] are read, so every candidate h under one suffix shares
+    them."""
+    n = G.n_gens
+    conj_words = G.conj_words
+    conj_targets = []
+    for j in range(i + 1, n):
+        w = conj_words[i * n + j]
+        conj_targets.append(images[j] if w is None else _image(t, images, w))
+    return _image(t, images, G.pow_words[i]), conj_targets
 
 
 def generates(G: PcPresentation, elements) -> bool:
@@ -451,10 +468,12 @@ def _fixing_leaves(G: PcPresentation, fixed: Subgroup, pools):
     walk.
 
     At each level the power and conjugation relations of x_i are checked
-    on the assigned suffix.  A node is pruned when the images of indices
-    i..n-1 span a smaller space modulo frattini(G) than the generators do:
-    an automorphism induces an invertible map on G/frattini(G), which keeps
-    that rank.  At the root this proves generation (Burnside's basis
+    on the assigned suffix.  What they require of x_i's image depends on
+    the suffix alone (`_relation_targets`), so it is formed once per
+    parent node, and once per suffix at x1, not once per candidate.  A
+    node is pruned when the images of indices i..n-1 span a smaller space
+    modulo frattini(G) than the generators do: an automorphism induces an
+    invertible map on G/frattini(G), which keeps that rank.  At the root this proves generation (Burnside's basis
     theorem), so a leaf that fixes `fixed`'s IGS is an automorphism
     without further validation; the test suite keeps the re-validating
     search and the eager descent as its oracles.  No commutator check is
@@ -488,11 +507,15 @@ def _fixing_leaves(G: PcPresentation, fixed: Subgroup, pools):
             rank = _rank_mod_p(basis, p)
             suffixes.append((tuple(images[1:]), basis[:rank] if rank < target[0] else None))
             return
+        targets = None
         for h, hinv, hpow, row in cand[i]:
             images[i] = h
             rows[i] = row
-            if (_rank_mod_p([list(r) for r in rows[i:]], p) >= target[i]
-                    and _broken_relation(G, t, images, i, hinv, hpow) is None):
+            if _rank_mod_p([list(r) for r in rows[i:]], p) < target[i]:
+                continue
+            if targets is None:
+                targets = _relation_targets(G, t, images, i)
+            if _broken_relation(G, t, images, i, hinv, hpow, targets) is None:
                 descend(i - 1)
         images[i] = None
 
@@ -502,18 +525,22 @@ def _fixing_leaves(G: PcPresentation, fixed: Subgroup, pools):
     # x1's rank test reads only its coordinates modulo frattini(G), so the
     # suffixes that pass it are listed once per coordinate row
     passing = {}
+    suffix_targets = [None] * len(suffixes)
     for h in sorted(pools[0]):
         _, hinv, hpow, row = entry(h, m)
         key = tuple(row)
         if key not in passing:
             passing[key] = [
-                suffix for suffix, basis in suffixes
+                k for k, (_, basis) in enumerate(suffixes)
                 if basis is None
                 or _rank_mod_p([list(row)] + [list(b) for b in basis], p) >= target[0]
             ]
-        for suffix in passing[key]:
-            leaf = (h,) + suffix
-            if (_broken_relation(G, t, leaf, 0, hinv, hpow) is None
+        for k in passing[key]:
+            leaf = (h,) + suffixes[k][0]
+            targets = suffix_targets[k]
+            if targets is None:
+                targets = suffix_targets[k] = _relation_targets(G, t, leaf, 0)
+            if (_broken_relation(G, t, leaf, 0, hinv, hpow, targets) is None
                     and all(_image(t, leaf, enumerate(u)) == u for u in fixed_igs)):
                 yield leaf
 
@@ -821,7 +848,8 @@ def _even_cyclic_center_witness(G, caps):
     # decompose H: either C2^d x Z (case one) or C2^{d-1} x <h> with
     # h^2 generating Z (case two)
     d = structure.rank_d(G, caps)
-    expH = max(x.order() for x in H.elements())
+    # H is abelian, so its exponent is the largest order on its IGS
+    expH = max((u.order() for u in H.igs), default=1)
     case_two = expH == 2 * Z.order
     hs = _socle_decomposition(H, Z, d, case_two)
     scan = hs[:-1] if case_two else hs[:d]
@@ -879,7 +907,8 @@ def _socle_decomposition(H, Z, d, case_two):
     for x in sorted(H.elements(), key=lambda e: e.vec):
         if len(picks) == target:
             break
-        if x.order() == 2 and _leading(span.sift(x.vec)) is not None:
+        # x != 1 is an involution when x*x = 1; 1 sifts to nothing
+        if (x * x).is_identity and _leading(span.sift(x.vec)) is not None:
             picks.append(x)
             span.add(x.vec)
     if len(picks) != target:

@@ -425,24 +425,31 @@ def c_aut_slice(G: PcPresentation, N: Subgroup, caps=DEFAULT_CAPS):
     |N|^free as its oracle."""
     from pgforge.autos import Automorphism, _fixing_leaves
 
-    leaves = _fixing_leaves(G, N, _slice_pools(G, N))
+    leaves = _fixing_leaves(G, N, _slice_pools(G, N, caps))
     return [Automorphism._of_vecs(G, leaf) for leaf in leaves]
 
 
-def _slice_pools(G: PcPresentation, N: Subgroup):
+def _slice_pools(G: PcPresentation, N: Subgroup, caps=DEFAULT_CAPS):
     """The candidate images of `c_aut_slice`: [g_i] for a generator in N
-    and g_i N for any other.  The product |N|^free is refused above
-    2 000 000, here, before the search starts."""
+    and g_i Z(N) for any other, with Z(N) from the `center_of_subgroup`
+    memo.  The product |Z(N)|^free is refused above 2 000 000, here,
+    before the search starts.
+
+    Z(N) drops no member of the slice.  Let a fix N pointwise and let
+    n = g^-1 a(g) lie in N.  For m in N, m^g lies in N, since N is
+    normal, so m^g = a(m^g) = a(m)^a(g) = m^(g n), and m^g = (m^g)^n.  As
+    m runs over N so does m^g, so n commutes with every element of N and
+    lies in Z(N)."""
     if not is_normal(N):
         raise DomainError("c_aut_slice needs a normal subgroup")
     t = G._tables
     gens = [g.vec for g in G.gens()]
     in_n = [_sift(t, N._table, g) == t.identity for g in gens]
-    n_vecs = sorted(N.vectors())
-    needed = len(n_vecs) ** in_n.count(False)
+    z_vecs = sorted(structure.center_of_subgroup(G, N, caps).vectors())
+    needed = len(z_vecs) ** in_n.count(False)
     if needed > 2_000_000:
         raise CapExceeded("pointwise-fixing slice", needed, 2_000_000)
-    return [[g] if fixed else [kernel.mul(t, g, v) for v in n_vecs]
+    return [[g] if fixed else [kernel.mul(t, g, v) for v in z_vecs]
             for g, fixed in zip(gens, in_n)]
 
 

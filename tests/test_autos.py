@@ -44,7 +44,8 @@ from pgforge.structure import (
     maximal_subgroups,
     omega1,
 )
-from pgforge.subgroups import first_outside, full_subgroup, quotient, subgroup_closure
+from pgforge.subgroups import (first_outside, full_subgroup, quotient, subgroup_closure,
+                               trivial_subgroup)
 from pgforge.caps import DEFAULT_CAPS, DeskCaps
 from pgforge import corpus
 
@@ -395,6 +396,18 @@ def test_pairing_subgroup_matches_the_z2_filter(family_members):
         assert _socle_pairing_subgroup(G, DEFAULT_CAPS) == \
             oracles.filtered_pairing_subgroup(G), entry.id
     assert len(entries) == 23
+
+
+def test_socle_decomposition_picks_only_involutions():
+    """On C4 x C2 over the trivial subgroup, x1 (order 4) would extend the
+    span before x1^2 does; the picks are x2 and x1^2, then the largest
+    element of the trivial Z."""
+    from pgforge.autos import _socle_decomposition
+
+    G = corpus.abelian(2, [2, 1]).presentation
+    assert G.rel_orders == (4, 2)
+    picks = _socle_decomposition(full_subgroup(G), trivial_subgroup(G), 2, False)
+    assert [x.vec for x in picks] == [(0, 1), (2, 0), (0, 0)]
 
 
 def test_scan_rejects_abelian():

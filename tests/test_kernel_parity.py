@@ -10,6 +10,8 @@ is installed (skipped only without a C compiler or Python headers).
 
 import importlib.machinery
 import importlib.util
+import itertools
+import math
 import random
 import shutil
 import subprocess
@@ -143,6 +145,8 @@ def random_tables(rng):
     # small sizes: random relation tables need not present a group, and
     # collection cost on junk tables grows quickly
     p = rng.choice([2, 3])
+    if rng.random() < 0.2:
+        return random_cyclic_extension(rng, p)
     n = rng.randint(1, 4)
     orders = [p ** rng.randint(1, 2) for _ in range(n)]
     pows = []
@@ -180,6 +184,34 @@ def random_tables(rng):
     return n, orders, pows, conjs
 
 
+def random_cyclic_extension(rng, p):
+    """A two-generator table with x2^x1 = x2^r and x1^o1 = x2^s: r a unit
+    or not and s*r = s (mod o2) or not, so some draws take the pure
+    kernel's closed form and some the collector."""
+    orders = [p ** rng.randint(1, 2), p ** rng.randint(1, 3)]
+    s = rng.randrange(orders[1])
+    r = rng.randrange(orders[1])
+    conjs = [None, ((1, r),) if rng.random() < 0.9 else None, None, None]
+    return 2, orders, [((1, s),) if s else (), ()], conjs
+
+
+def cyclic_extension_tables(o1, o2):
+    """Every table of the closed form's shape with these relative orders:
+    x2^x1 absent or x2^r, x1^o1 absent or x2^s, each r and s in range."""
+    for r in [None, *range(o2)]:
+        for s in [None, *range(1, o2)]:
+            pows = [((1, s),) if s else (), ()]
+            conjs = [None, None if r is None else ((1, r),), None, None]
+            yield r, s, _pykernel.make_tables(2, [o1, o2], pows, conjs)
+
+
+def closed_form_precondition(o2, r, s):
+    """gcd(r, o2) = 1 and s*r = s (mod o2), with absent r = 1, s = 0."""
+    r = 1 if r is None else r
+    s = s or 0
+    return math.gcd(r, o2) == 1 and s * r % o2 == s
+
+
 def random_cases(rng, n, orders, count):
     for _ in range(count):
         vec = tuple(rng.randrange(orders[i]) for i in range(n))
@@ -193,7 +225,8 @@ def random_cases(rng, n, orders, count):
 
 def test_random_tables_cover_the_fusion_guard():
     """The generator yields fused and unfused single-syllable conjugates,
-    and conjugates led by a generator above the conjugated one."""
+    conjugates led by a generator above the conjugated one, and
+    two-generator cyclic extensions on and off the closed form."""
     rng = random.Random(5)
     seen = set()
     for _ in range(400):
@@ -209,10 +242,100 @@ def test_random_tables_cover_the_fusion_guard():
                 elif len(w) == 1:
                     fused = t.moves[i][j].__class__ is int
                     seen.add(("single", fused, bool(t.blockers[j]), bool(pows[j])))
+        if n == 2:
+            # every two-generator draw has the closed form's shape
+            seen.add(("cyclic extension", t.cyclic is not None))
     assert "leading above" in seen
     assert ("single", True, False, False) in seen
     for blocked, powered in [(True, False), (False, True), (True, True)]:
         assert ("single", False, blocked, powered) in seen
+    assert ("cyclic extension", True) in seen
+    assert ("cyclic extension", False) in seen
+
+
+# o1 = o2 = 9 is left out: its 27 closed-form tables of 81**2 products each
+# would take several times as long as all the other order pairs together
+CLOSED_FORM_ORDERS = [(o1, o2) for o1 in (2, 3, 4, 9) for o2 in (2, 3, 4, 9)
+                      if (o1, o2) != (9, 9)]
+
+
+def test_closed_form_is_exact_on_every_small_cyclic_extension():
+    """The pure kernel takes the closed form exactly on the tables that meet
+    its precondition, and there its mul, inv and power equal the plain
+    collector's on every operand."""
+    fast = slow = 0
+    for o1, o2 in CLOSED_FORM_ORDERS:
+        elements = list(itertools.product(range(o1), range(o2)))
+        for r, s, t in cyclic_extension_tables(o1, o2):
+            if t.cyclic is None:
+                slow += 1
+            else:
+                fast += 1
+                for u in elements:
+                    assert _pykernel.inv(t, u) == _reference_inv(t, u), (o1, o2, r, s, u)
+                    for k in (-3, 5):
+                        assert _pykernel.power(t, u, k) == _reference_power(t, u, k)
+                    for v in elements:
+                        assert _pykernel.mul(t, u, v) == _reference_mul(t, u, v), \
+                            (o1, o2, r, s, u, v)
+            assert (t.cyclic is not None) == closed_form_precondition(o2, r, s), (o1, o2, r, s)
+    assert (fast, slow) == (165, 257)
+
+
+def test_closed_form_parts_from_the_collector_only_where_s_r_is_not_s():
+    """The formula, applied off the precondition, is not the collector's
+    product on some table with s*r != s; on the tables whose r is not a
+    unit but s*r = s it still is, so gcd(r, o2) = 1 restricts the path to
+    tables on which x1 acts by an automorphism and is not needed for
+    exactness.  The pure kernel takes the collector on both kinds."""
+    def formula(o1, o2, r, s, u, v):
+        r = 1 if r is None else r
+        (a, b), (c, d) = u, v
+        if a + c < o1:
+            return a + c, (b * r ** c + d) % o2
+        w = o1 - a
+        return a + c - o1, ((b * r ** w + (s or 0)) * r ** (c - w) + d) % o2
+
+    parted = {True: 0, False: 0}
+    agreed = {True: 0, False: 0}
+    for o1, o2 in [(2, 4), (3, 9), (4, 4), (4, 9)]:
+        elements = list(itertools.product(range(o1), range(o2)))
+        for r, s, t in cyclic_extension_tables(o1, o2):
+            if closed_form_precondition(o2, r, s):
+                continue
+            assert t.cyclic is None
+            s_r_is_s = (s or 0) * (1 if r is None else r) % o2 == (s or 0)
+            if any(formula(o1, o2, r, s, u, v) != _reference_mul(t, u, v)
+                   for u in elements for v in elements):
+                parted[s_r_is_s] += 1
+            else:
+                agreed[s_r_is_s] += 1
+    assert (parted, agreed) == ({True: 0, False: 128}, {True: 10, False: 8})
+
+
+# the corpus groups presented as a cyclic extension of a cyclic group
+CLOSED_FORM_CORPUS = [
+    "g64", "liebeck128", "metacyclic-2-2-2", "metacyclic-3-2-2",
+    "metacyclic-3-3-2", "metacyclic-4-3-2", "dihedral-8", "dihedral-16",
+    "dihedral-32", "quaternion-8", "quaternion-16", "quaternion-32",
+    "semidihedral-16", "semidihedral-32", "modular-2-16", "modular-2-32",
+    "modular-3-27", "extraspecial-3-exp9", "g243", "abelian-2-1_1",
+    "abelian-2-2_1", "abelian-2-2_2", "abelian-2-3_1", "abelian-3-1_1",
+    "abelian-3-2_1", "abelian-5-1_1",
+]
+
+
+def test_closed_form_takes_the_two_generator_corpus_groups():
+    from pgforge import corpus
+
+    taken = []
+    for entry in corpus.builtin_corpus(validate=False):
+        P = entry.presentation
+        t = _pykernel.make_tables(P.n_gens, P.rel_orders, P.pow_words, P.conj_words)
+        if t.cyclic is not None:
+            taken.append(entry.id)
+    assert taken == CLOSED_FORM_CORPUS
+    assert len(taken) == 26
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

@@ -38,8 +38,8 @@ Closed form for a cyclic extension of a cyclic group.  When n = 2, the
 conjugate x2^x1 is the single syllable x2^r (or absent, r = 1), x2 has
 no power word and x1's power word is x2^s (or absent, s = 0), `mul` and
 `inv` skip the collector.  The tables record `cyclic` = (o1, o2, s, R),
-R[c] = r^c mod o2 for 0 <= c < o1, and only when gcd(r, o2) = 1 and
-s*r = s (mod o2).  Then the collector turns (a, b)*(c, d) into
+R[c] = r^c mod o2 for 0 <= c < o1, and only when s*r = s (mod o2).
+Then the collector turns (a, b)*(c, d) into
 
 - (a + c, b*r^c + d) when a + c < o1;
 - (a + c - o1, (b*r^w + s)*r^(c - w) + d) otherwise, with w = o1 - a,
@@ -53,15 +53,12 @@ of them is b*r^k; the x1 that completes x1^o1 adds x2^s, which s*r = s
 lets pass the remaining x1's unchanged.  Without s*r = s the two part:
 with o1 = o2 = 3, r = 2 and s = 1 the collector merges (2, 0)*(2, 0)
 into (1, 1), leaving x2^s where the closed form conjugates it.  So such
-tables keep the collector, as every other table does.  gcd(r, o2) = 1
-holds on every consistent presentation of this shape, where x1 acts on
-<x2> by an automorphism; exactness does not need it, but it keeps the
-path to the tables on which x1 can act so.  `power` goes through `mul`
-and `inv`.  The compiled kernel has no such path and gives the same
-output.
+tables keep the collector, as every other table does.  Nothing in the
+argument asks r to be a unit mod o2, so a table on which x1 does not act
+on <x2> by an automorphism (never a consistent one) takes the closed
+form too.  `power` goes through `mul` and `inv`.  The compiled kernel has
+no such path and gives the same output.
 """
-
-from math import gcd
 
 BACKEND = "python"
 
@@ -114,7 +111,7 @@ class KernelTables:
         o1, o2 = self.orders
         r = self.moves[0][1]
         s = pw[0][1] % o2 if pw else 0
-        if gcd(r, o2) != 1 or s * r % o2 != s:
+        if s * r % o2 != s:
             return None
         R = [1]
         for _ in range(o1 - 1):

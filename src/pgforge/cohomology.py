@@ -11,7 +11,13 @@ f(qr) = f(q)^r f(r).  It is fixed by its values on generators of Q, and
 in coordinates of A every other value is an integer-linear form in them,
 so Z1 is the solution space of linear conditions modulo the orders of A's
 basis.  `h0` and `h1` read H0, |Z1|, |B1| and H1 from span sizes, with no
-enumeration; `z1` and `b1` list the cocycles for the checks that need them.
+enumeration.  `slice_is_bridge_image` decides proposition 1.3 the same
+way: the bridge's defects are linear in the cocycle, so Z1's echelon basis
+gives the subgroup K = bridge(Z1) of the pointwise-fixing slice, and the
+slice is searched over coset representatives of K only.  `z1` and `b1`
+list the cocycles for the checks that still need them: lemma 3.7's
+exponent, second-proof's first cocycle in key order, and prop-1.3's
+listing where the route declines.
 
 For p-groups, vanishing of H0 or H1 in one degree forces vanishing in the
 other.  Theorem 3.6's check asserts both degrees nonzero, and the test
@@ -53,7 +59,6 @@ class GModule:
         "basis",
         "basis_orders",
         "_coords",
-        "a_elements",
     )
 
     def __init__(self, G, N, A, Q, caps=DEFAULT_CAPS):
@@ -64,7 +69,6 @@ class GModule:
         self.gen_reps = Q.generator_reps()
         self.q_elements = sorted(Q.elements(), key=lambda e: e.vec)
         self.q_index = {q.vec: i for i, q in enumerate(self.q_elements)}
-        self.a_elements = sorted(A.elements(), key=lambda e: e.vec)
         self.basis = structure.abelian_basis(A, caps)
         self.basis_orders = tuple(b.order() for b in self.basis)
         # b_1^e_1 ... b_m^e_m for every exponent tuple, e_1 varying slowest,
@@ -251,6 +255,27 @@ def _echelon(rows, orders):
     return basis
 
 
+def _span_size(rows, orders):
+    """The number of elements of the span of `rows` in X, read from the
+    diagonal of `_echelon`."""
+    return prod(o // d for o, (d, _) in zip(orders, _echelon(rows, orders)))
+
+
+def _coset_bounds(rows, orders):
+    """The diagonal (d_1, ..., d_r) of the `_echelon` of `rows`: each coset
+    of K = <rows> in X holds exactly one x with 0 <= x_c < d_c for every c.
+
+    Let (d_c, h_c) be the echelon, so K is the set of sums of t_c h_c with
+    0 <= t_c < o_c / d_c.  Two such x and y in one coset differ by one of
+    these sums, x - y = sum t_c h_c.  If some t_c is nonzero, take the
+    first: h_c' is zero at c for c' > c, so x_c - y_c = t_c d_c mod o_c,
+    a value in [d_c, o_c - d_c], while |x_c - y_c| < d_c puts x_c - y_c
+    mod o_c in [0, d_c) or (o_c - d_c, o_c).  So every t_c is zero and
+    x = y.  There are prod d_c such x and |X| / |K| = prod o_c / prod
+    (o_c / d_c) = prod d_c cosets, so each coset holds one."""
+    return tuple(d for d, _ in _echelon(rows, orders))
+
+
 def _quotient(p, big, small, orders, escaped):
     """(log_p |<big>|, log_p |<small>|, the invariant factors of
     B = <big>/<small>) for rows of X; DomainError(escaped) unless <small>
@@ -258,7 +283,7 @@ def _quotient(p, big, small, orders, escaped):
     |B[p^k]| = |B| / |p^k B|, so the levels log_p |B[p^k]| come from one
     span size per k."""
     def log_size(rows):
-        return sum(p_valuation(o // d, p) for o, (d, _) in zip(orders, _echelon(rows, orders)))
+        return p_valuation(_span_size(rows, orders), p)
 
     top, base = log_size(big), log_size(small)
     sizes = [log_size(big + small) - base]  # log_p |p^k B|
@@ -319,6 +344,25 @@ def h1(M: GModule):
     return p ** z, p ** b, invariants
 
 
+def _cocycle_basis(M: GModule):
+    """(forms, counts): the forms of `_cocycle_forms`, and the rows
+    (o / d, h) of Z1's `_kernel_basis` with d < o, so that Z1 is the set of
+    sums of t h with 0 <= t < o / d and |Z1| is the product of the counts.
+    Listing Z1 means |Z1| |Q| values, refused above 50 000 000 here, before
+    anything is listed; `slice_is_bridge_image` lists nothing but refuses
+    here too, so the refusal fires where `z1` has it."""
+    forms, conditions, x_orders = _cocycle_forms(M)
+    counts = [
+        (o // d, h)
+        for o, (d, h) in zip(x_orders, _kernel_basis(conditions, x_orders))
+        if d < o
+    ]
+    needed = prod(count for count, _ in counts) * len(forms)
+    if needed > 50_000_000:
+        raise CapExceeded("cocycle solver", needed, 50_000_000)
+    return forms, counts
+
+
 def z1(M: GModule, caps=DEFAULT_CAPS):
     """All crossed homomorphisms, sorted by key, solved as the kernel of
     one linear system rather than filtered from A^k.
@@ -326,21 +370,12 @@ def z1(M: GModule, caps=DEFAULT_CAPS):
     `_cocycle_forms` writes f(q) as a linear form in the values on the
     greedy generators of Q, with one condition per clash of the walk, and
     `_kernel_basis` solves the conditions.  Each cocycle's table is then a
-    sum of basis tables.  The enumeration, |Z1| |Q| values, is refused
-    above 50 000 000 before it starts.  The tests keep the
-    assignment-by-assignment walk and the filter of all A-valued tables as
-    oracles.
+    sum of basis tables.  `_cocycle_basis` refuses the enumeration before
+    it starts.  The tests keep the assignment-by-assignment walk and the
+    filter of all A-valued tables as oracles.
     """
-    forms, conditions, x_orders = _cocycle_forms(M)
-    counts = [
-        (o // d, h)
-        for o, (d, h) in zip(x_orders, _kernel_basis(conditions, x_orders))
-        if d < o
-    ]
+    forms, counts = _cocycle_basis(M)
     n = len(forms)
-    size = prod(count for count, _ in counts)
-    if size * n > 50_000_000:
-        raise CapExceeded("cocycle solver", size * n, 50_000_000)
     orders = M.basis_orders
     steps = [
         (count, tuple(
@@ -421,19 +456,21 @@ def c_aut_slice(G: PcPresentation, N: Subgroup, caps=DEFAULT_CAPS):
     automorphism, being the identity on G/N and on N, so its kernel lies
     in N, where it is injective: the pruning drops no member of the slice.
     The search reads no cocycle or module, so the bridge can be checked
-    against it.  The test suite keeps the filter of the whole product
-    |N|^free as its oracle."""
+    against it.  prop-1.3 lists the slice only where
+    `slice_is_bridge_image` declines.  The test suite keeps the filter of
+    the whole product |N|^free as its oracle."""
     from pgforge.autos import Automorphism, _fixing_leaves
 
     leaves = _fixing_leaves(G, N, _slice_pools(G, N, caps))
     return [Automorphism._of_vecs(G, leaf) for leaf in leaves]
 
 
-def _slice_pools(G: PcPresentation, N: Subgroup, caps=DEFAULT_CAPS):
+def _slice_pools(G: PcPresentation, N: Subgroup, caps=DEFAULT_CAPS, keep=None):
     """The candidate images of `c_aut_slice`: [g_i] for a generator in N
     and g_i Z(N) for any other, with Z(N) from the `center_of_subgroup`
-    memo.  The product |Z(N)|^free is refused above 2 000 000, here,
-    before the search starts.
+    memo, or only the g_i z with keep(i, z) when `keep` is given.  The
+    product |Z(N)|^free is refused above 2 000 000, here, before the
+    search starts and whatever `keep` drops.
 
     Z(N) drops no member of the slice.  Let a fix N pointwise and let
     n = g^-1 a(g) lie in N.  For m in N, m^g lies in N, since N is
@@ -449,8 +486,99 @@ def _slice_pools(G: PcPresentation, N: Subgroup, caps=DEFAULT_CAPS):
     needed = len(z_vecs) ** in_n.count(False)
     if needed > 2_000_000:
         raise CapExceeded("pointwise-fixing slice", needed, 2_000_000)
-    return [[g] if fixed else [kernel.mul(t, g, v) for v in z_vecs]
-            for g, fixed in zip(gens, in_n)]
+    return [[g] if fixed else [kernel.mul(t, g, v) for v in z_vecs if keep is None or keep(i, v)]
+            for i, (g, fixed) in enumerate(zip(gens, in_n))]
+
+
+def slice_is_bridge_image(M: GModule, caps=DEFAULT_CAPS) -> bool:
+    """Proposition 1.3 for M's N, decided from Z1's echelon basis with no
+    cocycle, slice member or coboundary listed: True when the bridge
+    f -> a_f, a_f(g) = g f(gN), is a bijection from Z1 onto the slice of
+    `c_aut_slice` taking B1 onto the conjugations by A = Z(N); False when
+    a step below does not confirm it, and the caller then lists both
+    sides.  The refusals are the listing's, at the same points:
+    `cocycle solver` in `_cocycle_basis`, then `pointwise-fixing slice` in
+    `_slice_pools`, before the pools are cut.
+
+    The defect map.  A member a of the slice fixes the generators in N, so
+    it is fixed by its defect tuple (g_i^-1 a(g_i))_i over the generators
+    g_i outside N, an element of X = A^free, in the coordinates of
+    M.basis (the defects lie in A, see `_slice_pools`).  So the defect map
+    is injective on the slice, and it is a homomorphism: for a and b in
+    the slice, ab(g) = a(g d_b(g)) = g d_a(g) d_b(g), since d_b(g) lies in
+    A, inside N, which a fixes.  The slice is a group, so its defects form
+    a subgroup of X.  The bridge of a cocycle f has the defect
+    (f(g_i N))_i, linear in f (`_bridge_defects`), and a_f a_h = a_(fh)
+    by the same computation, so the defects of bridge(Z1) form the span
+    of the basis rows' defects.  Then, in turn:
+
+    - bridge(Z1) lies in the slice: each basis row's images keep the
+      relations and fix N's IGS.  Such a map is an automorphism, being
+      the identity on G/N and on N, so its kernel lies in N, where it is
+      injective; the slice is a group, so it holds every product of them.
+    - The bridge is injective: the span of the rows' defects, K, has
+      |Z1| elements.
+    - The slice lies in K: the descent of `c_aut_slice`, on pools cut to
+      the defects reduced modulo K (`_coset_bounds`), yields one leaf per
+      coset of K in the slice.  The identity is the leaf of K itself, so
+      the slice is K when no other leaf comes.  When every cut pool has
+      one candidate, that is the identity and the search is skipped.
+    - B1 goes onto the conjugations by A: a -> (q -> a^q a^-1) and
+      a -> (x -> a^-1 x a) are homomorphisms, so it is enough that the
+      bridge defects of `_principal_rows` and the defects of conjugation
+      by M.basis span one subgroup: sizes |P| = |I| = |P + I|.
+    """
+    from pgforge.autos import (_conjugation_vecs, _fixing_leaves, _gen_vecs, _image,
+                               _vecs_validation_error)
+
+    G, N, Q = M.G, M.N, M.Q
+    t = G._tables
+    ident = _gen_vecs(G.n_gens)
+    m = len(M.basis_orders)
+    one = Q.canonical_vec(t.identity)
+    free = [i for i, g in enumerate(ident) if Q.canonical_vec(g) != one]
+    orders = M.basis_orders * len(free)
+    forms, counts = _cocycle_basis(M)
+    rows = _bridge_defects(M, free, forms, [h for _, h in counts])
+    vec_of = {exps: v for v, exps in M._coords.items()}
+    fixed = [u.vec for u in N.igs]
+    for d in rows:
+        images = list(ident)
+        for k, i in enumerate(free):
+            images[i] = kernel.mul(t, ident[i], vec_of[d[k * m:(k + 1) * m]])
+        if (_vecs_validation_error(G, images) is not None
+                or any(_image(t, images, enumerate(u)) != u for u in fixed)):
+            return False
+    if _span_size(rows, orders) != prod(count for count, _ in counts):
+        return False
+    bounds = _coset_bounds(rows, orders)
+    block = {i: bounds[k * m:(k + 1) * m] for k, i in enumerate(free)}
+    pools = _slice_pools(G, N, caps, lambda i, z: all(
+        e < d for e, d in zip(M._coords[z], block[i])))
+    if any(len(pool) > 1 for pool in pools):
+        if any(leaf != ident for leaf in _fixing_leaves(G, N, pools)):
+            return False
+    principal = _bridge_defects(M, free, forms, _principal_rows(M, M.gen_reps))
+    inverses = {i: kernel.inv(t, ident[i]) for i in free}
+    inner = [
+        tuple(e for i in free for e in M._coords[kernel.mul(t, inverses[i], images[i])])
+        for images in (_conjugation_vecs(G, b.vec) for b in M.basis)
+    ]
+    size = _span_size(principal, orders)
+    return size == _span_size(inner, orders) == _span_size(principal + inner, orders)
+
+
+def _bridge_defects(M: GModule, free, forms, rows):
+    """The defect (f(g_i N))_i of the bridge of the cocycle f of each row
+    of X = A^k (values on Q's greedy generators), over the generators g_i
+    with index in `free`, flat in the coordinates of M.basis: f(g_i N) is
+    read through the forms of `_cocycle_forms`, so nothing is listed."""
+    orders = M.basis_orders
+    cols = [forms[M.q_index[M.Q.canonical_vec(M.G.gen(i).vec)]] for i in free]
+    return [
+        tuple(sum(a * b for a, b in zip(h, w)) % o for form in cols for w, o in zip(form, orders))
+        for h in rows
+    ]
 
 
 # -- the norm identity sweeps -------------------------------------------------

@@ -34,11 +34,16 @@ def act(a, q):
     return a.conjugate(q)
 
 
+def a_elements(M):
+    """Every element of the module's A = Z(N), sorted by vector."""
+    return sorted(M.A.elements(), key=lambda e: e.vec)
+
+
 def fixed_points(M):
     """The a in A with a^q = a for every generator q of Q, by a sweep of
     A."""
     return subgroup_closure(M.G, [
-        a for a in M.a_elements if all(act(a, q) == a for q in M.gen_reps)
+        a for a in a_elements(M) if all(act(a, q) == a for q in M.gen_reps)
     ])
 
 

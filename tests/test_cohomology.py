@@ -21,6 +21,7 @@ from pgforge.cohomology import (
     h1,
     module_of,
     norm_counterexample,
+    slice_is_bridge_image,
     z1,
 )
 from pgforge.caps import DEFAULT_CAPS
@@ -45,8 +46,8 @@ from pgforge.subgroups import (
 from pgforge import cohomology, corpus
 
 import oracles
-from oracles import (act, eager_fixing_leaves, fixed_points, invariants_of_orders,
-                     trace_image)
+from oracles import (a_elements, act, eager_fixing_leaves, fixed_points,
+                     invariants_of_orders, trace_image)
 
 
 def oracle_z1(M):
@@ -60,7 +61,7 @@ def oracle_z1(M):
     ident_idx = idx[M.Q.canonical(M.G.identity()).vec]
     out = []
     pick_idx = [idx[p.vec] for p in picks]
-    for assignment in itertools.product(M.a_elements, repeat=len(picks)):
+    for assignment in itertools.product(a_elements(M), repeat=len(picks)):
         table = [None] * n
         table[ident_idx] = M.G.identity()
         for i, a in zip(pick_idx, assignment):
@@ -109,7 +110,7 @@ def oracle_b1(M):
     """The principal crossed homomorphism of every a in A, each table
     built by conjugating a by every q in Q."""
     seen = {}
-    for a in M.a_elements:
+    for a in a_elements(M):
         ai = a.inverse()
         f = CrossedHom(M, [ai * act(a, q) for q in M.q_elements])
         seen[f.key()] = f
@@ -219,7 +220,7 @@ def corpus_modules():
 def z1_table_filter_oracle(M):
     """The defining filter: all A-valued tables satisfying the law."""
     out = []
-    for vals in itertools.product(M.a_elements, repeat=len(M.q_elements)):
+    for vals in itertools.product(a_elements(M), repeat=len(M.q_elements)):
         f = CrossedHom(M, vals)
         if law_on_all_pairs(f):
             out.append(f.key())
@@ -466,7 +467,7 @@ def oracle_fixed_point_centralizer_report(M, caps=DEFAULT_CAPS):
         if not all(S.membership(u) for u in M.N.igs):
             continue
         h_reps = sorted({M.Q.canonical(x).vec for x in S.elements()})
-        fixed = [a for a in M.a_elements
+        fixed = [a for a in a_elements(M)
                  if all(act(a, Element(G, h)) == a for h in h_reps)]
         centralizer_reps = {q.vec for q in M.q_elements
                             if all(act(a, q) == a for a in fixed)}
@@ -581,7 +582,7 @@ def test_law_on_generator_pairs_matches_all_pairs(corpus_modules):
         zs = z1(M)
         for f in rng.sample(zs, min(3, len(zs))):
             vals = list(f.values)
-            vals[rng.randrange(len(vals))] = rng.choice(M.a_elements)
+            vals[rng.randrange(len(vals))] = rng.choice(a_elements(M))
             for g in (f, CrossedHom(M, vals)):
                 law = law_on_all_pairs(g)
                 assert law_on_generator_pairs(g) == law, gid
@@ -604,7 +605,7 @@ def test_law_on_generator_pairs_matches_all_pairs_on_every_small_table(
             modules.setdefault(gid, M)
     assert len(modules) > 10
     for gid, M in modules.items():
-        for vals in itertools.product(M.a_elements, repeat=len(M.q_elements)):
+        for vals in itertools.product(a_elements(M), repeat=len(M.q_elements)):
             f = CrossedHom(M, vals)
             assert law_on_generator_pairs(f) == law_on_all_pairs(f), gid
 
@@ -646,7 +647,7 @@ def test_trivial_cocycle_gives_identity(d8):
 def test_principal_cocycle_gives_conjugation(q8, es27):
     for G, N in [(q8, subgroup_closure(q8, [q8.gen(1) ** 2])), (es27, center(es27))]:
         M = module_of(G, N)
-        for a in M.a_elements:
+        for a in a_elements(M):
             f = CrossedHom(M, [a.inverse() * act(a, q) for q in M.q_elements])
             assert cocycle_to_automorphism(M, f) == inner_automorphism(G, a)
 
@@ -797,6 +798,204 @@ def test_slice_needs_a_normal_subgroup(d8):
     for build in (module_of, h0_h1):
         with pytest.raises(DomainError):
             build(d8, S, tight)
+
+
+# -- prop-1.3 from Z1's echelon basis against the listing ---------------------
+
+
+CAP_1024 = DEFAULT_CAPS.with_override(1024)
+
+
+def span_set(rows, orders):
+    """Every element of the subgroup of X generated by rows, by closure
+    under adding a row."""
+    zero = (0,) * len(orders)
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for r in rows:
+                y = tuple((a + b) % o for a, b, o in zip(x, r, orders))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+def free_generators(G, N):
+    return [i for i, g in enumerate(G.gens()) if not N.membership(g)]
+
+
+def element_defects(M, coords, free, maps):
+    """The defect tuples (g_i^-1 a(g_i))_i over the free generators of
+    maps given by their image vectors, with Element arithmetic, in the
+    coordinates `coords` of A."""
+    G = M.G
+    return {
+        tuple(e for i in free for e in coords[(G.gen(i).inverse() * Element(G, images[i])).vec])
+        for images in maps
+    }
+
+
+@pytest.fixture(scope="module")
+def route_modules(family_members):
+    """Every (group, normal subgroup) module of the corpus groups and of
+    the family members at cap 1024, where the bijection cap admits every
+    one of them."""
+    out = []
+    for entry in corpus.builtin_corpus() + family_members:
+        G = entry.presentation
+        for N in enumerate_normal_subgroups(G, CAP_1024):
+            out.append((entry.id, module_of(G, N, CAP_1024)))
+    return out
+
+
+def test_bridge_route_decides_every_module_as_the_listing_does(route_modules):
+    """`slice_is_bridge_image` confirms prop 1.3 on every module, and what
+    it reasons with is what the listing finds: the span K of the basis
+    rows' bridge defects is the defect set of the bridge of every listed
+    cocycle and of every member of the searched slice, with |K| = |Z1|,
+    and the span of the principal rows' bridge defects is that of the
+    listed B1 and of the conjugation by every element of A."""
+    assert len(route_modules) == 535 + 70
+    for gid, M in route_modules:
+        G, N = M.G, M.N
+        assert slice_is_bridge_image(M, CAP_1024), (gid, N.key())
+        free = free_generators(G, N)
+        orders = M.basis_orders * len(free)
+        coords = oracle_coords(M)
+        forms, counts = cohomology._cocycle_basis(M)
+        K = span_set(cohomology._bridge_defects(M, free, forms, [h for _, h in counts]), orders)
+        zs = z1(M, CAP_1024)
+        assert len(K) == len(zs), (gid, N.key())
+        assert element_defects(M, coords, free, bridge_vecs(M, zs)) == K, (gid, N.key())
+        slice_ = [a.key() for a in c_aut_slice(G, N, CAP_1024)]
+        assert element_defects(M, coords, free, slice_) == K, (gid, N.key())
+        principal = cohomology._principal_rows(M, M.gen_reps)
+        P = span_set(cohomology._bridge_defects(M, free, forms, principal), orders)
+        assert element_defects(M, coords, free, bridge_vecs(M, b1(M))) == P, (gid, N.key())
+        inner = [inner_automorphism(G, a).key() for a in a_elements(M)]
+        assert element_defects(M, coords, free, inner) == P, (gid, N.key())
+
+
+@pytest.mark.parametrize("orders, subgroups", [((4, 2, 8), 81), ((3, 9), 10), ((2, 4, 2), 27)])
+def test_coset_bounds_pick_one_representative_per_coset(orders, subgroups):
+    """On every subgroup K of X, grown from 0 by one element at a time:
+    the x with x_c below `_coset_bounds` of K's generators meet every coset
+    of K exactly once, and `_span_size` is |K|."""
+    X = list(itertools.product(*(range(o) for o in orders)))
+    zero = (0,) * len(orders)
+    found = {frozenset([zero]): []}
+    queue = [frozenset([zero])]
+    while queue:
+        K = queue.pop()
+        gens = found[K]
+        for x in X:
+            if x in K:
+                continue
+            grown = frozenset(span_set(gens + [x], orders))
+            if grown not in found:
+                found[grown] = gens + [x]
+                queue.append(grown)
+    for K, gens in found.items():
+        assert cohomology._span_size(gens, orders) == len(K)
+        bounds = cohomology._coset_bounds(gens, orders)
+        reps = [x for x in X if all(e < d for e, d in zip(x, bounds))]
+        covered = {tuple((a - b) % o for a, b, o in zip(r, k, orders)) for r in reps for k in K}
+        assert len(reps) * len(K) == len(covered) == len(X), (orders, gens)
+    assert len(found) == subgroups
+
+
+def test_route_declines_when_k_misses_a_row(monkeypatch, bijection_pairs):
+    """With any one row dropped from Z1's basis, the rest still span
+    |Z1| / count elements, so only the slice search can tell: it finds a
+    leaf outside the smaller K, and the route declines."""
+    basis = cohomology._cocycle_basis
+    drop = [0]
+
+    def missing_row(M):
+        forms, counts = basis(M)
+        return forms, counts[:drop[0]] + counts[drop[0] + 1:]
+
+    monkeypatch.setattr(cohomology, "_cocycle_basis", missing_row)
+    touched = 0
+    for gid, G, N, M in bijection_pairs:
+        for drop[0] in range(len(basis(M)[1])):
+            touched += 1
+            assert not slice_is_bridge_image(M), (gid, N.key(), drop[0])
+    assert touched == 589
+
+
+def test_route_declines_when_a_bound_admits_the_pivot(monkeypatch, bijection_pairs):
+    """A bound raised from d_c to d_c + 1, at any c where K is not zero,
+    admits the member of K with x_c = d_c reduced at every other c, and the
+    search finds it."""
+    bounds = cohomology._coset_bounds
+    at = [0]
+
+    def loose(rows, orders):
+        ds = list(bounds(rows, orders))
+        ds[at[0]] += 1
+        return tuple(ds)
+
+    monkeypatch.setattr(cohomology, "_coset_bounds", loose)
+    touched = 0
+    for gid, G, N, M in bijection_pairs:
+        free = free_generators(G, N)
+        orders = M.basis_orders * len(free)
+        forms, counts = cohomology._cocycle_basis(M)
+        rows = cohomology._bridge_defects(M, free, forms, [h for _, h in counts])
+        for at[0], (d, o) in enumerate(zip(bounds(rows, orders), orders)):
+            if d < o:
+                touched += 1
+                assert not slice_is_bridge_image(M), (gid, N.key(), at[0])
+    assert touched == 589
+
+
+def test_route_declines_when_b1_misses_a_row(monkeypatch, bijection_pairs):
+    """With one of B1's spanning rows dropped, wherever that shrinks the
+    span of their bridge defects, the principal images no longer match the
+    conjugations by A, and the route declines."""
+    principal_rows = cohomology._principal_rows
+    drop = [0]
+
+    def missing_row(M, qs):
+        rows = principal_rows(M, qs)
+        return rows[:drop[0]] + rows[drop[0] + 1:]
+
+    monkeypatch.setattr(cohomology, "_principal_rows", missing_row)
+    touched = 0
+    for gid, G, N, M in bijection_pairs:
+        free = free_generators(G, N)
+        orders = M.basis_orders * len(free)
+        forms, _ = cohomology._cocycle_basis(M)
+        rows = cohomology._bridge_defects(M, free, forms, principal_rows(M, M.gen_reps))
+        for drop[0] in range(len(rows)):
+            if len(span_set(rows[:drop[0]] + rows[drop[0] + 1:], orders)) < len(span_set(rows, orders)):
+                touched += 1
+                assert not slice_is_bridge_image(M), (gid, N.key(), drop[0])
+    assert touched == 51
+
+
+def test_route_refuses_where_the_listing_does():
+    """The route lists nothing, yet refuses where `z1` and the slice do:
+    the cocycle solver on the enumerated size |Z1| |Q|, then the slice on
+    the whole product |Z(N)|^free, before the pools are cut."""
+    G = corpus.abelian(2, [1] * 12).presentation
+    M = module_of(G, subgroup_closure(G, G.gens()[6:]))
+    with pytest.raises(CapExceeded) as exc:
+        slice_is_bridge_image(M)
+    assert (exc.value.what, exc.value.needed, exc.value.cap) == (
+        "cocycle solver", 2 ** 36 * 2 ** 6, 50_000_000)
+    G = corpus.abelian(2, [1] * 7).presentation
+    gens = G.gens()
+    M = module_of(G, subgroup_closure(G, [gens[0] * g for g in gens[1:]]))
+    with pytest.raises(CapExceeded) as exc:
+        slice_is_bridge_image(M)
+    assert (exc.value.what, exc.value.needed, exc.value.cap) == (
+        "pointwise-fixing slice", 64 ** 7, 2_000_000)
 
 
 # -- norm elements -----------------------------------------------------------------

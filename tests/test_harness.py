@@ -314,6 +314,36 @@ def test_prop_3_5_reports_the_first_centralizer_mismatch(monkeypatch):
         "centralizer": [(a, b, 0) for a in range(3) for b in range(3)]}
 
 
+def test_prop_1_3_lists_both_sides_only_where_the_route_declines(monkeypatch, mini_corpus):
+    """With the route stubbed to decline, the listing decides every N and
+    gives the same report; with a slice member dropped as well, the check
+    fails with the listing's payload at the first N whose slice has more
+    than one member.  Unstubbed, the listing is never reached."""
+    from pgforge import cohomology, harness
+
+    unstubbed = [(r.status, r.witness) for r in run_check("prop-1.3", mini_corpus)]
+    monkeypatch.setattr(cohomology, "slice_is_bridge_image", lambda M, caps=DEFAULT_CAPS: False)
+    assert [(r.status, r.witness) for r in run_check("prop-1.3", mini_corpus)] == unstubbed
+    searched = cohomology.c_aut_slice
+
+    def one_member_short(G, N, caps=DEFAULT_CAPS):
+        members = searched(G, N, caps)
+        return members[:-1] if len(members) > 1 else members
+
+    monkeypatch.setattr(cohomology, "c_aut_slice", one_member_short)
+    rs = run_check("prop-1.3", [corpus.dihedral(8), corpus.extraspecial(3, "p")])
+    assert [r.counterexample for r in rs] == [
+        {"N": ((0, 2),), "z1": 4, "slice": 3},
+        {"N": ((0, 0, 1),), "z1": 9, "slice": 8}]
+    monkeypatch.undo()
+
+    def unreachable(*args):
+        raise AssertionError("the route declined")
+
+    monkeypatch.setattr(harness, "_listed_prop_1_3", unreachable)
+    assert [(r.status, r.witness) for r in run_check("prop-1.3", mini_corpus)] == unstubbed
+
+
 @pytest.mark.parametrize("stub,h0,h1", [
     ("h0", ([], []), ([2, 2], [3, 3])),
     ("h1", ([2], [3]), ([], [])),

@@ -206,10 +206,11 @@ def cyclic_extension_tables(o1, o2):
 
 
 def closed_form_precondition(o2, r, s):
-    """gcd(r, o2) = 1 and s*r = s (mod o2), with absent r = 1, s = 0."""
+    """s*r = s (mod o2), with absent r = 1, s = 0; the conjugate x2^0 is
+    no syllable the kernel fuses, so r = 0 keeps the collector."""
     r = 1 if r is None else r
     s = s or 0
-    return math.gcd(r, o2) == 1 and s * r % o2 == s
+    return r > 0 and s * r % o2 == s
 
 
 def random_cases(rng, n, orders, count):
@@ -279,15 +280,14 @@ def test_closed_form_is_exact_on_every_small_cyclic_extension():
                         assert _pykernel.mul(t, u, v) == _reference_mul(t, u, v), \
                             (o1, o2, r, s, u, v)
             assert (t.cyclic is not None) == closed_form_precondition(o2, r, s), (o1, o2, r, s)
-    assert (fast, slow) == (165, 257)
+    assert (fast, slow) == (175, 247)
 
 
 def test_closed_form_parts_from_the_collector_only_where_s_r_is_not_s():
     """The formula, applied off the precondition, is not the collector's
-    product on some table with s*r != s; on the tables whose r is not a
-    unit but s*r = s it still is, so gcd(r, o2) = 1 restricts the path to
-    tables on which x1 acts by an automorphism and is not needed for
-    exactness.  The pure kernel takes the collector on both kinds."""
+    product on some table with s*r != s; the only tables off it with
+    s*r = s are the four with r = 0 and s absent, where it still is.  The
+    pure kernel takes the collector on both kinds."""
     def formula(o1, o2, r, s, u, v):
         r = 1 if r is None else r
         (a, b), (c, d) = u, v
@@ -310,7 +310,7 @@ def test_closed_form_parts_from_the_collector_only_where_s_r_is_not_s():
                 parted[s_r_is_s] += 1
             else:
                 agreed[s_r_is_s] += 1
-    assert (parted, agreed) == ({True: 0, False: 128}, {True: 10, False: 8})
+    assert (parted, agreed) == ({True: 0, False: 128}, {True: 4, False: 8})
 
 
 # the corpus groups presented as a cyclic extension of a cyclic group

@@ -461,6 +461,8 @@ def c_aut_slice(G: PcPresentation, N: Subgroup, caps=DEFAULT_CAPS):
     the whole product |N|^free as its oracle."""
     from pgforge.autos import Automorphism, _fixing_leaves
 
+    if not is_normal(N):
+        raise DomainError("c_aut_slice needs a normal subgroup")
     leaves = _fixing_leaves(G, N, _slice_pools(G, N, caps))
     return [Automorphism._of_vecs(G, leaf) for leaf in leaves]
 
@@ -470,15 +472,15 @@ def _slice_pools(G: PcPresentation, N: Subgroup, caps=DEFAULT_CAPS, keep=None):
     and g_i Z(N) for any other, with Z(N) from the `center_of_subgroup`
     memo, or only the g_i z with keep(i, z) when `keep` is given.  The
     product |Z(N)|^free is refused above 2 000 000, here, before the
-    search starts and whatever `keep` drops.
+    search starts and whatever `keep` drops.  N must be normal:
+    `c_aut_slice` tests it, and `slice_is_bridge_image` takes N from a
+    module, whose quotient has tested it.
 
     Z(N) drops no member of the slice.  Let a fix N pointwise and let
     n = g^-1 a(g) lie in N.  For m in N, m^g lies in N, since N is
     normal, so m^g = a(m^g) = a(m)^a(g) = m^(g n), and m^g = (m^g)^n.  As
     m runs over N so does m^g, so n commutes with every element of N and
     lies in Z(N)."""
-    if not is_normal(N):
-        raise DomainError("c_aut_slice needs a normal subgroup")
     t = G._tables
     gens = [g.vec for g in G.gens()]
     in_n = [_sift(t, N._table, g) == t.identity for g in gens]

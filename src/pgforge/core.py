@@ -166,7 +166,7 @@ class PcPresentation:
                 self._tables.identity,
                 [(i, e % m) for i, (e, m) in enumerate(zip(vec, self.rel_orders))],
             )
-        return Element(self, vec)
+        return Element(self, kernel._shared(self._tables, vec))
 
     def collect(self, word) -> "Element":
         """Normal form of an arbitrary word; negative exponents allowed.

@@ -22,3 +22,6 @@ collect = _impl.collect
 mul = _impl.mul
 inv = _impl.inv
 power = _impl.power
+# not a kernel operation: `PcPresentation.element` asks for the pure
+# kernel's own tuple equal to a normal form; the compiled one keeps none
+_shared = getattr(_impl, "_shared", lambda tables, vec: vec)

@@ -141,14 +141,17 @@ def _reference_power(tables, u, k):
     return acc
 
 
-def random_tables(rng):
+def random_tables(rng, orders=None):
+    """Random relation tables: of random small relative orders, or of the
+    given ones (then never a cyclic extension's)."""
     # small sizes: random relation tables need not present a group, and
     # collection cost on junk tables grows quickly
     p = rng.choice([2, 3])
-    if rng.random() < 0.2:
-        return random_cyclic_extension(rng, p)
-    n = rng.randint(1, 4)
-    orders = [p ** rng.randint(1, 2) for _ in range(n)]
+    if orders is None:
+        if rng.random() < 0.2:
+            return random_cyclic_extension(rng, p)
+        orders = [p ** rng.randint(1, 2) for _ in range(rng.randint(1, 4))]
+    n = len(orders)
     pows = []
     for i in range(n):
         w = []
@@ -338,20 +341,46 @@ def test_closed_form_takes_the_two_generator_corpus_groups():
     assert len(taken) == 26
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_pure_kernel_matches_reference_on_random_tables(seed):
+def _paths(t):
+    """The path `mul` and `inv` take on the tables t."""
+    if t.cyclic is not None:
+        return "closed form"
+    return "collector" if t._tails is None else "tail tables"
+
+
+def _matches_reference_on_random_tables(seed, withhold):
+    """Returns how many draws took each path."""
     rng = random.Random(seed)
+    taken = {"closed form": 0, "tail tables": 0, "collector": 0}
     for _ in range(100):
         n, orders, pows, conjs = random_tables(rng)
         t = _pykernel.make_tables(n, orders, pows, conjs)
+        if withhold:
+            t._tails = None
+        taken[_paths(t)] += 1
         for vec, word, u, k in random_cases(rng, n, orders, 15):
             assert _pykernel.collect(t, vec, word) == _reference_collect(t, vec, word)
             assert _pykernel.mul(t, vec, u) == _reference_mul(t, vec, u)
             assert _pykernel.inv(t, vec) == _reference_inv(t, vec)
             assert _pykernel.power(t, vec, k) == _reference_power(t, vec, k)
+    return taken
 
 
-def test_pure_kernel_matches_reference_on_corpus_groups():
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_pure_kernel_matches_reference_on_random_tables(seed):
+    taken = _matches_reference_on_random_tables(seed, withhold=False)
+    assert taken["tail tables"] > 50 and taken["closed form"] > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_collector_matches_reference_on_random_tables(seed):
+    """The same draws with the tail tables withheld, so that `mul` and
+    `inv` take the collector wherever the closed form does not apply."""
+    taken = _matches_reference_on_random_tables(seed, withhold=True)
+    assert taken["tail tables"] == 0 and taken["collector"] > 50
+
+
+def _matches_reference_on_corpus_groups(withhold):
     from pgforge import corpus
 
     rng = random.Random(98)
@@ -361,6 +390,8 @@ def test_pure_kernel_matches_reference_on_corpus_groups():
         if n == 0:
             continue
         t = _pykernel.make_tables(n, P.rel_orders, P.pow_words, P.conj_words)
+        if withhold:
+            t._tails = None
         for _ in range(20):
             u = tuple(rng.randrange(m) for m in P.rel_orders)
             v = tuple(rng.randrange(m) for m in P.rel_orders)
@@ -371,6 +402,145 @@ def test_pure_kernel_matches_reference_on_corpus_groups():
             assert _pykernel.mul(t, u, v) == _reference_mul(t, u, v)
             assert _pykernel.inv(t, u) == _reference_inv(t, u)
             assert _pykernel.power(t, u, k) == _reference_power(t, u, k)
+
+
+def test_pure_kernel_matches_reference_on_corpus_groups():
+    _matches_reference_on_corpus_groups(withhold=False)
+
+
+def test_collector_matches_reference_on_corpus_groups():
+    _matches_reference_on_corpus_groups(withhold=True)
+
+
+# the corpus groups whose `mul` and `inv` read tail tables: every one
+# outside the closed form, none of them above the limit
+TAIL_TABLE_CORPUS = [
+    "extraspecial-3-exp3", "extraspecial-5-exp5", "wreath-81", "d16xc2",
+    "abelian-2-1", "abelian-2-2", "abelian-2-3", "abelian-2-1_1_1",
+    "abelian-2-2_1_1", "abelian-2-1_1_1_1", "abelian-3-1", "abelian-3-2",
+    "abelian-3-1_1_1",
+]
+
+
+def _corpus_tables():
+    from pgforge import corpus
+
+    for entry in corpus.builtin_corpus(validate=False):
+        P = entry.presentation
+        yield entry.id, _pykernel.make_tables(
+            P.n_gens, P.rel_orders, P.pow_words, P.conj_words)
+
+
+def test_each_corpus_group_takes_its_kernel_path():
+    """Closed form, tail tables or collector, pinned per corpus group; the
+    tail tables are built by the first product, not by `make_tables`."""
+    taken = {"closed form": [], "tail tables": [], "collector": []}
+    for gid, t in _corpus_tables():
+        taken[_paths(t)].append(gid)
+        if t._tails is not None:
+            assert t._tails == ()
+            _pykernel.mul(t, t.identity, t.identity)
+            assert len(t._tails) == 4
+    assert taken == {"closed form": CLOSED_FORM_CORPUS,
+                     "tail tables": TAIL_TABLE_CORPUS, "collector": []}
+
+
+def _check_tail_tables(t):
+    """Every entry of F_{i,e} against the plain collector on the single
+    syllable (i, e).  Returns whether some F_{i,e} differs from F_{i,1}
+    iterated e times, as on tables that present no group."""
+    index, elements, sizes, steps = t._tail_tables()
+    assert [index[v] for v in elements] == list(range(len(elements)))
+    assert sizes == tuple(math.prod(t.orders[i:]) for i in range(t.n + 1))
+    iterated_differs = False
+    for i, F in enumerate(steps):
+        assert len(F) == t.orders[i] and F[0] is None
+        for e in range(1, t.orders[i]):
+            assert len(F[e]) == sizes[i]
+            for r in range(sizes[i]):
+                y = elements[r]
+                assert not any(y[:i])
+                assert elements[F[e][r]] == _reference_collect(t, y, [(i, e)]), (i, e, y)
+                walk = r
+                for _ in range(e):
+                    walk = F[1][walk]
+                iterated_differs |= walk != F[e][r]
+    return iterated_differs
+
+
+def test_tail_tables_are_the_collectors_single_syllables():
+    """On seeded random tables within the limit, tables that present no
+    group among them, and on every corpus group that takes the tables."""
+    rng = random.Random(7)
+    checked = iterated_differs = 0
+    while checked < 60:
+        n, orders, pows, conjs = random_tables(rng)
+        t = _pykernel.make_tables(n, orders, pows, conjs)
+        if _paths(t) != "tail tables":
+            continue
+        checked += 1
+        iterated_differs += _check_tail_tables(t)
+    assert iterated_differs > 0
+    for gid, t in _corpus_tables():
+        if gid in TAIL_TABLE_CORPUS:
+            # these present groups: F_{i,e} is F_{i,1} iterated e times
+            assert not _check_tail_tables(t), gid
+
+
+@pytest.mark.parametrize("gid", ["abelian-2-1_1_1", "d16xc2", "wreath-81"])
+def test_tail_tables_match_reference_on_every_pair(gid):
+    t = dict(_corpus_tables())[gid]
+    assert _paths(t) == "tail tables"
+    elements = list(itertools.product(*[range(m) for m in t.orders]))
+    for u in elements:
+        assert _pykernel.inv(t, u) == _reference_inv(t, u), u
+        for v in elements:
+            assert _pykernel.mul(t, u, v) == _reference_mul(t, u, v), (u, v)
+
+
+def test_shared_hands_out_the_tail_tables_tuples():
+    """`_shared` returns its argument until the tail tables are built and
+    on the other paths, and the tables' equal tuple after; on the pure
+    backend `PcPresentation.element` holds that tuple."""
+    from pgforge import corpus, kernel
+
+    tables = dict(_corpus_tables())
+    t = tables["wreath-81"]
+    v = (1, 2, 0, 1)
+    assert _pykernel._shared(t, v) is v
+    w = _pykernel.mul(t, v, t.identity)
+    assert w == v and w is not v
+    assert _pykernel._shared(t, (1, 2, 0, 1)) is w
+    for gid in ("dihedral-16", "extraspecial-3-exp3"):
+        t = tables[gid]
+        t._tails = None  # withheld; the closed form has none
+        u = tuple(1 for _ in t.orders)
+        _pykernel.mul(t, u, u)
+        assert _pykernel._shared(t, u) is u
+    if kernel.BACKEND == "python":
+        G = corpus.heisenberg_like(3).presentation
+        x = G.element((2, 0, 1, 1))
+        y = x * G.identity()
+        assert G.element([2, 0, 1, 1]).vec is y.vec
+
+
+def test_the_limit_separates_tail_tables_from_the_collector():
+    """The limit counts entries, sum_i (orders[i] - 1) * |G_i|: 8 190 for
+    2^12 builds the tail tables, 16 382 for 2^13 keeps the collector, as
+    does one generator of order 4 096 (4 095 * 4 096), while one of order
+    64 (63 * 64) builds them.  Either way the output is the collector's."""
+    assert _pykernel.TAIL_TABLE_LIMIT == 2 ** 13
+    rng = random.Random(11)
+    for orders, path in [([2] * 12, "tail tables"), ([2] * 13, "collector"),
+                         ([4096], "collector"), ([64], "tail tables")]:
+        n, orders, pows, conjs = random_tables(rng, orders)
+        t = _pykernel.make_tables(n, orders, pows, conjs)
+        assert _paths(t) == path
+        for vec, word, u, k in random_cases(rng, n, orders, 150):
+            assert _pykernel.mul(t, vec, u) == _reference_mul(t, vec, u)
+            assert _pykernel.inv(t, vec) == _reference_inv(t, vec)
+            assert _pykernel.power(t, vec, k) == _reference_power(t, vec, k)
+        assert (t._tails is None) == (path == "collector")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

@@ -1,57 +1,20 @@
-"""Both kernels must agree output-for-output with the plain stack collector.
+"""The kernel must agree output-for-output with the plain stack collector.
 
 `_reference_collect`, `_reference_mul`, `_reference_inv` and
 `_reference_power` below are the plain collector, kept here verbatim as an
-oracle: no precomputed tables, one pushed syllable per rewrite.  The pure
-kernel is checked against it on every run; the compiled kernel is checked
-against the pure one, built from the shipped _ckernel.c when no extension
-is installed (skipped only without a C compiler or Python headers).
+oracle: no precomputed tables, one pushed syllable per rewrite.  The
+kernel is checked against it on seeded random tables and on every corpus
+group, on each of its three paths: the closed form, the tail tables, and
+the collector, which the tests reach by withholding the tail tables.
 """
 
-import importlib.machinery
-import importlib.util
 import itertools
 import math
 import random
-import shutil
-import subprocess
-import sysconfig
-from pathlib import Path
 
 import pytest
 
-from pgforge import _pykernel
-
-
-@pytest.fixture(scope="session")
-def ckernel(tmp_path_factory):
-    """The compiled kernel: the built extension when there is one, else
-    the shipped _ckernel.c compiled into a temporary directory.  The
-    compiled copy is loaded under its own spec and never registered as
-    pgforge._ckernel, so the backend that pgforge.kernel picks stays as
-    it was."""
-    try:
-        from pgforge import _ckernel
-        return _ckernel
-    except ImportError:
-        pass
-    cc = shutil.which("gcc") or shutil.which("cc")
-    include = sysconfig.get_paths()["include"]
-    if cc is None or not Path(include, "Python.h").exists():
-        pytest.skip("compiled kernel not built, and no C compiler or Python headers to build it")
-    source = Path(_pykernel.__file__).with_name("_ckernel.c")
-    target = tmp_path_factory.mktemp("ckernel") / (
-        "_ckernel" + importlib.machinery.EXTENSION_SUFFIXES[0]
-    )
-    build = subprocess.run(
-        [cc, "-O2", "-shared", "-fPIC", f"-I{include}", str(source), "-o", str(target)],
-        capture_output=True, text=True,
-    )
-    assert build.returncode == 0, build.stderr
-    spec = importlib.util.spec_from_file_location("_ckernel", target)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from pgforge import kernel
 
 
 def _reference_collect(tables, vec, word):
@@ -166,7 +129,7 @@ def random_tables(rng, orders=None):
                 continue
             shape = rng.random()
             if shape < 0.3:
-                # a single syllable on g_j: the pure kernel fuses its pushed
+                # a single syllable on g_j: the kernel fuses its pushed
                 # copies when g_j has no blockers and no power word
                 c = rng.randrange(1, orders[j]) if rng.random() < 0.9 else 0
                 conjs[i * n + j] = ((j, c),)
@@ -189,7 +152,7 @@ def random_tables(rng, orders=None):
 
 def random_cyclic_extension(rng, p):
     """A two-generator table with x2^x1 = x2^r and x1^o1 = x2^s: r a unit
-    or not and s*r = s (mod o2) or not, so some draws take the pure
+    or not and s*r = s (mod o2) or not, so some draws take the
     kernel's closed form and some the collector."""
     orders = [p ** rng.randint(1, 2), p ** rng.randint(1, 3)]
     s = rng.randrange(orders[1])
@@ -205,7 +168,7 @@ def cyclic_extension_tables(o1, o2):
         for s in [None, *range(1, o2)]:
             pows = [((1, s),) if s else (), ()]
             conjs = [None, None if r is None else ((1, r),), None, None]
-            yield r, s, _pykernel.make_tables(2, [o1, o2], pows, conjs)
+            yield r, s, kernel.make_tables(2, [o1, o2], pows, conjs)
 
 
 def closed_form_precondition(o2, r, s):
@@ -235,7 +198,7 @@ def test_random_tables_cover_the_fusion_guard():
     seen = set()
     for _ in range(400):
         n, orders, pows, conjs = random_tables(rng)
-        t = _pykernel.make_tables(n, orders, pows, conjs)
+        t = kernel.make_tables(n, orders, pows, conjs)
         for i in range(n):
             for j in range(i + 1, n):
                 w = conjs[i * n + j]
@@ -264,7 +227,7 @@ CLOSED_FORM_ORDERS = [(o1, o2) for o1 in (2, 3, 4, 9) for o2 in (2, 3, 4, 9)
 
 
 def test_closed_form_is_exact_on_every_small_cyclic_extension():
-    """The pure kernel takes the closed form exactly on the tables that meet
+    """The kernel takes the closed form exactly on the tables that meet
     its precondition, and there its mul, inv and power equal the plain
     collector's on every operand."""
     fast = slow = 0
@@ -276,11 +239,11 @@ def test_closed_form_is_exact_on_every_small_cyclic_extension():
             else:
                 fast += 1
                 for u in elements:
-                    assert _pykernel.inv(t, u) == _reference_inv(t, u), (o1, o2, r, s, u)
+                    assert kernel.inv(t, u) == _reference_inv(t, u), (o1, o2, r, s, u)
                     for k in (-3, 5):
-                        assert _pykernel.power(t, u, k) == _reference_power(t, u, k)
+                        assert kernel.power(t, u, k) == _reference_power(t, u, k)
                     for v in elements:
-                        assert _pykernel.mul(t, u, v) == _reference_mul(t, u, v), \
+                        assert kernel.mul(t, u, v) == _reference_mul(t, u, v), \
                             (o1, o2, r, s, u, v)
             assert (t.cyclic is not None) == closed_form_precondition(o2, r, s), (o1, o2, r, s)
     assert (fast, slow) == (175, 247)
@@ -290,7 +253,7 @@ def test_closed_form_parts_from_the_collector_only_where_s_r_is_not_s():
     """The formula, applied off the precondition, is not the collector's
     product on some table with s*r != s; the only tables off it with
     s*r = s are the four with r = 0 and s absent, where it still is.  The
-    pure kernel takes the collector on both kinds."""
+    kernel takes the collector on both kinds."""
     def formula(o1, o2, r, s, u, v):
         r = 1 if r is None else r
         (a, b), (c, d) = u, v
@@ -334,7 +297,7 @@ def test_closed_form_takes_the_two_generator_corpus_groups():
     taken = []
     for entry in corpus.builtin_corpus(validate=False):
         P = entry.presentation
-        t = _pykernel.make_tables(P.n_gens, P.rel_orders, P.pow_words, P.conj_words)
+        t = kernel.make_tables(P.n_gens, P.rel_orders, P.pow_words, P.conj_words)
         if t.cyclic is not None:
             taken.append(entry.id)
     assert taken == CLOSED_FORM_CORPUS
@@ -354,15 +317,15 @@ def _matches_reference_on_random_tables(seed, withhold):
     taken = {"closed form": 0, "tail tables": 0, "collector": 0}
     for _ in range(100):
         n, orders, pows, conjs = random_tables(rng)
-        t = _pykernel.make_tables(n, orders, pows, conjs)
+        t = kernel.make_tables(n, orders, pows, conjs)
         if withhold:
             t._tails = None
         taken[_paths(t)] += 1
         for vec, word, u, k in random_cases(rng, n, orders, 15):
-            assert _pykernel.collect(t, vec, word) == _reference_collect(t, vec, word)
-            assert _pykernel.mul(t, vec, u) == _reference_mul(t, vec, u)
-            assert _pykernel.inv(t, vec) == _reference_inv(t, vec)
-            assert _pykernel.power(t, vec, k) == _reference_power(t, vec, k)
+            assert kernel.collect(t, vec, word) == _reference_collect(t, vec, word)
+            assert kernel.mul(t, vec, u) == _reference_mul(t, vec, u)
+            assert kernel.inv(t, vec) == _reference_inv(t, vec)
+            assert kernel.power(t, vec, k) == _reference_power(t, vec, k)
     return taken
 
 
@@ -389,7 +352,7 @@ def _matches_reference_on_corpus_groups(withhold):
         n = P.n_gens
         if n == 0:
             continue
-        t = _pykernel.make_tables(n, P.rel_orders, P.pow_words, P.conj_words)
+        t = kernel.make_tables(n, P.rel_orders, P.pow_words, P.conj_words)
         if withhold:
             t._tails = None
         for _ in range(20):
@@ -398,10 +361,10 @@ def _matches_reference_on_corpus_groups(withhold):
             word = [(g, e) for g, e in zip(range(n), v)]
             rng.shuffle(word)
             k = rng.randint(-9, 9)
-            assert _pykernel.collect(t, u, word) == _reference_collect(t, u, word)
-            assert _pykernel.mul(t, u, v) == _reference_mul(t, u, v)
-            assert _pykernel.inv(t, u) == _reference_inv(t, u)
-            assert _pykernel.power(t, u, k) == _reference_power(t, u, k)
+            assert kernel.collect(t, u, word) == _reference_collect(t, u, word)
+            assert kernel.mul(t, u, v) == _reference_mul(t, u, v)
+            assert kernel.inv(t, u) == _reference_inv(t, u)
+            assert kernel.power(t, u, k) == _reference_power(t, u, k)
 
 
 def test_pure_kernel_matches_reference_on_corpus_groups():
@@ -427,7 +390,7 @@ def _corpus_tables():
 
     for entry in corpus.builtin_corpus(validate=False):
         P = entry.presentation
-        yield entry.id, _pykernel.make_tables(
+        yield entry.id, kernel.make_tables(
             P.n_gens, P.rel_orders, P.pow_words, P.conj_words)
 
 
@@ -439,7 +402,7 @@ def test_each_corpus_group_takes_its_kernel_path():
         taken[_paths(t)].append(gid)
         if t._tails is not None:
             assert t._tails == ()
-            _pykernel.mul(t, t.identity, t.identity)
+            kernel.mul(t, t.identity, t.identity)
             assert len(t._tails) == 4
     assert taken == {"closed form": CLOSED_FORM_CORPUS,
                      "tail tables": TAIL_TABLE_CORPUS, "collector": []}
@@ -475,7 +438,7 @@ def test_tail_tables_are_the_collectors_single_syllables():
     checked = iterated_differs = 0
     while checked < 60:
         n, orders, pows, conjs = random_tables(rng)
-        t = _pykernel.make_tables(n, orders, pows, conjs)
+        t = kernel.make_tables(n, orders, pows, conjs)
         if _paths(t) != "tail tables":
             continue
         checked += 1
@@ -493,35 +456,58 @@ def test_tail_tables_match_reference_on_every_pair(gid):
     assert _paths(t) == "tail tables"
     elements = list(itertools.product(*[range(m) for m in t.orders]))
     for u in elements:
-        assert _pykernel.inv(t, u) == _reference_inv(t, u), u
+        assert kernel.inv(t, u) == _reference_inv(t, u), u
         for v in elements:
-            assert _pykernel.mul(t, u, v) == _reference_mul(t, u, v), (u, v)
+            assert kernel.mul(t, u, v) == _reference_mul(t, u, v), (u, v)
 
 
 def test_shared_hands_out_the_tail_tables_tuples():
     """`_shared` returns its argument until the tail tables are built and
-    on the other paths, and the tables' equal tuple after; on the pure
-    backend `PcPresentation.element` holds that tuple."""
-    from pgforge import corpus, kernel
+    on the other paths, and the tables' equal tuple after;
+    `PcPresentation.element` holds that tuple."""
+    from pgforge import corpus
 
     tables = dict(_corpus_tables())
     t = tables["wreath-81"]
     v = (1, 2, 0, 1)
-    assert _pykernel._shared(t, v) is v
-    w = _pykernel.mul(t, v, t.identity)
+    assert kernel._shared(t, v) is v
+    w = kernel.mul(t, v, t.identity)
     assert w == v and w is not v
-    assert _pykernel._shared(t, (1, 2, 0, 1)) is w
+    assert kernel._shared(t, (1, 2, 0, 1)) is w
     for gid in ("dihedral-16", "extraspecial-3-exp3"):
         t = tables[gid]
         t._tails = None  # withheld; the closed form has none
         u = tuple(1 for _ in t.orders)
-        _pykernel.mul(t, u, u)
-        assert _pykernel._shared(t, u) is u
-    if kernel.BACKEND == "python":
-        G = corpus.heisenberg_like(3).presentation
-        x = G.element((2, 0, 1, 1))
-        y = x * G.identity()
-        assert G.element([2, 0, 1, 1]).vec is y.vec
+        kernel.mul(t, u, u)
+        assert kernel._shared(t, u) is u
+    G = corpus.heisenberg_like(3).presentation
+    x = G.element((2, 0, 1, 1))
+    y = x * G.identity()
+    assert G.element([2, 0, 1, 1]).vec is y.vec
+
+
+@pytest.mark.parametrize("gid, path", [("dihedral-16", "closed form"),
+                                       ("wreath-81", "tail tables"),
+                                       ("wreath-81", "collector")])
+def test_list_operands_give_the_tuple_results(gid, path):
+    """`mul`, `inv` and `power` take lists as well as tuples and answer
+    with the same tuples, on every path."""
+    t = dict(_corpus_tables())[gid]
+    if path == "collector":
+        t._tails = None
+    assert _paths(t) == path
+    if gid == "wreath-81":
+        assert kernel.mul(t, [1, 0, 0, 0], (0, 1, 0, 0)) == (1, 1, 0, 0)
+    rng = random.Random(13)
+    for _ in range(40):
+        u = tuple(rng.randrange(m) for m in t.orders)
+        v = tuple(rng.randrange(m) for m in t.orders)
+        k = rng.randint(-9, 9)
+        for got, want in [(kernel.mul(t, list(u), list(v)), _reference_mul(t, u, v)),
+                          (kernel.mul(t, list(u), v), _reference_mul(t, u, v)),
+                          (kernel.inv(t, list(u)), _reference_inv(t, u)),
+                          (kernel.power(t, list(u), k), _reference_power(t, u, k))]:
+            assert type(got) is tuple and got == want, (u, v, k)
 
 
 def test_the_limit_separates_tail_tables_from_the_collector():
@@ -529,83 +515,15 @@ def test_the_limit_separates_tail_tables_from_the_collector():
     2^12 builds the tail tables, 16 382 for 2^13 keeps the collector, as
     does one generator of order 4 096 (4 095 * 4 096), while one of order
     64 (63 * 64) builds them.  Either way the output is the collector's."""
-    assert _pykernel.TAIL_TABLE_LIMIT == 2 ** 13
+    assert kernel.TAIL_TABLE_LIMIT == 2 ** 13
     rng = random.Random(11)
     for orders, path in [([2] * 12, "tail tables"), ([2] * 13, "collector"),
                          ([4096], "collector"), ([64], "tail tables")]:
         n, orders, pows, conjs = random_tables(rng, orders)
-        t = _pykernel.make_tables(n, orders, pows, conjs)
+        t = kernel.make_tables(n, orders, pows, conjs)
         assert _paths(t) == path
         for vec, word, u, k in random_cases(rng, n, orders, 150):
-            assert _pykernel.mul(t, vec, u) == _reference_mul(t, vec, u)
-            assert _pykernel.inv(t, vec) == _reference_inv(t, vec)
-            assert _pykernel.power(t, vec, k) == _reference_power(t, vec, k)
+            assert kernel.mul(t, vec, u) == _reference_mul(t, vec, u)
+            assert kernel.inv(t, vec) == _reference_inv(t, vec)
+            assert kernel.power(t, vec, k) == _reference_power(t, vec, k)
         assert (t._tails is None) == (path == "collector")
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_parity_on_random_tables(ckernel, seed):
-    rng = random.Random(seed)
-    for _ in range(100):
-        n, orders, pows, conjs = random_tables(rng)
-        tp = _pykernel.make_tables(n, orders, pows, conjs)
-        tc = ckernel.make_tables(n, orders, pows, conjs)
-        for vec, word, u, k in random_cases(rng, n, orders, 15):
-            assert _pykernel.collect(tp, vec, word) == ckernel.collect(tc, vec, word)
-            assert _pykernel.mul(tp, vec, u) == ckernel.mul(tc, vec, u)
-            assert _pykernel.inv(tp, vec) == ckernel.inv(tc, vec)
-            assert _pykernel.power(tp, vec, k) == ckernel.power(tc, vec, k)
-
-
-def test_parity_on_corpus_groups(ckernel):
-    from pgforge import corpus
-
-    rng = random.Random(99)
-    for entry in corpus.builtin_corpus(validate=False):
-        P = entry.presentation
-        n = P.n_gens
-        if n == 0:
-            continue
-        tp = _pykernel.make_tables(n, P.rel_orders, P.pow_words, P.conj_words)
-        tc = ckernel.make_tables(n, P.rel_orders, P.pow_words, P.conj_words)
-        for _ in range(40):
-            u = tuple(rng.randrange(m) for m in P.rel_orders)
-            v = tuple(rng.randrange(m) for m in P.rel_orders)
-            assert _pykernel.mul(tp, u, v) == ckernel.mul(tc, u, v)
-            assert _pykernel.inv(tp, u) == ckernel.inv(tc, u)
-
-
-def test_pure_kernel_selected_by_env(tmp_path):
-    """PGFORGE_PURE=1 forces the pure backend in a fresh interpreter."""
-    import os
-    import sys
-
-    import pgforge
-
-    # the package need not be installed: point the child at this copy
-    src = os.path.dirname(os.path.dirname(os.path.abspath(pgforge.__file__)))
-    out = subprocess.run(
-        [sys.executable, "-c", "from pgforge.kernel import BACKEND; print(BACKEND)"],
-        env={"PGFORGE_PURE": "1", "PATH": "/usr/bin:/bin", "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-    )
-    assert out.stdout.strip() == "python"
-
-
-# sha256 of the _ckernel.pyx that the shipped _ckernel.c was generated from.
-# The C file is tracked because Cython is not a dependency; a changed .pyx
-# without a regenerated .c would build a stale compiled kernel.
-CKERNEL_PYX_SHA256 = "d7744637ada1b8fca7cf212f0279b91e67da16c30b17effb7182a0324833b2e9"
-
-
-def test_shipped_c_kernel_matches_pyx():
-    import hashlib
-
-    package = Path(_pykernel.__file__).parent
-    digest = hashlib.sha256((package / "_ckernel.pyx").read_bytes()).hexdigest()
-    assert digest == CKERNEL_PYX_SHA256, (
-        "_ckernel.pyx changed: regenerate `_ckernel.c` with Cython "
-        "(cython -3 src/pgforge/_ckernel.pyx) and update CKERNEL_PYX_SHA256"
-    )
-    assert (package / "_ckernel.c").read_text().startswith("/* Generated by Cython")

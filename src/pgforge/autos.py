@@ -157,9 +157,8 @@ def _broken_relation(G: PcPresentation, t, images, i, hinv, hpow, targets=None):
     if hpow != power_target:
         return i
     h = images[i]
-    mul = kernel.mul
     for j, want in enumerate(conj_targets, i + 1):
-        if mul(t, mul(t, hinv, images[j]), h) != want:
+        if kernel.product(t, (hinv, images[j], h)) != want:
             return j
     return None
 
@@ -242,7 +241,7 @@ def _conjugation_vecs(G: PcPresentation, r):
     """Image vectors of conjugation x -> r^-1 x r."""
     t = G._tables
     rinv = kernel.inv(t, r)
-    return tuple(kernel.mul(t, kernel.mul(t, rinv, g), r) for g in _gen_vecs(G.n_gens))
+    return tuple(kernel.product(t, (rinv, g, r)) for g in _gen_vecs(G.n_gens))
 
 
 def _image(t, images, word):

@@ -93,7 +93,7 @@ class GModule:
         t = self.G._tables
         qinv = kernel.inv(t, q.vec)
         return tuple(
-            self._coords[kernel.mul(t, kernel.mul(t, qinv, b.vec), q.vec)]
+            self._coords[kernel.product(t, (qinv, b.vec, q.vec))]
             for b in self.basis
         )
 
@@ -710,13 +710,13 @@ def _norm_tuples(G: PcPresentation, case: str, Z: Subgroup, A: Subgroup, xs, par
     (a, x)."""
     p = G.prime
     t = G._tables
-    mul, power, inv = kernel.mul, kernel.power, kernel.inv
+    mul, power, inv, product = kernel.mul, kernel.power, kernel.inv, kernel.product
     ident = t.identity
     key = A.key()
     inverses = [inv(t, x) for x in xs]
 
     def conj(a, g, ginv):
-        return mul(t, mul(t, ginv, a), g)
+        return product(t, (ginv, a, g))
 
     def central(defect):
         return _sift(t, Z._table, defect) == ident
@@ -727,8 +727,7 @@ def _norm_tuples(G: PcPresentation, case: str, Z: Subgroup, A: Subgroup, xs, par
             images = [conj(a, x, xinv) for x, xinv in zip(xs, inverses)]
             for x, ax, ks in zip(xs, images, partners):
                 for k in ks:
-                    val = mul(t, mul(t, mul(t, conj(ax, xs[k], inverses[k]), images[k]), ax), a)
-                    defect = mul(t, val, a4inv)
+                    defect = product(t, (inverses[k], ax, xs[k], images[k], ax, a, a4inv))
                     yield ({"A": key, "a": a, "x": x, "y": xs[k], "defect": defect},
                            central(defect))
         return

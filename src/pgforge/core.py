@@ -280,25 +280,25 @@ class Element:
         """g^{-1} * self * g"""
         self._same(g)
         t = self.pres._tables
-        return Element(
-            self.pres, kernel.mul(t, kernel.mul(t, kernel.inv(t, g.vec), self.vec), g.vec)
-        )
+        return Element(self.pres, kernel.product(t, (kernel.inv(t, g.vec), self.vec, g.vec)))
 
     def commutator(self, y: "Element") -> "Element":
         """self^{-1} * y^{-1} * self * y"""
         self._same(y)
         t = self.pres._tables
         xv, yv = self.vec, y.vec
-        left = kernel.mul(t, kernel.inv(t, xv), kernel.inv(t, yv))
-        return Element(self.pres, kernel.mul(t, kernel.mul(t, left, xv), yv))
+        return Element(
+            self.pres, kernel.product(t, (kernel.inv(t, xv), kernel.inv(t, yv), xv, yv))
+        )
 
     def order(self) -> int:
         """Smallest k >= 1 with self^k = 1; a p-power."""
+        t = self.pres._tables
         p = self.pres.prime
         ord_ = 1
-        x = self
-        while not x.is_identity:
-            x = x ** p
+        v = self.vec
+        while any(v):
+            v = kernel.power(t, v, p)
             ord_ *= p
         return ord_
 

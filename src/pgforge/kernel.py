@@ -1,10 +1,10 @@
 """The collection kernel, in pure Python.
 
 Normal forms are tuples of exponents (e_0, ..., e_{n-1}) with
-0 <= e_i < orders[i]; `mul`, `inv`, `power` and `collect` also take
-any other sequence of exponents as an operand, and return tuples.  Words
-are sequences of (generator, exponent) pairs with generator indices
-0-based and exponents >= 0.
+0 <= e_i < orders[i]; `mul`, `inv`, `power`, `product` and `collect`
+also take any other sequence of exponents as an operand, and return
+tuples.  Words are sequences of (generator, exponent) pairs with
+generator indices 0-based and exponents >= 0.
 
 BACKEND is always "python".  It is kept, as `pgforge.KERNEL_BACKEND` and
 as the reports' `kernel_backend`, so that those stay byte for byte what
@@ -62,7 +62,8 @@ into (1, 1), leaving x2^s where the closed form conjugates it.  So such
 tables take the tail tables or the collector, as every other table
 does.  Nothing in the argument asks r to be a unit mod o2, so a table on
 which x1 does not act on <x2> by an automorphism (never a consistent
-one) takes the closed form too.  `power` goes through `mul` and `inv`.
+one) takes the closed form too.  `power` goes through `mul` and `inv`
+here, and `product` applies the formula once per operand.
 
 Tail tables for every other table whose tables hold at most
 TAIL_TABLE_LIMIT entries (counted below).  Rank the normal vectors in lexicographic order and let G_i be
@@ -98,18 +99,38 @@ the syllable (i, orders[i] - e_i) brings a[i] to 0, so each step leaves
 a rank below |G_{i+1}| for the next, and the inverse's rank is the sum
 of its exponents k_i times |G_{i+1}|.
 
+Beside the F maps the tables hold the squaring table S: S[r] is the
+rank of `mul` of the r-th normal form by itself, |G| entries in all,
+filled in the same build once the F maps stand.  `power` takes each
+squaring of its square-and-multiply loop from S and each accumulator
+product as the F steps `mul` takes, on ranks.  Its output is what the
+loop of `mul` calls gives, on every table, consistent or not: that loop
+sets sq_0 = u and sq_{j+1} = mul(sq_j, sq_j), which depends on sq_j
+alone, so by induction S applied j times to u's rank is sq_j's rank;
+each accumulator product mul(acc, sq_j) is the same steps on the same
+ranks; and which products are taken depends on the bits of k only.
+
+`product(tables, vecs)` is vecs[0] * vecs[1] * ..., bracketed from the
+left as nested calls mul(mul(a, b), c) are.  On the tail tables it
+keeps the running product as a rank: `mul` answers elements[r] and the
+next `mul` looks r up again, so skipping that round trip leaves every
+step as it was.  On the closed form it applies `mul`'s formula to each
+operand in turn, and on the collector it chains `mul`.
+
 The tables depend on the presentation only, never on operands.  They
-are built in full on the first `mul` or `inv` that reaches them, never
-by `make_tables`, so a presentation that is only built, compared or
-collected pays nothing.  The build costs one collection per entry:
-7-14 ms for the 8 190 entries of the elementary abelian group of order
-4 096 (0.9 MB of tables), 14-28 ms for the 16 382 of order 8 192, and
+are built in full on the first `mul`, `inv`, `power` or `product` that
+reaches them, never by `make_tables`, so a presentation that is only
+built, compared or collected pays nothing.  The build costs one
+collection per entry: 7-14 ms for the 8 190 entries of the elementary
+abelian group of order 4 096 (0.9 MB of tables), 14-28 ms for the
+16 382 of order 8 192, and
 67 ms to 0.1 s for 8 190 entries on tables whose single syllables need
 long collections (python backend, 2-core x86-64 host, whose speed
-drifts by up to a half between runs).  The limit of 8 192 entries bounds
-that cost and the tables' size.  Above it, `mul` and `inv`
-keep the collector; `collect` always does.  Once the tables are built,
-every product is one of their tuples, and `_shared` hands out the tuple
+drifts by up to a half between runs); S adds |G| ranks, one `mul` per
+normal form.  The limit of 8 192 entries bounds that cost and the
+tables' size.  Above it, `mul`, `inv`, `power` and `product` keep the
+collector; `collect` always does.  Once the tables are built, every
+product is one of their tuples, and `_shared` hands out the tuple
 equal to a given normal form, so that `PcPresentation.element` holds it
 instead of a copy of its own.
 """
@@ -127,9 +148,9 @@ class KernelTables:
     """Flattened relation tables consumed by the collector.
 
     `_tails` holds the tail tables once built, () until then, and None
-    where `mul` and `inv` take the closed form or the collector.  Setting
-    it to None withholds the tables, which the tests do to keep the
-    collector under test."""
+    where `mul`, `inv`, `power` and `product` take the closed form or
+    the collector.  Setting it to None withholds the tables, which the
+    tests do to keep the collector under test."""
 
     __slots__ = ("n", "orders", "pows", "conjs", "identity",
                  "blockers", "rev_pows", "moves", "cyclic", "_tails")
@@ -188,10 +209,12 @@ class KernelTables:
         return o1, o2, s, tuple(R)
 
     def _tail_tables(self):
-        """Build, store and return (index, elements, sizes, steps): the
-        normal forms in lexicographic order and their ranks, sizes[i] =
-        |G_i| (sizes[n] = 1), and steps[i][e] = F_{i,e}: the rank of the
-        collector's output on the t-th vector times g_i^e at t."""
+        """Build, store and return (index, elements, sizes, steps,
+        squares): the normal forms in lexicographic order and their
+        ranks, sizes[i] = |G_i| (sizes[n] = 1), steps[i][e] = F_{i,e}:
+        the rank of the collector's output on the t-th vector times g_i^e
+        at t, and squares[r] = S[r], the rank of `mul` of the r-th vector
+        by itself."""
         orders = self.orders
         elements = tuple(itertools.product(*[range(m) for m in orders]))
         index = {v: r for r, v in enumerate(elements)}
@@ -209,7 +232,10 @@ class KernelTables:
                 F.append(ranks)
             steps.append(F)
             sizes.append(sizes[i] // m)
-        self._tails = index, elements, tuple(sizes), tuple(steps)
+        squares = []
+        self._tails = index, elements, tuple(sizes), tuple(steps), squares
+        # `mul` reads the F maps only, so S can be filled from it
+        squares.extend(index[mul(self, x, x)] for x in elements)
         return self._tails
 
 
@@ -305,7 +331,7 @@ def mul(tables, u, v):
         return a - o1, (b * R[c] + s + d) % o2
     tails = tables._tails
     if tails is not None:
-        index, elements, sizes, steps = tails or tables._tail_tables()
+        index, elements, sizes, steps, _ = tails or tables._tail_tables()
         try:
             r = index[u]
         except TypeError:  # an unhashable operand, such as a list
@@ -344,7 +370,7 @@ def inv(tables, u):
     orders = tables.orders
     tails = tables._tails
     if tails is not None:
-        index, elements, sizes, steps = tails or tables._tail_tables()
+        index, elements, sizes, steps, _ = tails or tables._tail_tables()
         try:
             r = index[u]
         except TypeError:  # an unhashable operand, such as a list
@@ -373,12 +399,38 @@ def inv(tables, u):
 def power(tables, u, k):
     """u^k by square and multiply, right to left.  The accumulator starts
     at the first set bit instead of at the identity, which saves the
-    products 1 * u^(2^j); k = +-1 costs no product."""
+    products 1 * u^(2^j); k = +-1 costs no product.  On the tail tables
+    each squaring is one read of S and each accumulator product one step
+    per nonzero entry of the square, on ranks."""
     if k < 0:
         u = inv(tables, u)
         k = -k
     if not k:
         return tables.identity
+    tails = tables._tails
+    if tails is not None:
+        index, elements, sizes, steps, squares = tails or tables._tail_tables()
+        try:
+            r = index[u]
+        except TypeError:  # an unhashable operand, such as a list
+            r = index[tuple(u)]
+        while not k & 1:
+            r = squares[r]
+            k >>= 1
+        acc = r
+        k >>= 1
+        while k:
+            r = squares[r]
+            if k & 1:
+                i = 0
+                for e in elements[r]:
+                    if e:
+                        s = sizes[i]
+                        t = acc % s
+                        acc += steps[i][e][t] - t
+                    i += 1
+            k >>= 1
+        return elements[acc]
     sq = tuple(u)
     while not k & 1:
         sq = mul(tables, sq, sq)
@@ -390,4 +442,46 @@ def power(tables, u, k):
         if k & 1:
             acc = mul(tables, acc, sq)
         k >>= 1
+    return acc
+
+
+def product(tables, vecs):
+    """The left-to-right product vecs[0] * vecs[1] * ... of one or more
+    normal forms, bracketed as nested `mul` calls are:
+    mul(mul(a, b), c) for (a, b, c).  The closed form is applied
+    operand by operand; on the tail tables the running product stays a
+    rank: one index lookup for the first operand, then one step per
+    nonzero entry of each later one."""
+    cyc = tables.cyclic
+    if cyc is not None:
+        o1, o2, s, R = cyc
+        a, b = vecs[0]
+        for c, d in vecs[1:]:
+            a += c
+            if a < o1:
+                b = (b * R[c] + d) % o2
+            else:
+                a -= o1
+                b = (b * R[c] + s + d) % o2
+        return a, b
+    tails = tables._tails
+    if tails is not None:
+        index, elements, sizes, steps, _ = tails or tables._tail_tables()
+        u = vecs[0]
+        try:
+            r = index[u]
+        except TypeError:  # an unhashable operand, such as a list
+            r = index[tuple(u)]
+        for v in vecs[1:]:
+            i = 0
+            for e in v:
+                if e:
+                    s = sizes[i]
+                    t = r % s
+                    r += steps[i][e][t] - t
+                i += 1
+        return elements[r]
+    acc = tuple(vecs[0])
+    for v in vecs[1:]:
+        acc = mul(tables, acc, v)
     return acc

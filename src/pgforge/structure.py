@@ -120,12 +120,12 @@ def _modulo(G: PcPresentation, N):
 def _conjugation(G: PcPresentation, N=None):
     """Conjugation of tuples of vectors, pt -> (x^-1 v x for v in pt),
     each conjugate reduced modulo N when one is given."""
-    t, mul = G._tables, kernel.mul
+    t, product = G._tables, kernel.product
     reduce = _modulo(G, N)
 
     def action(x):
         xinv = kernel.inv(t, x)
-        return lambda pt: tuple(reduce(mul(t, mul(t, xinv, v), x)) for v in pt)
+        return lambda pt: tuple(reduce(product(t, (xinv, v, x))) for v in pt)
 
     return action
 

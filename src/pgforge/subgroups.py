@@ -126,7 +126,7 @@ class _IgsBuilder:
                         ui = inverses.get(u)
                         if ui is None:
                             ui = inverses[u] = kernel.inv(t, u)
-                        c = conjugates[u, v] = kernel.mul(t, kernel.mul(t, ui, v), u)
+                        c = conjugates[u, v] = kernel.product(t, (ui, v, u))
                     residues.append(c)
             changed = False
             for r in residues:
@@ -325,11 +325,10 @@ def is_normal(S: Subgroup) -> bool:
     formed on vectors with each generator's inverse computed once."""
     P = S.pres
     t = P._tables
-    mul = kernel.mul
     for g in P.gens():
         ginv = kernel.inv(t, g.vec)
         for e in S.igs:
-            if _leading(_sift(t, S._table, mul(t, mul(t, ginv, e.vec), g.vec))) is not None:
+            if _leading(_sift(t, S._table, kernel.product(t, (ginv, e.vec, g.vec)))) is not None:
                 return False
     return True
 
@@ -548,7 +547,7 @@ def _lattice(G: PcPresentation, bottom: Subgroup, normal: bool):
     G.require_consistent()
     t = G._tables
     p = G.prime
-    mul, inv, power = kernel.mul, kernel.inv, kernel.power
+    mul, inv, power, product = kernel.mul, kernel.inv, kernel.power, kernel.product
     gens = [(g.vec, inv(t, g.vec)) for g in G.gens()]
     seen = {bottom.key(): bottom}
     frontier = [bottom]
@@ -572,7 +571,7 @@ def _lattice(G: PcPresentation, bottom: Subgroup, normal: bool):
                     ok = all(inside(mul(t, mul(t, xinv, ginv), mul(t, x, g)))
                              for g, ginv in gens)
                 else:
-                    ok = all(inside(mul(t, mul(t, xinv, u), x)) for u in igs)
+                    ok = all(inside(product(t, (xinv, u, x))) for u in igs)
                 if not ok:
                     continue
                 b = _IgsBuilder.of(S)

@@ -6,6 +6,8 @@ oracle: no precomputed tables, one pushed syllable per rewrite.  The
 kernel is checked against it on seeded random tables and on every corpus
 group, on each of its three paths: the closed form, the tail tables, and
 the collector, which the tests reach by withholding the tail tables.
+`kernel.product` is checked against nested `_reference_mul` calls, and
+the `Element` operations built on it against the same oracle.
 """
 
 import itertools
@@ -87,6 +89,13 @@ def _reference_inv(tables, u):
             word.append((i, k))
             z = _reference_collect(tables, z, ((i, k),))
     return _reference_collect(tables, tables.identity, word)
+
+
+def _reference_product(tables, vecs):
+    acc = tuple(vecs[0])
+    for v in vecs[1:]:
+        acc = _reference_mul(tables, acc, v)
+    return acc
 
 
 def _reference_power(tables, u, k):
@@ -188,6 +197,12 @@ def random_cases(rng, n, orders, count):
         ]
         u = tuple(rng.randrange(orders[i]) for i in range(n))
         yield vec, word, u, rng.randint(-12, 40)
+
+
+def random_operands(rng, orders):
+    """Zero to three random normal forms, for the tail of a product."""
+    return [tuple(rng.randrange(m) for m in orders)
+            for _ in range(rng.randint(0, 3))]
 
 
 def test_random_tables_cover_the_fusion_guard():
@@ -326,6 +341,8 @@ def _matches_reference_on_random_tables(seed, withhold):
             assert kernel.mul(t, vec, u) == _reference_mul(t, vec, u)
             assert kernel.inv(t, vec) == _reference_inv(t, vec)
             assert kernel.power(t, vec, k) == _reference_power(t, vec, k)
+            vecs = [vec, u, *random_operands(rng, orders)]
+            assert kernel.product(t, vecs) == _reference_product(t, vecs)
     return taken
 
 
@@ -365,6 +382,8 @@ def _matches_reference_on_corpus_groups(withhold):
             assert kernel.mul(t, u, v) == _reference_mul(t, u, v)
             assert kernel.inv(t, u) == _reference_inv(t, u)
             assert kernel.power(t, u, k) == _reference_power(t, u, k)
+            vecs = [u, v, *random_operands(rng, P.rel_orders)]
+            assert kernel.product(t, vecs) == _reference_product(t, vecs)
 
 
 def test_pure_kernel_matches_reference_on_corpus_groups():
@@ -403,17 +422,21 @@ def test_each_corpus_group_takes_its_kernel_path():
         if t._tails is not None:
             assert t._tails == ()
             kernel.mul(t, t.identity, t.identity)
-            assert len(t._tails) == 4
+            assert len(t._tails) == 5
     assert taken == {"closed form": CLOSED_FORM_CORPUS,
                      "tail tables": TAIL_TABLE_CORPUS, "collector": []}
 
 
 def _check_tail_tables(t):
     """Every entry of F_{i,e} against the plain collector on the single
-    syllable (i, e).  Returns whether some F_{i,e} differs from F_{i,1}
+    syllable (i, e), and every entry of S against its product of the
+    vector by itself.  Returns whether some F_{i,e} differs from F_{i,1}
     iterated e times, as on tables that present no group."""
-    index, elements, sizes, steps = t._tail_tables()
+    index, elements, sizes, steps, squares = t._tail_tables()
     assert [index[v] for v in elements] == list(range(len(elements)))
+    assert len(squares) == len(elements)
+    for r, u in enumerate(elements):
+        assert squares[r] == index[_reference_mul(t, u, u)], u
     assert sizes == tuple(math.prod(t.orders[i:]) for i in range(t.n + 1))
     iterated_differs = False
     for i, F in enumerate(steps):
@@ -461,6 +484,40 @@ def test_tail_tables_match_reference_on_every_pair(gid):
             assert kernel.mul(t, u, v) == _reference_mul(t, u, v), (u, v)
 
 
+@pytest.mark.parametrize("gid", TAIL_TABLE_CORPUS)
+def test_power_matches_reference_on_every_element(gid):
+    """Every element to every exponent -50..50: the squarings read S, the
+    accumulator products step the tail tables."""
+    t = dict(_corpus_tables())[gid]
+    assert _paths(t) == "tail tables"
+    for u in itertools.product(*[range(m) for m in t.orders]):
+        for k in range(-50, 51):
+            assert kernel.power(t, u, k) == _reference_power(t, u, k), (u, k)
+
+
+@pytest.mark.parametrize("gid", ["d16xc2", "wreath-81"])
+def test_element_operations_match_reference(gid):
+    """`Element.order` on every element, `conjugate` and `commutator` on
+    every pair, against the plain collector."""
+    from pgforge import corpus
+
+    G = {e.id: e for e in corpus.builtin_corpus(validate=False)}[gid].presentation
+    t = kernel.make_tables(G.n_gens, G.rel_orders, G.pow_words, G.conj_words)
+    elements = list(G.elements())
+    for x in elements:
+        v, order = x.vec, 1
+        while any(v):
+            v = _reference_power(t, v, G.prime)
+            order *= G.prime
+        assert x.order() == order, x
+        xinv = _reference_inv(t, x.vec)
+        for y in elements:
+            yinv = _reference_inv(t, y.vec)
+            assert x.conjugate(y).vec == _reference_product(t, [yinv, x.vec, y.vec])
+            assert x.commutator(y).vec == _reference_product(
+                t, [xinv, yinv, x.vec, y.vec]), (x, y)
+
+
 def test_shared_hands_out_the_tail_tables_tuples():
     """`_shared` returns its argument until the tail tables are built and
     on the other paths, and the tables' equal tuple after;
@@ -490,8 +547,8 @@ def test_shared_hands_out_the_tail_tables_tuples():
                                        ("wreath-81", "tail tables"),
                                        ("wreath-81", "collector")])
 def test_list_operands_give_the_tuple_results(gid, path):
-    """`mul`, `inv` and `power` take lists as well as tuples and answer
-    with the same tuples, on every path."""
+    """`mul`, `inv`, `power` and `product` take lists as well as tuples
+    and answer with the same tuples, on every path."""
     t = dict(_corpus_tables())[gid]
     if path == "collector":
         t._tails = None
@@ -506,7 +563,10 @@ def test_list_operands_give_the_tuple_results(gid, path):
         for got, want in [(kernel.mul(t, list(u), list(v)), _reference_mul(t, u, v)),
                           (kernel.mul(t, list(u), v), _reference_mul(t, u, v)),
                           (kernel.inv(t, list(u)), _reference_inv(t, u)),
-                          (kernel.power(t, list(u), k), _reference_power(t, u, k))]:
+                          (kernel.power(t, list(u), k), _reference_power(t, u, k)),
+                          (kernel.product(t, [list(u), list(v), u]),
+                           _reference_product(t, [u, v, u])),
+                          (kernel.product(t, (list(u),)), u)]:
             assert type(got) is tuple and got == want, (u, v, k)
 
 

@@ -62,8 +62,8 @@ into (1, 1), leaving x2^s where the closed form conjugates it.  So such
 tables take the tail tables or the collector, as every other table
 does.  Nothing in the argument asks r to be a unit mod o2, so a table on
 which x1 does not act on <x2> by an automorphism (never a consistent
-one) takes the closed form too.  `power` goes through `mul` and `inv`
-here, and `product` applies the formula once per operand.
+one) takes the closed form too.  `power` and `product` go through
+`mul` and `inv` here.
 
 Tail tables for every other table whose tables hold at most
 TAIL_TABLE_LIMIT entries (counted below).  Rank the normal vectors in lexicographic order and let G_i be
@@ -101,21 +101,21 @@ of its exponents k_i times |G_{i+1}|.
 
 Beside the F maps the tables hold the squaring table S: S[r] is the
 rank of `mul` of the r-th normal form by itself, |G| entries in all,
-filled in the same build once the F maps stand.  `power` takes each
-squaring of its square-and-multiply loop from S and each accumulator
-product as the F steps `mul` takes, on ranks.  Its output is what the
-loop of `mul` calls gives, on every table, consistent or not: that loop
-sets sq_0 = u and sq_{j+1} = mul(sq_j, sq_j), which depends on sq_j
-alone, so by induction S applied j times to u's rank is sq_j's rank;
-each accumulator product mul(acc, sq_j) is the same steps on the same
-ranks; and which products are taken depends on the bits of k only.
+computed from the F maps in the same build, before the tables are
+stored.  `power` takes each squaring of its square-and-multiply loop
+from S and each accumulator product as the F steps `mul` takes, on
+ranks.  Its output is what the loop of `mul` calls gives, on every
+table, consistent or not: that loop sets sq_0 = u and
+sq_{j+1} = mul(sq_j, sq_j), which depends on sq_j alone, so by
+induction S applied j times to u's rank is sq_j's rank; each
+accumulator product mul(acc, sq_j) is the same steps on the same ranks;
+and which products are taken depends on the bits of k only.
 
 `product(tables, vecs)` is vecs[0] * vecs[1] * ..., bracketed from the
 left as nested calls mul(mul(a, b), c) are.  On the tail tables it
 keeps the running product as a rank: `mul` answers elements[r] and the
 next `mul` looks r up again, so skipping that round trip leaves every
-step as it was.  On the closed form it applies `mul`'s formula to each
-operand in turn, and on the collector it chains `mul`.
+step as it was.  On the closed form and the collector it chains `mul`.
 
 The tables depend on the presentation only, never on operands.  They
 are built in full on the first `mul`, `inv`, `power` or `product` that
@@ -232,10 +232,9 @@ class KernelTables:
                 F.append(ranks)
             steps.append(F)
             sizes.append(sizes[i] // m)
-        squares = []
-        self._tails = index, elements, tuple(sizes), tuple(steps), squares
-        # `mul` reads the F maps only, so S can be filled from it
-        squares.extend(index[mul(self, x, x)] for x in elements)
+        sizes = tuple(sizes)
+        squares = tuple(_step(sizes, steps, r, x) for r, x in enumerate(elements))
+        self._tails = index, elements, sizes, tuple(steps), squares
         return self._tails
 
 
@@ -249,6 +248,28 @@ def _shared(tables, vec):
     made from a vector can hold one too instead of a copy."""
     tails = tables._tails
     return tails[1][tails[0][vec]] if tails else vec
+
+
+def _rank(index, u):
+    """The rank of the normal form u, given as a tuple or as any other
+    sequence, on the tail tables."""
+    try:
+        return index[u]
+    except TypeError:  # an unhashable operand, such as a list
+        return index[tuple(u)]
+
+
+def _step(sizes, steps, r, v):
+    """The rank of the r-th normal form times v on the tail tables: one
+    F step per nonzero entry of v."""
+    i = 0
+    for e in v:
+        if e:
+            s = sizes[i]
+            t = r % s
+            r += steps[i][e][t] - t
+        i += 1
+    return r
 
 
 def _run(tables, a, stack):
@@ -332,6 +353,7 @@ def mul(tables, u, v):
     tails = tables._tails
     if tails is not None:
         index, elements, sizes, steps, _ = tails or tables._tail_tables()
+        # `_rank` and `_step` inlined: calling them costs `mul` a tenth
         try:
             r = index[u]
         except TypeError:  # an unhashable operand, such as a list
@@ -410,10 +432,7 @@ def power(tables, u, k):
     tails = tables._tails
     if tails is not None:
         index, elements, sizes, steps, squares = tails or tables._tail_tables()
-        try:
-            r = index[u]
-        except TypeError:  # an unhashable operand, such as a list
-            r = index[tuple(u)]
+        r = _rank(index, u)
         while not k & 1:
             r = squares[r]
             k >>= 1
@@ -422,13 +441,7 @@ def power(tables, u, k):
         while k:
             r = squares[r]
             if k & 1:
-                i = 0
-                for e in elements[r]:
-                    if e:
-                        s = sizes[i]
-                        t = acc % s
-                        acc += steps[i][e][t] - t
-                    i += 1
+                acc = _step(sizes, steps, acc, elements[r])
             k >>= 1
         return elements[acc]
     sq = tuple(u)
@@ -448,38 +461,16 @@ def power(tables, u, k):
 def product(tables, vecs):
     """The left-to-right product vecs[0] * vecs[1] * ... of one or more
     normal forms, bracketed as nested `mul` calls are:
-    mul(mul(a, b), c) for (a, b, c).  The closed form is applied
-    operand by operand; on the tail tables the running product stays a
-    rank: one index lookup for the first operand, then one step per
-    nonzero entry of each later one."""
-    cyc = tables.cyclic
-    if cyc is not None:
-        o1, o2, s, R = cyc
-        a, b = vecs[0]
-        for c, d in vecs[1:]:
-            a += c
-            if a < o1:
-                b = (b * R[c] + d) % o2
-            else:
-                a -= o1
-                b = (b * R[c] + s + d) % o2
-        return a, b
+    mul(mul(a, b), c) for (a, b, c).  On the tail tables the running
+    product stays a rank: one index lookup for the first operand, then
+    one step per nonzero entry of each later one.  Elsewhere it chains
+    `mul`."""
     tails = tables._tails
     if tails is not None:
         index, elements, sizes, steps, _ = tails or tables._tail_tables()
-        u = vecs[0]
-        try:
-            r = index[u]
-        except TypeError:  # an unhashable operand, such as a list
-            r = index[tuple(u)]
+        r = _rank(index, vecs[0])
         for v in vecs[1:]:
-            i = 0
-            for e in v:
-                if e:
-                    s = sizes[i]
-                    t = r % s
-                    r += steps[i][e][t] - t
-                i += 1
+            r = _step(sizes, steps, r, v)
         return elements[r]
     acc = tuple(vecs[0])
     for v in vecs[1:]:

@@ -200,7 +200,9 @@ def random_cases(rng, n, orders, count):
 
 
 def random_operands(rng, orders):
-    """Zero to three random normal forms, for the tail of a product."""
+    """Zero to three random normal forms, for the tail of a product.  The
+    tests draw them from a generator of their own, so that the tables and
+    cases drawn beside them stay those drawn without them."""
     return [tuple(rng.randrange(m) for m in orders)
             for _ in range(rng.randint(0, 3))]
 
@@ -329,6 +331,7 @@ def _paths(t):
 def _matches_reference_on_random_tables(seed, withhold):
     """Returns how many draws took each path."""
     rng = random.Random(seed)
+    ops = random.Random(seed + 1000)
     taken = {"closed form": 0, "tail tables": 0, "collector": 0}
     for _ in range(100):
         n, orders, pows, conjs = random_tables(rng)
@@ -341,7 +344,7 @@ def _matches_reference_on_random_tables(seed, withhold):
             assert kernel.mul(t, vec, u) == _reference_mul(t, vec, u)
             assert kernel.inv(t, vec) == _reference_inv(t, vec)
             assert kernel.power(t, vec, k) == _reference_power(t, vec, k)
-            vecs = [vec, u, *random_operands(rng, orders)]
+            vecs = [vec, u, *random_operands(ops, orders)]
             assert kernel.product(t, vecs) == _reference_product(t, vecs)
     return taken
 
@@ -364,6 +367,7 @@ def _matches_reference_on_corpus_groups(withhold):
     from pgforge import corpus
 
     rng = random.Random(98)
+    ops = random.Random(1098)
     for entry in corpus.builtin_corpus(validate=False):
         P = entry.presentation
         n = P.n_gens
@@ -382,7 +386,7 @@ def _matches_reference_on_corpus_groups(withhold):
             assert kernel.mul(t, u, v) == _reference_mul(t, u, v)
             assert kernel.inv(t, u) == _reference_inv(t, u)
             assert kernel.power(t, u, k) == _reference_power(t, u, k)
-            vecs = [u, v, *random_operands(rng, P.rel_orders)]
+            vecs = [u, v, *random_operands(ops, P.rel_orders)]
             assert kernel.product(t, vecs) == _reference_product(t, vecs)
 
 
@@ -516,6 +520,27 @@ def test_element_operations_match_reference(gid):
             assert x.conjugate(y).vec == _reference_product(t, [yinv, x.vec, y.vec])
             assert x.commutator(y).vec == _reference_product(
                 t, [xinv, yinv, x.vec, y.vec]), (x, y)
+
+
+def test_an_interrupted_build_stores_no_tables(monkeypatch):
+    """A build stopped while it fills S leaves `_tails` at (), so the
+    next call builds the tables in full instead of reading a short S."""
+    t = dict(_corpus_tables())["wreath-81"]
+    assert t._tails == ()
+    step = kernel._step
+
+    def interrupted(sizes, steps, r, v):
+        if r == 40:
+            raise KeyboardInterrupt
+        return step(sizes, steps, r, v)
+
+    monkeypatch.setattr(kernel, "_step", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        kernel.power(t, t.identity, 2)
+    assert t._tails == ()
+    monkeypatch.setattr(kernel, "_step", step)
+    for u in itertools.product(*[range(m) for m in t.orders]):
+        assert kernel.power(t, u, 2) == _reference_power(t, u, 2), u
 
 
 def test_shared_hands_out_the_tail_tables_tuples():

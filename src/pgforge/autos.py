@@ -912,13 +912,17 @@ def _socle_decomposition(H, Z, d, case_two):
             span.add(x.vec)
     if len(picks) != target:
         raise DomainError("socle decomposition failed to span")
-    if case_two:
-        big = max(H.elements(), key=lambda e: (e.order(), e.vec))
-        picks.append(big)
-    else:
-        zgen = max(Z.elements(), key=lambda e: (e.order(), e.vec))
-        picks.append(zgen)
+    picks.append(_top_order_pick(H if case_two else Z))
     return picks
+
+
+def _top_order_pick(K):
+    """The element of K of largest order, the largest vec among those.
+    K is abelian, so that order is its exponent, the largest order on its
+    IGS, and the first element of it in descending vec order is the pick."""
+    exponent = max((u.order() for u in K.igs), default=1)
+    return next(x for x in sorted(K.elements(), key=lambda e: e.vec, reverse=True)
+                if x.order() == exponent)
 
 
 def liebeck_sigma(G: PcPresentation, r: int, s: int,

@@ -72,15 +72,16 @@ those that are zero left of index i: they are the first
 mod |G_i| is the rank of its tail a[i:].  For each generator i and
 exponent 1 <= e < orders[i] the tables hold F_{i,e}, which sends the
 rank of each y in G_i to the rank of the collector's normal form of
-y * g_i^e.  `mul` and `inv` read their answers from these maps, and the
-answers are the collector's on every table, consistent or not:
+y * g_i^e.  `mul` and the build of `inv`'s table read their answers
+from these maps, and the answers are the collector's on every table,
+consistent or not:
 
 (a) `_run` finishes a popped syllable, and everything that syllable
     pushes, before it pops the syllable below it: the stack is last in,
     first out.  `mul(u, v)` pushes (0, v_0) on top of (1, v_1), and so
     on, so its output is u with the single syllables (0, v_0),
     (1, v_1), ... collected in that order, each on the vector the one
-    before left.  `inv` already collects its syllables
+    before left.  `inv`'s loop already collects its syllables
     (i, orders[i] - e_i) one at a time.
 (b) Collecting a syllable (j, e) reads and writes a[j] and a[k] for
     k > j only, and pushes only syllables of index >= j: conjugate and
@@ -94,10 +95,11 @@ answers are the collector's on every table, consistent or not:
 
 So one syllable (i, e) on a rank r is the step r += F_{i,e}[t] - t
 with t = r mod |G_i|, and `mul` is a dict lookup of u's rank, one step
-per nonzero entry of v, and an index into the normal forms.  In `inv`
-the syllable (i, orders[i] - e_i) brings a[i] to 0, so each step leaves
-a rank below |G_{i+1}| for the next, and the inverse's rank is the sum
-of its exponents k_i times |G_{i+1}|.
+per nonzero entry of v, and an index into the normal forms.  The
+build runs `inv`'s loop on ranks (`_inverse_rank`): the syllable
+(i, orders[i] - e_i) brings a[i] to 0, so each step leaves a rank below
+|G_{i+1}| for the next, and the inverse's rank is the sum of its
+exponents k_i times |G_{i+1}|.
 
 Beside the F maps the tables hold the squaring table S: S[r] is the
 rank of `mul` of the r-th normal form by itself, |G| entries in all,
@@ -110,6 +112,16 @@ sq_{j+1} = mul(sq_j, sq_j), which depends on sq_j alone, so by
 induction S applied j times to u's rank is sq_j's rank; each
 accumulator product mul(acc, sq_j) is the same steps on the same ranks;
 and which products are taken depends on the bits of k only.
+
+The tables hold the inverse table I too: I[r] is the rank of `inv` of
+the r-th normal form, |G| entries, built with S by `_inverse_rank` as
+above.  That loop reads u's rank and the F maps alone, so `inv`
+answers elements[I[rank(u)]], the collector's output on every table,
+consistent or not.  `power` with k < 0 squares and multiplies
+from inv(u), whose rank is I[rank(u)]: starting from that rank rather
+than from inv(u)'s tuple, whose lookup gives the same rank, leaves
+every later step as it is.  The closed form and the collector invert u
+first.
 
 `product(tables, vecs)` is vecs[0] * vecs[1] * ..., bracketed from the
 left as nested calls mul(mul(a, b), c) are.  On the tail tables it
@@ -126,10 +138,10 @@ abelian group of order 4 096 (0.9 MB of tables), 14-28 ms for the
 16 382 of order 8 192, and
 67 ms to 0.1 s for 8 190 entries on tables whose single syllables need
 long collections (python backend, 2-core x86-64 host, whose speed
-drifts by up to a half between runs); S adds |G| ranks, one `mul` per
-normal form.  The limit of 8 192 entries bounds that cost and the
-tables' size.  Above it, `mul`, `inv`, `power` and `product` keep the
-collector; `collect` always does.  Once the tables are built, every
+drifts by up to a half between runs); S and I add |G| ranks each, one
+`mul` and one walk of `inv`'s loop per normal form.  The limit of 8 192
+entries bounds that cost and the tables' size.  Above it, `mul`, `inv`,
+`power` and `product` keep the collector; `collect` always does.  Once the tables are built, every
 product is one of their tuples, and `_shared` hands out the tuple
 equal to a given normal form, so that `PcPresentation.element` holds it
 instead of a copy of its own.
@@ -210,11 +222,12 @@ class KernelTables:
 
     def _tail_tables(self):
         """Build, store and return (index, elements, sizes, steps,
-        squares): the normal forms in lexicographic order and their
-        ranks, sizes[i] = |G_i| (sizes[n] = 1), steps[i][e] = F_{i,e}:
-        the rank of the collector's output on the t-th vector times g_i^e
-        at t, and squares[r] = S[r], the rank of `mul` of the r-th vector
-        by itself."""
+        squares, inverses): the normal forms in lexicographic order and
+        their ranks, sizes[i] = |G_i| (sizes[n] = 1), steps[i][e] =
+        F_{i,e}: the rank of the collector's output on the t-th vector
+        times g_i^e at t, squares[r] = S[r], the rank of `mul` of the
+        r-th vector by itself, and inverses[r] = I[r], the rank of `inv`
+        of the r-th vector."""
         orders = self.orders
         elements = tuple(itertools.product(*[range(m) for m in orders]))
         index = {v: r for r, v in enumerate(elements)}
@@ -234,7 +247,9 @@ class KernelTables:
             sizes.append(sizes[i] // m)
         sizes = tuple(sizes)
         squares = tuple(_step(sizes, steps, r, x) for r, x in enumerate(elements))
-        self._tails = index, elements, sizes, tuple(steps), squares
+        inverses = tuple(_inverse_rank(orders, sizes, steps, r)
+                         for r in range(len(elements)))
+        self._tails = index, elements, sizes, tuple(steps), squares, inverses
         return self._tails
 
 
@@ -270,6 +285,21 @@ def _step(sizes, steps, r, v):
             r += steps[i][e][t] - t
         i += 1
     return r
+
+
+def _inverse_rank(orders, sizes, steps, r):
+    """The rank of `inv` of the r-th normal form on the tail tables:
+    clear a[i] from the lowest index up with the step (i, m_i - e_i),
+    summing k_i * |G_{i+1}|."""
+    out = 0
+    for i, m in enumerate(orders):
+        q = sizes[i + 1]
+        e = r // q
+        if e:
+            k = m - e
+            out += k * q
+            r = steps[i][k][r]
+    return out
 
 
 def _run(tables, a, stack):
@@ -352,7 +382,7 @@ def mul(tables, u, v):
         return a - o1, (b * R[c] + s + d) % o2
     tails = tables._tails
     if tails is not None:
-        index, elements, sizes, steps, _ = tails or tables._tail_tables()
+        index, elements, sizes, steps, _, _ = tails or tables._tail_tables()
         # `_rank` and `_step` inlined: calling them costs `mul` a tenth
         try:
             r = index[u]
@@ -380,6 +410,8 @@ def inv(tables, u):
     The appended syllables have increasing indices and exponents
     0 < k < orders[i], so the word already is a normal form: its
     exponents are the inverse's vector, with no collection left to do.
+    On the tail tables that loop ran once per normal form in the build,
+    and `inv` reads its answer from I.
     """
     cyc = tables.cyclic
     if cyc is not None:
@@ -389,23 +421,11 @@ def inv(tables, u):
         if not a:
             return 0, -b % o2
         return o1 - a, -(b * R[o1 - a] + s) % o2
-    orders = tables.orders
     tails = tables._tails
     if tails is not None:
-        index, elements, sizes, steps, _ = tails or tables._tail_tables()
-        try:
-            r = index[u]
-        except TypeError:  # an unhashable operand, such as a list
-            r = index[tuple(u)]
-        out = 0
-        for i in range(tables.n):
-            q = sizes[i + 1]
-            e = r // q
-            if e:
-                k = orders[i] - e
-                out += k * q
-                r = steps[i][k][r]
-        return elements[out]
+        index, elements, _, _, _, inverses = tails or tables._tail_tables()
+        return elements[inverses[_rank(index, u)]]
+    orders = tables.orders
     z = list(u)
     a = [0] * tables.n
     for i in range(tables.n):
@@ -423,16 +443,18 @@ def power(tables, u, k):
     at the first set bit instead of at the identity, which saves the
     products 1 * u^(2^j); k = +-1 costs no product.  On the tail tables
     each squaring is one read of S and each accumulator product one step
-    per nonzero entry of the square, on ranks."""
-    if k < 0:
-        u = inv(tables, u)
-        k = -k
+    per nonzero entry of the square, on ranks; k < 0 starts from u's
+    entry of I."""
     if not k:
         return tables.identity
     tails = tables._tails
     if tails is not None:
-        index, elements, sizes, steps, squares = tails or tables._tail_tables()
+        index, elements, sizes, steps, squares, inverses = \
+            tails or tables._tail_tables()
         r = _rank(index, u)
+        if k < 0:
+            r = inverses[r]
+            k = -k
         while not k & 1:
             r = squares[r]
             k >>= 1
@@ -444,6 +466,9 @@ def power(tables, u, k):
                 acc = _step(sizes, steps, acc, elements[r])
             k >>= 1
         return elements[acc]
+    if k < 0:
+        u = inv(tables, u)
+        k = -k
     sq = tuple(u)
     while not k & 1:
         sq = mul(tables, sq, sq)
@@ -467,7 +492,7 @@ def product(tables, vecs):
     `mul`."""
     tails = tables._tails
     if tails is not None:
-        index, elements, sizes, steps, _ = tails or tables._tail_tables()
+        index, elements, sizes, steps, _, _ = tails or tables._tail_tables()
         r = _rank(index, vecs[0])
         for v in vecs[1:]:
             r = _step(sizes, steps, r, v)

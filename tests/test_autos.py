@@ -410,6 +410,30 @@ def test_socle_decomposition_picks_only_involutions():
     assert [x.vec for x in picks] == [(0, 1), (2, 0), (0, 0)]
 
 
+def test_top_order_pick_matches_the_order_vec_sweep(monkeypatch):
+    """The last pick of every socle decomposition that thm-2.6 makes on
+    the corpus, and the pick from that call's Z, is the maximum of all
+    the elements by (order, vec)."""
+    from pgforge import autos, harness
+
+    calls = []
+    decompose = autos._socle_decomposition
+
+    def recorded(H, Z, d, case_two):
+        picks = decompose(H, Z, d, case_two)
+        calls.append((H, Z, case_two, picks[-1]))
+        return picks
+
+    monkeypatch.setattr(autos, "_socle_decomposition", recorded)
+    harness.run_all(check_ids=["thm-2.6"])
+    assert len(calls) == 6
+    for H, Z, case_two, last in calls:
+        for K in (H, Z):
+            swept = max(K.elements(), key=lambda e: (e.order(), e.vec))
+            assert autos._top_order_pick(K) == swept, K
+        assert last == autos._top_order_pick(H if case_two else Z)
+
+
 def test_scan_rejects_abelian():
     with pytest.raises(HypothesesUnmet):
         coset_shift_scan(corpus.abelian(2, [1, 1]).presentation)

@@ -426,21 +426,23 @@ def test_each_corpus_group_takes_its_kernel_path():
         if t._tails is not None:
             assert t._tails == ()
             kernel.mul(t, t.identity, t.identity)
-            assert len(t._tails) == 5
+            assert len(t._tails) == 6
     assert taken == {"closed form": CLOSED_FORM_CORPUS,
                      "tail tables": TAIL_TABLE_CORPUS, "collector": []}
 
 
 def _check_tail_tables(t):
     """Every entry of F_{i,e} against the plain collector on the single
-    syllable (i, e), and every entry of S against its product of the
-    vector by itself.  Returns whether some F_{i,e} differs from F_{i,1}
-    iterated e times, as on tables that present no group."""
-    index, elements, sizes, steps, squares = t._tail_tables()
+    syllable (i, e), every entry of S against its product of the vector
+    by itself, and every entry of I against its inverse.  Returns whether
+    some F_{i,e} differs from F_{i,1} iterated e times, as on tables that
+    present no group."""
+    index, elements, sizes, steps, squares, inverses = t._tail_tables()
     assert [index[v] for v in elements] == list(range(len(elements)))
-    assert len(squares) == len(elements)
+    assert len(squares) == len(inverses) == len(elements)
     for r, u in enumerate(elements):
         assert squares[r] == index[_reference_mul(t, u, u)], u
+        assert inverses[r] == index[_reference_inv(t, u)], u
     assert sizes == tuple(math.prod(t.orders[i:]) for i in range(t.n + 1))
     iterated_differs = False
     for i, F in enumerate(steps):
@@ -541,6 +543,28 @@ def test_an_interrupted_build_stores_no_tables(monkeypatch):
     monkeypatch.setattr(kernel, "_step", step)
     for u in itertools.product(*[range(m) for m in t.orders]):
         assert kernel.power(t, u, 2) == _reference_power(t, u, 2), u
+
+
+def test_a_build_interrupted_while_it_fills_i_stores_no_tables(monkeypatch):
+    """A build stopped while it fills I, after S is complete, also leaves
+    `_tails` at (), and the next `inv` builds the tables in full."""
+    t = dict(_corpus_tables())["wreath-81"]
+    assert t._tails == ()
+    inverse_rank = kernel._inverse_rank
+
+    def interrupted(orders, sizes, steps, r):
+        if r == 40:
+            raise KeyboardInterrupt
+        return inverse_rank(orders, sizes, steps, r)
+
+    monkeypatch.setattr(kernel, "_inverse_rank", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        kernel.inv(t, t.identity)
+    assert t._tails == ()
+    monkeypatch.setattr(kernel, "_inverse_rank", inverse_rank)
+    for u in itertools.product(*[range(m) for m in t.orders]):
+        assert kernel.inv(t, u) == _reference_inv(t, u), u
+    assert len(t._tails) == 6
 
 
 def test_shared_hands_out_the_tail_tables_tuples():

@@ -25,8 +25,9 @@ from pgforge.core import Element, PcPresentation
 from pgforge.errors import (CapExceeded, DomainError, HypothesesUnmet,
                             MixedPresentationError)
 from pgforge import structure
-from pgforge.subgroups import (Subgroup, _coset_rep, _IgsBuilder, _leading,
-                               first_outside, quotient, subgroup_closure)
+from pgforge.subgroups import (Subgroup, _coset_rep, _IgsBuilder, _leading, _sift,
+                               coset_layers, first_outside, frattini_closure,
+                               quotient, subgroup_closure)
 
 
 class Automorphism:
@@ -179,38 +180,21 @@ def _relation_targets(G: PcPresentation, t, images, i):
 
 
 def generates(G: PcPresentation, elements) -> bool:
-    """Whether the elements generate G, by Burnside's basis theorem: they
-    do exactly when their images span G/frattini(G), an F_p-space whose
-    coordinates are the exponents of the quotient presentation."""
+    """Whether the elements generate G.  By Burnside's basis theorem they
+    do exactly when they and frattini(G) generate G, which is decided by
+    one sift per element (`_vecs_generate`)."""
     return _vecs_generate(G, [x.vec for x in elements])
 
 
 def _vecs_generate(G: PcPresentation, vecs) -> bool:
-    """`generates` on exponent vectors of G."""
-    Qp, project = structure.frattini_quotient(G)
-    return _rank_mod_p([list(project(v)) for v in vecs], G.prime) == Qp.n_gens
-
-
-def _rank_mod_p(rows, p):
-    """Rank over F_p of integer row vectors, by elimination in place."""
-    rank = 0
-    width = len(rows[0]) if rows else 0
-    for c in range(width):
-        for r in range(rank, len(rows)):
-            if rows[r][c] % p:
-                break
-        else:
-            continue
-        rows[rank], rows[r] = rows[r], rows[rank]
-        pivot = rows[rank]
-        inv = pow(pivot[c], -1, p)
-        for row in rows[rank + 1:]:
-            f = row[c] * inv % p
-            if f:
-                for k in range(c, width):
-                    row[k] = (row[k] - f * pivot[k]) % p
-        rank += 1
-    return rank
+    """`generates` on exponent vectors of G: frattini(G)'s IGS table,
+    extended by each vector, reaches order |G|.  Every subgroup above
+    frattini(G) is normal with x^p inside it, so each vector extends the
+    table without a closure (`_IgsBuilder.of`)."""
+    b = _IgsBuilder.of(frattini_closure(G))
+    for v in vecs:
+        b.add(v)
+    return b.order() == G.order
 
 
 def make_automorphism(G: PcPresentation, images) -> Automorphism:
@@ -448,6 +432,16 @@ def _search_pools(G: PcPresentation, fixed: Subgroup, caps):
     return pools
 
 
+def _basis_levels(G: PcPresentation):
+    """For each index i, whether x_i lies outside the span of frattini(G)
+    and x_(i+1), ..., x_n.  It lies inside exactly when some element of
+    frattini(G) has leading index i and exponent 1 there, that is, when
+    frattini(G)'s coset layer at i is 1; so the basis levels are the
+    layers of size p, whose generators form the basis of G/frattini(G)
+    that `structure.maximal_subgroups` also reads."""
+    return [l > 1 for l in coset_layers(frattini_closure(G))]
+
+
 def _fixing_leaves(G: PcPresentation, fixed: Subgroup, pools):
     """The image-vector tuples of the automorphisms that fix the subgroup
     `fixed` pointwise and send each generator g_i into pools[i], yielded
@@ -457,82 +451,91 @@ def _fixing_leaves(G: PcPresentation, fixed: Subgroup, pools):
     x_i read only the images of x_i..x_n.  So the valid suffixes, the
     images of x2..xn, are found in full and sorted first: a backtracking
     descent from the highest index down to x2, with no Element objects in
-    the loop, each pooled image paired once with its inverse, its
-    rel_orders[i]-th power and its coordinates modulo frattini(G).  Then
-    x1's pool is walked in sorted order, each candidate against every
-    suffix in order, and a leaf is yielded as soon as it passes; x1's
-    entries are computed only as the walk reaches them, and its rank test
-    once per coordinate row, against an echelon basis kept with each
-    suffix.  A caller that stops early never pays for the rest of the
-    walk.
+    the loop, each pooled image paired once with its inverse and its
+    rel_orders[i]-th power.  Then x1's pool is walked in sorted order,
+    each candidate against every suffix in order, and a leaf is yielded
+    as soon as it passes; x1's entries are computed only as the walk
+    reaches them.  A caller that stops early never pays for the rest of
+    the walk.
 
     At each level the power and conjugation relations of x_i are checked
     on the assigned suffix.  What they require of x_i's image depends on
     the suffix alone (`_relation_targets`), so it is formed once per
-    parent node, and once per suffix at x1, not once per candidate.  A
-    node is pruned when the images of indices i..n-1 span a smaller space
-    modulo frattini(G) than the generators do: an automorphism induces an
-    invertible map on G/frattini(G), which keeps that rank.  At the root this proves generation (Burnside's basis
-    theorem), so a leaf that fixes `fixed`'s IGS is an automorphism
-    without further validation; the test suite keeps the re-validating
-    search and the eager descent as its oracles.  No commutator check is
-    needed when `fixed` contains frattini(G): such a leaf maps each
-    [x_i, x_j], which lies in frattini(G), to itself."""
-    p = G.prime
+    parent node, and once per suffix at x1, not once per candidate.
+
+    Generation is decided by the IGS sift.  The descent carries the table
+    of frattini(G) and the images assigned so far at basis levels
+    (`_basis_levels`); every subgroup above frattini(G) is normal with
+    x^p inside it, so an image extends the table without a closure
+    (`_IgsBuilder.of`).  At a basis level a candidate is pruned unless it
+    extends its parent's table; other levels reuse the parent's table,
+    and each suffix keeps its table.  x1's test reads only its coset
+    modulo frattini(G), so it is one sift per coset against each suffix's
+    table.
+
+    The prune drops no automorphism: an automorphism induces an invertible
+    linear map on G/frattini(G), so it sends the basis of the generators
+    at the basis levels to a basis, and each of those images lies outside
+    the span of frattini(G) and the images at the later basis levels.  A
+    leaf is an automorphism without further validation: at the root the
+    d images at the basis levels are independent modulo frattini(G), so
+    they span G/frattini(G) and generate G (Burnside's basis theorem), and
+    a map that keeps the relations and is onto is an automorphism.  The
+    test suite keeps the re-validating search and the eager descent as
+    its oracles.  No commutator check is needed when `fixed` contains
+    frattini(G): such a leaf maps each [x_i, x_j], which lies in
+    frattini(G), to itself."""
     n = G.n_gens
     if n == 0:
         yield ()
         return
     t = G._tables
-    _, project = structure.frattini_quotient(G)
+    phi = frattini_closure(G)._table
+    basis = _basis_levels(G)
 
     def entry(h, m):
-        return h, kernel.inv(t, h), kernel.power(t, h, m), list(project(h))
+        return h, kernel.inv(t, h), kernel.power(t, h, m)
 
-    coords = [list(project(g)) for g in _gen_vecs(n)]
-    target = [_rank_mod_p([list(r) for r in coords[i:]], p) for i in range(n)]
+    def extended(table, h):
+        """The table extended by h, or None where h lies in its span."""
+        b = _IgsBuilder(G)
+        b.table = list(table)
+        return b.table if b.add(h) else None
+
     fixed_igs = [u.vec for u in fixed.igs]
     cand = [None] + [[entry(h, m) for h in pool]
                      for pool, m in zip(pools[1:], G.rel_orders[1:])]
     images = [None] * n
-    rows = [None] * n
     suffixes = []
 
-    def descend(i):
+    def descend(i, table):
         if i == 0:
-            # x1's rank test needs only an echelon basis of the suffix's
-            # rows, and none when they already have the full rank
-            basis = [list(r) for r in rows[1:]]
-            rank = _rank_mod_p(basis, p)
-            suffixes.append((tuple(images[1:]), basis[:rank] if rank < target[0] else None))
+            suffixes.append((tuple(images[1:]), table))
             return
         targets = None
-        for h, hinv, hpow, row in cand[i]:
+        for h, hinv, hpow in cand[i]:
             images[i] = h
-            rows[i] = row
-            if _rank_mod_p([list(r) for r in rows[i:]], p) < target[i]:
+            child = extended(table, h) if basis[i] else table
+            if child is None:
                 continue
             if targets is None:
                 targets = _relation_targets(G, t, images, i)
             if _broken_relation(G, t, images, i, hinv, hpow, targets) is None:
-                descend(i - 1)
+                descend(i - 1, child)
         images[i] = None
 
-    descend(n - 1)
+    descend(n - 1, phi)
     suffixes.sort(key=lambda s: s[0])
     m = G.rel_orders[0]
-    # x1's rank test reads only its coordinates modulo frattini(G), so the
-    # suffixes that pass it are listed once per coordinate row
     passing = {}
     suffix_targets = [None] * len(suffixes)
     for h in sorted(pools[0]):
-        _, hinv, hpow, row = entry(h, m)
-        key = tuple(row)
+        _, hinv, hpow = entry(h, m)
+        key = _coset_rep(t, phi, h)
         if key not in passing:
             passing[key] = [
-                k for k, (_, basis) in enumerate(suffixes)
-                if basis is None
-                or _rank_mod_p([list(row)] + [list(b) for b in basis], p) >= target[0]
+                k for k, (_, table) in enumerate(suffixes)
+                if not basis[0] or _leading(_sift(t, table, key)) is not None
             ]
         for k in passing[key]:
             leaf = (h,) + suffixes[k][0]

@@ -246,16 +246,6 @@ def agemo(G: PcPresentation, i: int = 1, caps=DEFAULT_CAPS) -> Subgroup:
     return _memo(G, ("agemo", i), compute, caps)
 
 
-def frattini_quotient(G: PcPresentation):
-    """The presentation of the elementary abelian G/frattini(G) with the
-    projection from exponent vectors of G: its exponents are the F_p
-    coordinates of a coset, and its generator count is rank_d(G)."""
-    def compute():
-        return quotient(G, frattini_closure(G)).presentation()
-
-    return _memo(G, "frattini_quotient", compute)
-
-
 def frattini(G: PcPresentation, caps=DEFAULT_CAPS) -> Subgroup:
     """G' G^p.  Cross-checked against the maximal-subgroup intersection
     and against the sweep G' <x^p : x in G> in the test suite.

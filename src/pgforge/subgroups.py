@@ -136,18 +136,15 @@ class _IgsBuilder:
                 return
 
     def reduce_entries(self):
-        """Canonical form: each entry reduced at every later pivot."""
-        t = self.t
-        idxs = [i for i, v in enumerate(self.table) if v is not None]
-        for pos, i in enumerate(idxs):
-            v = self.table[i]
-            for j in idxs[pos + 1:]:
-                w = self.table[j]
-                step = w[j]
-                q = v[j] // step
-                if q:
-                    v = kernel.mul(t, v, kernel.power(t, w, -q))
-            self.table[i] = v
+        """Canonical form: each entry reduced at every later pivot, by
+        the strip of `_coset_rep` through the table with the entry's own
+        pivot cleared.  The entry is zero at the earlier pivots, so the
+        strip runs at the later ones, in pivot order."""
+        table = self.table
+        for i, v in enumerate(table):
+            if v is not None:
+                table[i] = None
+                table[i] = _coset_rep(self.t, table, v)
 
     def finish(self):
         self.close()
@@ -568,8 +565,7 @@ def _lattice(G: PcPresentation, bottom: Subgroup, normal: bool):
                     continue
                 xinv = inv(t, x)
                 if normal:
-                    ok = all(inside(mul(t, mul(t, xinv, ginv), mul(t, x, g)))
-                             for g, ginv in gens)
+                    ok = all(inside(product(t, (xinv, ginv, x, g))) for g, ginv in gens)
                 else:
                     ok = all(inside(product(t, (xinv, u, x))) for u in igs)
                 if not ok:

@@ -8,14 +8,20 @@ filtered from every functional on G/Phi(G), lemma 2.1's: the
 transversal and coset-grid shifts by membership probes, the coset-shift
 scan with one map and one commutator image per element outside M, and
 the inclusion loop over every such element, and theorem 2.6's pairing
-subgroup filtered from every element of Z_2(G)."""
+subgroup filtered from every element of Z_2(G).
+
+Independence modulo Phi(G), which the library decides by the IGS sift,
+is decided here by its own Gaussian elimination over F_p (`rank_mod_p`)
+on coordinates read from the presentation of G/Phi(G)
+(`frattini_coordinates`): the descent's rank test and the functionals
+on G/Phi(G) use it."""
 
 import itertools
 from collections import Counter
 
 from pgforge import kernel, structure
-from pgforge.autos import (_broken_relation, _gen_vecs, _image, _rank_mod_p,
-                           is_inner, make_automorphism, maximal_coset_shift)
+from pgforge.autos import (_broken_relation, _gen_vecs, _image, is_inner,
+                           make_automorphism, maximal_coset_shift)
 from pgforge.caps import DEFAULT_CAPS
 from pgforge.core import Element, p_valuation
 from pgforge.errors import DomainError
@@ -101,20 +107,58 @@ def h0(M):
     return section_invariants(M.G, fixed_points(M), trace_image(M))
 
 
+def rank_mod_p(rows, p):
+    """Rank over F_p of integer row vectors, by elimination in place."""
+    rank = 0
+    width = len(rows[0]) if rows else 0
+    for c in range(width):
+        for r in range(rank, len(rows)):
+            if rows[r][c] % p:
+                break
+        else:
+            continue
+        rows[rank], rows[r] = rows[r], rows[rank]
+        pivot = rows[rank]
+        inv = pow(pivot[c], -1, p)
+        for row in rows[rank + 1:]:
+            f = row[c] * inv % p
+            if f:
+                for k in range(c, width):
+                    row[k] = (row[k] - f * pivot[k]) % p
+        rank += 1
+    return rank
+
+
+def frattini_coordinates(G):
+    """The dimension d of G/Phi(G) and the map from an exponent vector of
+    G to its coset's F_p coordinates, the exponents of the quotient
+    presentation."""
+    Qp, project = quotient(G, frattini_closure(G)).presentation()
+    return Qp.n_gens, lambda v: list(project(v))
+
+
+def generator_ranks(G):
+    """For each i, the F_p rank of the coordinates of x_i, ..., x_n."""
+    _, coords = frattini_coordinates(G)
+    rows = [coords(g) for g in _gen_vecs(G.n_gens)]
+    return [rank_mod_p([list(r) for r in rows[i:]], G.prime) for i in range(G.n_gens)]
+
+
 def eager_fixing_leaves(G, fixed, pools):
     """The leaves of `autos._fixing_leaves` by one full descent from the
     last generator's image to the first, every pooled image's entry
-    computed up front, and the leaf list sorted at the end."""
+    computed up front, and the leaf list sorted at the end.  A node is
+    kept while the images of x_i..x_n have at least the F_p rank modulo
+    Phi(G) of x_i..x_n themselves, by Gaussian elimination."""
     p = G.prime
     n = G.n_gens
     t = G._tables
-    _, project = structure.frattini_quotient(G)
+    _, coords = frattini_coordinates(G)
     cand = [
-        [(h, kernel.inv(t, h), kernel.power(t, h, m), list(project(h))) for h in pool]
+        [(h, kernel.inv(t, h), kernel.power(t, h, m), coords(h)) for h in pool]
         for pool, m in zip(pools, G.rel_orders)
     ]
-    coords = [list(project(g)) for g in _gen_vecs(n)]
-    target = [_rank_mod_p([list(r) for r in coords[i:]], p) for i in range(n)]
+    target = generator_ranks(G)
     fixed_igs = [u.vec for u in fixed.igs]
     images = [None] * n
     rows = [None] * n
@@ -129,7 +173,7 @@ def eager_fixing_leaves(G, fixed, pools):
         for h, hinv, hpow, row in cand[i]:
             images[i] = h
             rows[i] = row
-            if (_rank_mod_p([list(r) for r in rows[i:]], p) >= target[i]
+            if (rank_mod_p([list(r) for r in rows[i:]], p) >= target[i]
                     and _broken_relation(G, t, images, i, hinv, hpow) is None):
                 descend(i - 1)
         images[i] = None
@@ -180,9 +224,8 @@ def filtered_maximal_subgroups(G):
     G/Phi(G) whose first nonzero coefficient is 1, the closure of Phi(G)
     and every coset representative in its kernel, duplicates dropped."""
     phi = frattini_closure(G)
-    Qp, project = structure.frattini_quotient(G)
+    d, project = frattini_coordinates(G)
     p = G.prime
-    d = Qp.n_gens
     coords = {x.vec: project(x.vec) for x in quotient(G, phi).elements()}
     found = {}
     for func in itertools.product(range(p), repeat=d):

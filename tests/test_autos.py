@@ -1135,6 +1135,23 @@ def test_search_matches_revalidating_oracle_on_corpus():
     assert noninner >= 10
 
 
+def test_basis_levels_match_the_oracle_ranks():
+    """The levels where x_i extends the table of Phi(G) and x_(i+1)..x_n
+    are those where the F_p rank of the coordinates of x_i..x_n modulo
+    Phi(G), by elimination, rises: on every corpus group, and on D8 x C2
+    generated by involutions, whose Phi(G) is not spanned by the last
+    generators."""
+    from pgforge.autos import _basis_levels
+
+    groups = [(e.id, e.presentation) for e in corpus.builtin_corpus(validate=False)]
+    groups.append(("d8xc2-involutions", parse_presentation(D8XC2_INVOLUTIONS)))
+    for gid, G in groups:
+        ranks = oracles.generator_ranks(G) + [0]
+        rises = [ranks[i] > ranks[i + 1] for i in range(G.n_gens)]
+        assert _basis_levels(G) == rises, gid
+        assert sum(rises) == oracles.frattini_coordinates(G)[0], gid
+
+
 def test_search_matches_oracle_for_every_fixed_subgroup():
     """Any subgroup may be fixed, including one whose generators are moved
     while a product of them is not (<x1 x2> in C2 x C2 leaves one swap).

@@ -244,16 +244,18 @@ def test_second_proof_builds_one_module(monkeypatch):
     assert len(calls) == 1
 
 
-# sha256 of the verify-all report with every group-order cap lowered to
-# 8, 16 and 64, `timing_ms` set to 0 and `kernel_backend` set to "any", as
-# in tests/test_cli.py: these pin the refusals (70, 57 and 27, all of the
-# element sweep) with their reasons, and the verdicts left within the
-# lowered caps
+# sha256 of the verify-all report with every group-order cap set to 8,
+# 16, 64 and 1024, `timing_ms` set to 0 and `kernel_backend` set to "any",
+# as in tests/test_cli.py: these pin the refusals (70, 57 and 27, all of
+# the element sweep, and none at 1024) with their reasons, and the verdicts
+# left within the caps.  At 1024 every corpus group runs the automorphism
+# search, the prop-1.3 slice and the lattice.
 @pytest.mark.parametrize("cap,refused,digest", [
     (8, 70, "6b1fb1c6d9111cd1807132be2c5926ef5fa2cd72319c949de9ab540071793fd7"),
     (16, 57, "d5e60c2c574972548551ae8870c44b2fb0d1ddec0fd9490b7ebc6b7ddcc4e5b9"),
     (64, 27, "329df9dc3febf8c3ee49406998581edda1fc577140725449ea2934995d474e50"),
-], ids=["cap-8", "cap-16", "cap-64"])
+    (1024, 0, "1216f926ac73a171df588506513d164c1e2ccc39214352505aee2303a49856e4"),
+], ids=["cap-8", "cap-16", "cap-64", "cap-1024"])
 def test_lowered_cap_reports_are_pinned(cap, refused, digest):
     caps = DEFAULT_CAPS.with_override(cap)
     doc = report_dict(run_all(caps=caps), caps)
